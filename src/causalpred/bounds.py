@@ -13,9 +13,9 @@ from .errors import InvalidN, InvalidParams, InvalidSize, NTooLarge, Unsupported
 from .models import (
     Dag,
     PathModel,
+    d_separated,
     is_polytree_edges,
     path_sign,
-    q_ci_dag,
     q_dirpath,
 )
 
@@ -52,8 +52,8 @@ def vc_upper_bound(c: ModelClassId, n: int, path_corr_constant=PATH_CORR_CONSTAN
     upper bound on the number of graphs, hence on the number of distinct
     predictor functions, which also caps the VC dimension.
 
-    - ALL_DAGS: ``q_ci_dag`` over all DAGs; at most n! 2^(n(n-1)/2) DAGs.
-    - POLYTREES: ``q_ci_dag`` over polytrees, and the edge-membership
+    - ALL_DAGS: ``d_separated`` over all DAGs; at most n! 2^(n(n-1)/2) DAGs.
+    - POLYTREES: ``d_separated`` over polytrees, and the edge-membership
       predictor ``q_anm_polytree``; at most (n+1)^(n-1) 2^(n-1) <= (2n)^n
       oriented forests.
     - PATH_SIGN: ``path_sign`` over path models; the pair signs factor as
@@ -188,7 +188,7 @@ def brute_force_vc_check(c: ModelClassId, n) -> int:
         dags = all_dags(n)
         if c == ModelClassId.POLYTREES:
             dags = [g for g in dags if is_polytree_edges(n, g.edges)]
-        functions = {tuple(q_ci_dag(g, q) for q in queries) for g in dags}
+        functions = {tuple(d_separated(g, q) for q in queries) for g in dags}
         return len(functions)
     if c == ModelClassId.DIRECTIONALITY:
         queries = enumerate_queries(n, QueryKind.ORDERED_PAIR)

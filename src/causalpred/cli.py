@@ -9,6 +9,7 @@ Query grammar: ``ci:a,b|c1,c2`` (empty conditioning allowed),
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -16,7 +17,7 @@ import sys
 import numpy as np
 
 from . import bounds, harness, learners, models, stattests, synthgen
-from .core import Query, load_dataset, save_dataset
+from .core import Query, QueryKind, load_dataset, save_dataset
 from .errors import CausalPredError, ParseError, UnsupportedQueryForModel
 
 DEFAULT_SEED_ENV = "CAUSALPRED_SEED"
@@ -48,6 +49,28 @@ def parse_query(text):
     except (ValueError, TypeError):
         raise ParseError(f"malformed query {text!r}") from None
     raise ParseError(f"unknown query kind {prefix!r}")
+
+
+PREFIX_KIND = {
+    "ci": QueryKind.COND_INDEP,
+    "anm": QueryKind.ORDERED_PAIR,
+    "dir": QueryKind.ORDERED_PAIR,
+    "corr": QueryKind.UNORDERED_PAIR,
+    "sign": QueryKind.UNORDERED_PAIR,
+    "lingam": QueryKind.ORDERED_TUPLE,
+}
+
+
+def format_query(prefix, q):
+    """Inverse of parse_query: the query text that parses to (prefix, q)."""
+    if PREFIX_KIND.get(prefix) != q.kind:
+        raise ParseError(f"query kind {prefix!r} does not match a {q.kind.value} query")
+    if prefix == "ci":
+        a, b = q.members
+        return f"ci:{a},{b}|{','.join(map(str, q.cond))}"
+    if q.kind == QueryKind.ORDERED_PAIR:
+        return f"{prefix}:{q.members[0]}->{q.members[1]}"
+    return f"{prefix}:{','.join(map(str, q.members))}"
 
 
 def _emit(obj):
@@ -101,22 +124,24 @@ def cmd_fit(args):
     d = load_dataset(args.data, args.names)
     if args.model == "pc":
         model, labels = learners.pc_fit(d, args.alpha, args.max_cond)
+        prefix = "ci"
     elif args.model == "polytree":
         if args.k is None:
             raise ParseError("polytree fitting needs --k")
         model, labels = learners.polytree_from_anm(d, args.k, args.alpha, args.seed)
+        prefix = "anm"
     else:
         model = learners.fit_path_model(d)
         labels = []
     models.save_model(model, args.out)
     if args.labels:
-        with open(args.labels, "w", encoding="utf-8") as fh:
-            fh.write("query,outcome,p_value\n")
-            for lq in labels:
-                fh.write(
-                    f"{lq.query.kind.value}:{lq.query.members}|{lq.query.cond},"
-                    f"{lq.outcome.value.value},{lq.outcome.p_value}\n"
-                )
+        with open(args.labels, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(("query", "outcome", "p_value"))
+            w.writerows(
+                (format_query(prefix, lq.query), lq.outcome.value.value, lq.outcome.p_value)
+                for lq in labels
+            )
     _emit({"written": args.out, "model": args.model, "labels": len(labels)})
     return 0
 
@@ -137,13 +162,13 @@ def cmd_predict(args):
                 model.n,
                 [(model.order[i], model.order[i + 1]) for i in range(model.n - 1)],
             )
-            _emit({"value": models.q_ci_dag(chain, q), "tag": "binary"})
+            _emit({"value": models.d_separated(chain, q), "tag": "binary"})
             return 0
         raise UnsupportedQueryForModel(f"path model cannot answer {prefix!r}")
     if isinstance(model, models.Cpdag):
         raise UnsupportedQueryForModel("draw a DAG from the CPDAG first (fit/predict)")
     if prefix == "ci":
-        _emit({"value": models.q_ci_dag(model, q), "tag": "binary"})
+        _emit({"value": models.d_separated(model, q), "tag": "binary"})
     elif prefix == "dir":
         _emit({"value": models.q_dirpath(model, q), "tag": "binary"})
     elif prefix == "anm":
@@ -160,7 +185,10 @@ def cmd_predict(args):
 def cmd_bound(args):
     class_id = bounds.ModelClassId(args.model_class)
     h = bounds.vc_upper_bound(class_id, args.n)
-    gap = bounds.gap_binary(h, args.k, args.eta)
+    if class_id == bounds.ModelClassId.PATH_CORR:
+        gap = bounds.gap_real(h, args.k, args.eta, -1.0, 1.0)  # correlations lie in [-1, 1]
+    else:
+        gap = bounds.gap_binary(h, args.k, args.eta)
     report = bounds.BoundReport(h, args.k, args.eta, args.empirical, gap)
     out = {
         "class": class_id.value,
@@ -177,12 +205,21 @@ def cmd_bound(args):
     return 0
 
 
+# the queries each class's predictor answers; the graph classes are planned
+# on conditional-independence queries of order --cond-size
+PLAN_QUERY_KIND = {
+    bounds.ModelClassId.DIRECTIONALITY: QueryKind.ORDERED_PAIR,
+    bounds.ModelClassId.PATH_SIGN: QueryKind.UNORDERED_PAIR,
+    bounds.ModelClassId.PATH_CORR: QueryKind.UNORDERED_PAIR,
+}
+
+
 def cmd_plan(args):
     class_id = bounds.ModelClassId(args.model_class)
     min_k = bounds.min_training_sets(class_id, args.n, args.eps, args.eta)
-    from .core import QueryKind
-
-    possible = bounds.count_queries(args.n, QueryKind.COND_INDEP, args.cond_size)
+    kind = PLAN_QUERY_KIND.get(class_id, QueryKind.COND_INDEP)
+    cond_size = args.cond_size if kind == QueryKind.COND_INDEP else 0
+    possible = bounds.count_queries(args.n, kind, cond_size)
     _emit(
         {
             "class": class_id.value,
@@ -207,8 +244,10 @@ def cmd_experiment(args):
 
 
 def cmd_merge(args):
-    cov_xy = np.asarray(json.load(open(args.cov_xy, encoding="utf-8")), dtype=float)
-    cov_yz = np.asarray(json.load(open(args.cov_yz, encoding="utf-8")), dtype=float)
+    with open(args.cov_xy, encoding="utf-8") as fh:
+        cov_xy = np.asarray(json.load(fh), dtype=float)
+    with open(args.cov_yz, encoding="utf-8") as fh:
+        cov_yz = np.asarray(json.load(fh), dtype=float)
     glued = models.glue_gaussian_chain(cov_xy, cov_yz)
     _emit({"covariance": glued.tolist()})
     return 0

@@ -234,6 +234,10 @@ def load_dataset(path, names_path=None) -> Dataset:
                 data[i, j] = float(cell)
             except ValueError:
                 raise NonNumericCell(i + 1, j) from None
+    # float() accepts "nan" and "inf", which no test or fit can use
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        raise NonNumericCell(int(bad[0][0]) + 1, int(bad[0][1]))
     return Dataset(data, tuple(columns))
 
 

@@ -91,22 +91,7 @@ def write_records(records, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_COLUMNS)
-        for r in records:
-            w.writerow(
-                [
-                    r.experiment,
-                    r.n,
-                    r.l,
-                    r.alpha,
-                    r.k,
-                    r.rep,
-                    r.empirical,
-                    r.expected,
-                    r.gap,
-                    r.bound_unscaled,
-                    r.seed,
-                ]
-            )
+        w.writerows([getattr(r, c) for c in CSV_COLUMNS] for r in records)
 
 
 def expected_risk(predict, queries, tester) -> float:

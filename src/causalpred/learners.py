@@ -12,12 +12,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Query, QueryKind, enumerate_queries, sample_queries
+from .core import Query, QueryKind, binary, enumerate_queries, sample_queries
 from .errors import InvalidSize, KTooLarge, ZeroCorrelation
-from .models import Cpdag, Polytree, _Pdag, d_separated
-from .stattests import TestOutcome, anm_test, fisher_z_from_corr
-
-VAR_EPS = 1e-12
+from .models import PathModel, Polytree, _Pdag, d_separated, forest_union
+from .stattests import VAR_EPS, TestOutcome, anm_test, fisher_z_from_corr
+from .synthgen import sample
 
 
 @dataclass(frozen=True)
@@ -107,10 +106,7 @@ def pc_oracle(g, max_cond):
     """PC driven by exact d-separation in a known graph (no data)."""
 
     def ci_test(a, b, cond):
-        value = d_separated(g, Query.ci(a, b, cond))
-        from .core import binary
-
-        return TestOutcome(binary(value), None, None)
+        return TestOutcome(binary(d_separated(g, Query.ci(a, b, cond))), None, None)
 
     return pc_from_ci(g.n, ci_test, max_cond)
 
@@ -129,8 +125,6 @@ def select_alpha(candidates, scms, l, seed=0):
     one-variable-conditioned queries; ties go to the smaller alpha."""
     if not candidates:
         raise InvalidSize("need at least one candidate alpha")
-    from .synthgen import sample  # local import to avoid a cycle
-
     scores = {a: [] for a in candidates}
     for idx, scm in enumerate(scms):
         data = sample(scm, l, seed + idx).dataset
@@ -161,46 +155,6 @@ def select_alpha(candidates, scms, l, seed=0):
 # --- polytrees from ANM tests -------------------------------------------------
 
 
-def _find_cycle(n, edge_list):
-    """Any cycle in the undirected multigraph given as a list of directed
-    edges; returns the edge indices on the cycle, or None."""
-    incident = {v: [] for v in range(n)}
-    for idx, (a, b) in enumerate(edge_list):
-        incident[a].append((b, idx))
-        incident[b].append((a, idx))
-    via = {}
-    parent_edge = {}
-
-    def dfs(v):
-        for w, idx in incident[v]:
-            if idx == parent_edge.get(v):
-                continue
-            if w in via:
-                # back edge: walk from v up the tree to w
-                cycle = [idx]
-                node = v
-                while node != w:
-                    cycle.append(parent_edge[node])
-                    node = via[node]
-                return cycle
-            via[w] = v
-            parent_edge[w] = idx
-            found = dfs(w)
-            if found is not None:
-                return found
-        return None
-
-    for start in range(n):
-        if start in via:
-            continue
-        via[start] = None
-        parent_edge[start] = None
-        found = dfs(start)
-        if found is not None:
-            return found
-    return None
-
-
 def polytree_from_anm(d, k, alpha, seed, tester=None):
     """Three-step polytree construction from bivariate additive-noise tests.
 
@@ -212,7 +166,6 @@ def polytree_from_anm(d, k, alpha, seed, tester=None):
     ``tester`` may replace the default ANM test (it receives the query and
     must return a TestOutcome); used for cached or synthetic outcomes.
     """
-    n = len(d.columns)
     universe = [
         Query.ordered_pair(a, b) for a in d.columns for b in d.columns if a != b
     ]
@@ -223,23 +176,23 @@ def polytree_from_anm(d, k, alpha, seed, tester=None):
     chosen = sample_queries(universe, k, seed)
     labels = [LabeledQuery(q, tester(q)) for q in chosen]
 
-    kept = [lq for lq in labels if lq.outcome.value.value == 1]
+    # Kruskal over the accepted edges, strongest first: (p-value, positional
+    # edge) is a strict order, so this keeps the unique maximum spanning
+    # forest, which is what repeatedly dropping the weakest edge on a cycle
+    # leaves.
     pos = {v: i for i, v in enumerate(d.columns)}
-    edge_list = [
-        (pos[lq.query.members[0]], pos[lq.query.members[1]]) for lq in kept
-    ]
-    p_values = [lq.outcome.p_value if lq.outcome.p_value is not None else 0.0 for lq in kept]
-    while True:
-        cycle = _find_cycle(n, edge_list)
-        if cycle is None:
-            break
-        worst = min(cycle, key=lambda idx: (p_values[idx], edge_list[idx]))
-        del edge_list[worst]
-        del p_values[worst]
-    # map column positions back to global variable ids
-    node_of = dict(enumerate(d.columns))
-    tree = Polytree(max(d.columns) + 1, [(node_of[a], node_of[b]) for a, b in edge_list])
-    return tree, labels
+
+    def strength(lq):
+        p = lq.outcome.p_value
+        return (p if p is not None else 0.0, tuple(pos[v] for v in lq.query.members))
+
+    accepted = sorted(
+        (lq for lq in labels if lq.outcome.value.value == 1), key=strength, reverse=True
+    )
+    n = max(d.columns) + 1
+    union = forest_union(n)
+    edges = [lq.query.members for lq in accepted if union(*lq.query.members)]
+    return Polytree(n, edges), labels
 
 
 # --- path models --------------------------------------------------------------
@@ -251,8 +204,6 @@ def fit_path_model(d):
     Starts from the strongest pair and repeatedly extends whichever chain
     end has the largest absolute correlation with an unused variable.
     """
-    from .models import PathModel
-
     n = len(d.columns)
     if n < 2:
         raise InvalidSize("need at least two variables")

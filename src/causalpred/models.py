@@ -109,7 +109,13 @@ class Polytree(Dag):
             raise GraphError("skeleton contains an undirected cycle")
 
 
-def is_polytree_edges(n, edges) -> bool:
+def forest_union(n):
+    """Incremental union-find on nodes 0..n-1, returned as ``union(a, b)``.
+
+    ``union`` joins the trees of a and b and returns True, or returns False
+    when they already share a tree, i.e. when the undirected edge a-b would
+    close a cycle.
+    """
     parent = list(range(n))
 
     def find(x):
@@ -118,12 +124,19 @@ def is_polytree_edges(n, edges) -> bool:
             x = parent[x]
         return x
 
-    for a, b in edges:
+    def union(a, b):
         ra, rb = find(a), find(b)
         if ra == rb:
             return False
         parent[ra] = rb
-    return True
+        return True
+
+    return union
+
+
+def is_polytree_edges(n, edges) -> bool:
+    union = forest_union(n)
+    return all(union(a, b) for a, b in edges)
 
 
 def is_polytree(g: Dag) -> int:
@@ -235,11 +248,6 @@ def d_separated(g: Dag, q: Query) -> int:
                 for p in g.parents(v):
                     frontier.append((p, "up"))
     return 1
-
-
-def q_ci_dag(g: Dag, q: Query) -> int:
-    """Predicted conditional independence: 1 = independence, 0 = dependence."""
-    return d_separated(g, q)
 
 
 def q_dirpath(g: Dag, q: Query) -> int:

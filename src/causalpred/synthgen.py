@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import Dataset
 from .errors import InvalidDegree, InvalidSize
-from .models import Dag, Polytree
+from .models import Dag, Polytree, forest_union
 
 HIDDEN_UNITS = 20
 DEFAULT_NOISE_WIDTH = 1.0  # uniform noise on [-0.5, 0.5]
@@ -134,22 +134,12 @@ def gen_gam_scm(n, expected_degree, seed, noise_width=DEFAULT_NOISE_WIDTH) -> Ga
     """Like gen_linear_scm, but edges closing an undirected cycle are rejected."""
     rng = np.random.default_rng(seed)
     order, pairs, p = _random_order_and_pairs(n, expected_degree, rng)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    union = forest_union(n)
     edges = []
     mechanisms = {}
     for j, i in pairs:
-        if rng.random() < p:
-            rj, ri = find(j), find(i)
-            if rj == ri:
-                continue  # would close an undirected cycle
-            parent[rj] = ri
+        # a mechanism is drawn only for an edge that closes no cycle
+        if rng.random() < p and union(j, i):
             edges.append((j, i))
             mechanisms[(j, i)] = _random_mechanism(rng)
     return GamScm(n, Polytree(n, edges), mechanisms, noise_width)

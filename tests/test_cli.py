@@ -1,10 +1,14 @@
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from causalpred import bounds, cli
 from causalpred.core import Query, QueryKind, load_dataset
+from causalpred.learners import pc_fit
 from causalpred.errors import ParseError
 from causalpred.models import Dag, PathModel, Polytree, save_model
 
@@ -39,6 +43,34 @@ def test_parse_pairs_and_tuples():
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         cli.parse_query(bad)
+
+
+_ids = st.integers(0, 300)
+
+
+@st.composite
+def _prefixed_queries(draw):
+    prefix = draw(st.sampled_from(sorted(cli.PREFIX_KIND)))
+    kind = cli.PREFIX_KIND[prefix]
+    if kind == QueryKind.ORDERED_TUPLE:
+        ids = draw(st.lists(_ids, min_size=1, max_size=6, unique=True))
+        return prefix, Query.ordered_tuple(*ids)
+    size = 2 + (draw(st.integers(0, 4)) if kind == QueryKind.COND_INDEP else 0)
+    ids = draw(st.lists(_ids, min_size=size, max_size=size, unique=True))
+    return prefix, Query(kind, tuple(ids[:2]), tuple(ids[2:]))
+
+
+@given(_prefixed_queries())
+def test_format_query_inverts_parse_query(prefixed):
+    prefix, q = prefixed
+    text = cli.format_query(prefix, q)
+    assert cli.parse_query(text) == (prefix, q)
+    assert cli.format_query(*cli.parse_query(text)) == text
+
+
+def test_format_query_rejects_kind_mismatch():
+    with pytest.raises(ParseError):
+        cli.format_query("ci", Query.ordered_pair(0, 1))
 
 
 # --- exit codes ---------------------------------------------------------------
@@ -137,6 +169,45 @@ def test_fit_pc_end_to_end(tmp_path, capsys):
     assert labels.read_text().startswith("query,outcome,p_value")
 
 
+def test_fit_pc_labels_parse_back_to_pc_log(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    cli.main(["gen", "linear", "--n", "5", "--samples", "2000", "--seed", "2", "--out", str(data)])
+    labels = tmp_path / "labels.csv"
+    rc = cli.main(
+        ["fit", "pc", "--data", str(data), "--alpha", "0.01", "--max-cond", "2",
+         "--out", str(tmp_path / "m.json"), "--labels", str(labels)]
+    )
+    assert rc == 0
+    with open(labels, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["query", "outcome", "p_value"]
+    assert all(len(row) == 3 for row in rows)
+    _, log = pc_fit(load_dataset(data), 0.01, 2)
+    assert any(lq.query.cond for lq in log)
+    assert [(cli.parse_query(q), int(v), float(p)) for q, v, p in rows[1:]] == [
+        (("ci", lq.query), lq.outcome.value.value, lq.outcome.p_value) for lq in log
+    ]
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command",
+    [["test", "--query", "ci:0,1|2"], ["fit", "pc", "--out", "m.json"]],
+    ids=["test", "fit-pc"],
+)
+def test_non_finite_cell_exit_code(tmp_path, monkeypatch, capsys, cell, command):
+    monkeypatch.chdir(tmp_path)
+    rows = np.random.default_rng(0).standard_normal((50, 3)).tolist()
+    rows[7][1] = cell
+    (tmp_path / "d.csv").write_text(
+        "0,1,2\n" + "".join(",".join(map(str, r)) + "\n" for r in rows)
+    )
+    assert cli.main([*command, "--data", "d.csv"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NonNumericCell"
+    assert "row 8, column 1" in err["message"]
+
+
 def test_bound_command_matches_gap_binary(capsys):
     rc = cli.main(
         ["bound", "--class", "alldags", "--n", "10", "--k", "1000",
@@ -147,6 +218,27 @@ def test_bound_command_matches_gap_binary(capsys):
     h = bounds.vc_upper_bound(bounds.ModelClassId.ALL_DAGS, 10)
     assert out["gap"] == pytest.approx(bounds.gap_binary(h, 1000, 0.1))
     assert out["bound"] == pytest.approx(out["gap"])
+
+
+def test_bound_command_pathcorr_uses_gap_real(capsys):
+    rc = cli.main(["bound", "--class", "pathcorr", "--n", "5", "--k", "5000", "--eta", "0.1"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    h = bounds.vc_upper_bound(bounds.ModelClassId.PATH_CORR, 5)
+    assert out["gap"] == pytest.approx(bounds.gap_real(h, 5000, 0.1, -1.0, 1.0))
+    assert out["gap"] != pytest.approx(bounds.gap_binary(h, 5000, 0.1))
+
+
+@pytest.mark.parametrize(
+    "model_class, possible",
+    [("directionality", 90), ("pathsign", 45), ("pathcorr", 45), ("alldags", 360)],
+)
+def test_plan_command_universe_follows_class(capsys, model_class, possible):
+    rc = cli.main(["plan", "--class", model_class, "--n", "10", "--eps", "0.2", "--eta", "0.1"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["possible_tests"] == possible
+    assert out["fraction"] == pytest.approx(out["min_k"] / possible)
 
 
 def test_plan_command(capsys):
@@ -166,6 +258,24 @@ def test_merge_command(tmp_path, capsys):
     assert cli.main(["merge", str(a), str(b)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["covariance"][0][2] == pytest.approx(0.2)
+
+
+def test_merge_command_closes_its_files(tmp_path, monkeypatch, capsys):
+    opened = []
+
+    def tracking_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr(cli, "open", tracking_open, raising=False)
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    a.write_text(json.dumps([[1, 0.5], [0.5, 1]]))
+    b.write_text(json.dumps([[1, 0.4], [0.4, 1]]))
+    assert cli.main(["merge", str(a), str(b)]) == 0
+    assert len(opened) == 2
+    assert all(fh.closed for fh in opened)
 
 
 def test_merge_mismatch_exit_code(tmp_path, capsys):

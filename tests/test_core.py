@@ -165,6 +165,16 @@ def test_csv_non_numeric_cell(tmp_path):
     assert exc.value.col == 1
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+def test_csv_non_finite_cell(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"0,1\n1.0,2.0\n3.0,{cell}\n")
+    with pytest.raises(NonNumericCell) as exc:
+        load_dataset(path)
+    assert exc.value.row == 2
+    assert exc.value.col == 1
+
+
 def test_csv_named_columns(tmp_path):
     names = tmp_path / "names.json"
     names.write_text(json.dumps({"names": ["age", "height", "weight"]}))

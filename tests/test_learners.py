@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalpred.core import Dataset, Query, binary
 from causalpred.errors import InvalidSize, KTooLarge, ZeroCorrelation
 from causalpred.learners import (
     LabeledQuery,
-    _find_cycle,
     fit_path_model,
     pc_fit,
     pc_from_ci,
@@ -13,7 +14,7 @@ from causalpred.learners import (
     polytree_from_anm,
     select_alpha,
 )
-from causalpred.models import Dag, PathModel, path_corr
+from causalpred.models import Dag, PathModel, is_polytree_edges, path_corr
 from causalpred.stattests import TestOutcome
 from causalpred.synthgen import gen_linear_scm, sample
 
@@ -99,32 +100,6 @@ def test_select_alpha_empty():
         select_alpha([], [], l=100)
 
 
-# --- cycle finding ------------------------------------------------------------
-
-
-def test_find_cycle_none_on_forest():
-    assert _find_cycle(4, [(0, 1), (1, 2), (2, 3)]) is None
-    assert _find_cycle(4, []) is None
-
-
-def test_find_cycle_triangle():
-    edges = [(0, 1), (1, 2), (2, 0)]
-    cycle = _find_cycle(3, edges)
-    assert sorted(cycle) == [0, 1, 2]
-
-
-def test_find_cycle_parallel_edges():
-    # (0, 1) and (1, 0) form an undirected 2-cycle in the multigraph
-    cycle = _find_cycle(2, [(0, 1), (1, 0)])
-    assert sorted(cycle) == [0, 1]
-
-
-def test_find_cycle_disconnected_component():
-    cycle = _find_cycle(6, [(0, 1), (3, 4), (4, 5), (5, 3)])
-    assert cycle is not None
-    assert len(cycle) == 3
-
-
 # --- polytree from additive-noise outcomes ------------------------------------
 
 
@@ -151,6 +126,99 @@ def test_polytree_cycle_removal_drops_lowest_p():
     tester = _synthetic_tester({(0, 1): 0.9, (1, 2): 0.8, (0, 2): 0.1})
     tree, _ = polytree_from_anm(d, k=6, alpha=0.05, seed=0, tester=tester)
     assert tree.edges == frozenset({(0, 1), (1, 2)})
+
+
+def _fit_all_pairs(columns, edge_pvalues):
+    """Polytree fitted from every ordered pair of the columns."""
+    n = len(columns)
+    d = Dataset(np.zeros((30, n)), tuple(columns))
+    tree, _ = polytree_from_anm(
+        d, k=n * (n - 1), alpha=0.05, seed=0, tester=_synthetic_tester(edge_pvalues)
+    )
+    return tree.edges
+
+
+def test_polytree_keeps_every_edge_of_a_forest():
+    forest = {(0, 1): 0.2, (1, 2): 0.3, (3, 2): 0.01, (4, 5): 0.5}
+    assert _fit_all_pairs(range(6), forest) == frozenset(forest)
+    assert _fit_all_pairs(range(4), {}) == frozenset()
+
+
+def test_polytree_triangle_drops_lowest_p_edge():
+    triangle = [(0, 1), (1, 2), (2, 0)]
+    for weakest in range(3):
+        pvalues = {e: 0.9 - 0.1 * i for i, e in enumerate(triangle)}
+        pvalues[triangle[weakest]] = 0.05
+        kept = _fit_all_pairs(range(3), pvalues)
+        assert kept == frozenset(triangle) - {triangle[weakest]}
+
+
+def test_polytree_opposite_directions_keep_higher_p():
+    # 0->1 and 1->0 form an undirected 2-cycle
+    assert _fit_all_pairs(range(2), {(0, 1): 0.3, (1, 0): 0.7}) == {(1, 0)}
+    assert _fit_all_pairs(range(2), {(0, 1): 0.7, (1, 0): 0.3}) == {(0, 1)}
+
+
+def test_polytree_cycle_leaves_other_component_untouched():
+    # the lone edge is weaker than every cycle edge and still survives
+    pvalues = {(0, 1): 0.01, (3, 4): 0.9, (4, 5): 0.8, (5, 3): 0.6}
+    assert _fit_all_pairs(range(6), pvalues) == {(0, 1), (3, 4), (4, 5)}
+
+
+def _forest_path(edges, a, b):
+    """Edges on the path from a to b in an undirected forest, or None."""
+    incident = {}
+    for e in edges:
+        for u, v in (e, e[::-1]):
+            incident.setdefault(u, []).append((v, e))
+    via = {a: None}
+    stack = [a]
+    while stack:
+        u = stack.pop()
+        for v, e in incident.get(u, ()):
+            if v not in via:
+                via[v] = (u, e)
+                stack.append(v)
+    if b not in via:
+        return None
+    path = []
+    while b != a:
+        b, e = via[b]
+        path.append(e)
+    return path
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 20), min_size=2, max_size=7, unique=True),
+    st.data(),
+)
+def test_polytree_is_maximum_spanning_forest_with_ties(columns, data):
+    n = len(columns)
+    pairs = [(a, b) for a in columns for b in columns if a != b]
+    pvalues = data.draw(
+        st.dictionaries(st.sampled_from(pairs), st.sampled_from([None, 0.0, 0.2, 0.5, 0.9]))
+    )
+    k = data.draw(st.integers(1, len(pairs)))
+    seed = data.draw(st.integers(0, 2**16))
+    d = Dataset(np.zeros((30, n)), tuple(columns))
+    tree, labels = polytree_from_anm(
+        d, k=k, alpha=0.05, seed=seed, tester=_synthetic_tester(pvalues)
+    )
+    accepted = {lq.query.members: lq.outcome.p_value for lq in labels if lq.outcome.value.value}
+    kept = tree.edges
+    assert kept <= set(accepted)
+    assert is_polytree_edges(tree.n, kept)
+    pos = {v: i for i, v in enumerate(columns)}
+
+    def key(e):
+        p = accepted[e]
+        return (0.0 if p is None else p, (pos[e[0]], pos[e[1]]))
+
+    for e in set(accepted) - kept:
+        cycle = _forest_path(kept, *e)
+        assert cycle is not None, f"dropped {e} joins two trees"
+        assert all(key(f) > key(e) for f in cycle), f"dropped {e} is not the weakest on its cycle"
 
 
 def test_polytree_k_bounds():

@@ -21,6 +21,7 @@ from causalpred.models import (
     Polytree,
     cpdag_from_dag,
     d_separated,
+    forest_union,
     glue_gaussian_chain,
     is_polytree,
     load_model,
@@ -30,7 +31,6 @@ from causalpred.models import (
     path_corr,
     path_sign,
     q_anm_polytree,
-    q_ci_dag,
     q_dirpath,
     q_lingam_admissible,
     random_dag_from_cpdag,
@@ -63,6 +63,14 @@ def test_polytree_rejects_undirected_cycle():
         Polytree(3, [(0, 1), (0, 2), (1, 2)])
     assert is_polytree(CHAIN) == 1
     assert is_polytree(Dag(3, [(0, 1), (0, 2), (1, 2)])) == 0
+
+
+def test_forest_union_rejects_edges_inside_a_tree():
+    union = forest_union(4)
+    assert union(0, 1) and union(2, 3)
+    assert not union(1, 0)  # the reverse direction is the same undirected edge
+    assert union(1, 2)
+    assert not union(0, 3)
 
 
 def test_cpdag_rejects_conflicts():
@@ -122,11 +130,6 @@ def test_d_separated_wrong_kind():
         d_separated(CHAIN, Query.ordered_pair(0, 1))
     with pytest.raises(UnknownNode):
         d_separated(CHAIN, Query.ci(0, 5))
-
-
-def test_q_ci_dag_is_d_separation():
-    q = Query.ci(0, 2, (1,))
-    assert q_ci_dag(CHAIN, q) == d_separated(CHAIN, q)
 
 
 # --- directed paths -----------------------------------------------------------
