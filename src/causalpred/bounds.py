@@ -109,13 +109,23 @@ def gap_real(h, k, eta, a, b) -> float:
     return max(0.0, min(width, width * math.sqrt(max(inner, 0.0))))
 
 
+def class_gap(c: ModelClassId, h, k, eta) -> float:
+    """The gap that bounds the class's predictor: ``gap_real`` over the
+    range [-1, 1] of a correlation for PATH_CORR, ``gap_binary`` for the
+    binary classes."""
+    if c == ModelClassId.PATH_CORR:
+        return gap_real(h, k, eta, -1.0, 1.0)
+    return gap_binary(h, k, eta)
+
+
 def min_training_sets(c: ModelClassId, n, eps, eta) -> int:
-    """Smallest k with gap_binary(vc_upper_bound(c, n), k, eta) <= eps."""
+    """Smallest k with class_gap(c, vc_upper_bound(c, n), k, eta) <= eps;
+    both gaps are non-increasing in k."""
     if not 0.0 < eps < 1.0:
         raise InvalidParams(f"eps {eps} outside (0, 1)")
     h = vc_upper_bound(c, n)
     k = 1
-    while gap_binary(h, k, eta) > eps:
+    while class_gap(c, h, k, eta) > eps:
         k *= 2
         if k > 2**60:
             raise InvalidParams("no feasible training-set count below 2^60")
@@ -124,7 +134,7 @@ def min_training_sets(c: ModelClassId, n, eps, eta) -> int:
     lo, hi = k // 2, k
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if gap_binary(h, mid, eta) <= eps:
+        if class_gap(c, h, mid, eta) <= eps:
             hi = mid
         else:
             lo = mid

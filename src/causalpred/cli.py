@@ -166,7 +166,9 @@ def cmd_predict(args):
             return 0
         raise UnsupportedQueryForModel(f"path model cannot answer {prefix!r}")
     if isinstance(model, models.Cpdag):
-        raise UnsupportedQueryForModel("draw a DAG from the CPDAG first (fit/predict)")
+        raise UnsupportedQueryForModel(
+            "a CPDAG (fit pc) answers no query; predict with a model from fit path or fit polytree"
+        )
     if prefix == "ci":
         _emit({"value": models.d_separated(model, q), "tag": "binary"})
     elif prefix == "dir":
@@ -185,10 +187,7 @@ def cmd_predict(args):
 def cmd_bound(args):
     class_id = bounds.ModelClassId(args.model_class)
     h = bounds.vc_upper_bound(class_id, args.n)
-    if class_id == bounds.ModelClassId.PATH_CORR:
-        gap = bounds.gap_real(h, args.k, args.eta, -1.0, 1.0)  # correlations lie in [-1, 1]
-    else:
-        gap = bounds.gap_binary(h, args.k, args.eta)
+    gap = bounds.class_gap(class_id, h, args.k, args.eta)
     report = bounds.BoundReport(h, args.k, args.eta, args.empirical, gap)
     out = {
         "class": class_id.value,

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
@@ -108,46 +109,139 @@ def sign_estimate(d, q: Query) -> TestOutcome:
 
 
 # --- kernel machinery ---------------------------------------------------------
+#
+# Every step below is O(m^2) in the sample count m apart from the ridge
+# solve: a test builds each column's bandwidth and Gram once and hands the
+# Grams to the private helpers, and centring subtracts row and column
+# means, so no m x m centring matrix is built or multiplied.
 
 
 def median_bandwidth(x) -> float:
-    """Median heuristic: sqrt(median of positive squared distances / 2)."""
+    """Median heuristic: sqrt(median of positive squared distances / 2).
+
+    Only the pairs i < j are read: the full distance matrix holds each
+    positive distance twice and zeros elsewhere, so the median of its
+    positive entries is the same number, unless averaging two equal middle
+    values above half the largest double overflows there."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    d2 = (x[:, None] - x[None, :]) ** 2
+    d2 = pdist(x[:, None], "sqeuclidean")
     pos = d2[d2 > 0]
     if pos.size == 0:
         raise DegenerateInput("all points identical")
-    return float(np.sqrt(0.5 * np.median(pos)))
+    return float(np.sqrt(0.5 * _median(pos)))
 
 
-def _gram(x, bandwidth):
+def _median(a):
+    """``np.median(a)``, reordering ``a``: one partition around the upper
+    middle, where numpy partitions around both middles of an even count,
+    which takes several times longer."""
+    mid = a.size // 2
+    a.partition(mid)
+    if a.size % 2:
+        return a[mid]
+    return (a[:mid].max() + a[mid]) / 2
+
+
+def _gram(x, out=None):
+    """Gaussian Gram matrix of a column at its median-heuristic bandwidth,
+    written into ``out`` when one is given."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    d2 = (x[:, None] - x[None, :]) ** 2
-    return np.exp(-d2 / (2.0 * bandwidth**2))
+    bandwidth = median_bandwidth(x)
+    k = np.subtract.outer(x, x, out=out)
+    np.square(k, out=k)
+    np.divide(k, -(2.0 * bandwidth**2), out=k)
+    return np.exp(k, out=k)
+
+
+def _off_diagonal_mean(k):
+    m = k.shape[0]
+    return (k.sum() - np.trace(k)) / m / (m - 1)
+
+
+def _centre(k):
+    """Turn a Gram K into H K H (H = I - 1/m) in place, by subtracting its
+    row and column means and adding its grand mean; a Gram is symmetric,
+    so its row and column means agree."""
+    mu = k.mean(axis=0)
+    k -= mu[:, None]
+    k -= mu[None, :]
+    k += mu.mean()
+    return k
+
+
+def _centred_gram(x, out=None):
+    """Centred Gram of a column and the off-diagonal mean of its Gram."""
+    k = _gram(x, out)
+    mu = _off_diagonal_mean(k)
+    return _centre(k), mu
+
+
+def _hsic_moments(kc, mu_x, lc, mu_y):
+    """Biased HSIC V-statistic times m from two centred Grams, plus the
+    mean and variance of HSIC under independence for the gamma
+    approximation; ``mu_x`` and ``mu_y`` are the off-diagonal means of the
+    uncentred Grams."""
+    m = kc.shape[0]
+    prod = kc * lc
+    stat = float(prod.sum()) / m
+
+    prod /= 6.0
+    np.square(prod, out=prod)
+    var_hsic = (prod.sum() - np.trace(prod)) / m / (m - 1)
+    var_hsic *= 72.0 * (m - 4) * (m - 5) / m / (m - 1) / (m - 2) / (m - 3)
+    mean_hsic = (1.0 + mu_x * mu_y - mu_x - mu_y) / m
+    return stat, mean_hsic, var_hsic
+
+
+def _gamma_p_value(stat, mean_hsic, var_hsic, m) -> float:
+    if mean_hsic <= 0 or var_hsic <= 0:
+        raise DegenerateInput("gamma approximation undefined for this input")
+    # the statistic is m * HSIC while the moments are those of HSIC,
+    # hence the extra factor in the scale
+    shape = mean_hsic**2 / var_hsic
+    scale = var_hsic * m / mean_hsic
+    return float(gamma_dist.sf(stat, shape, scale=scale))
+
+
+def _permutation_p_value(stat, kc, lc, n_permutations, seed) -> float:
+    """Permuting y permutes the rows and columns of its Gram, centred or
+    not, and leaves its bandwidth unchanged, so each draw only re-indexes
+    the centred Gram; the draws are those of ``rng.permutation(y)``."""
+    m = kc.shape[0]
+    rng = np.random.default_rng(seed)
+    count = 0
+    for _ in range(n_permutations):
+        p = rng.permutation(m)
+        if float(np.sum(kc * lc[np.ix_(p, p)])) / m >= stat:
+            count += 1
+    return (count + 1.0) / (n_permutations + 1.0)
+
+
+def _ridge_residuals(k, y, ridge_scale, out=None):
+    """Residuals of y after kernel ridge regression on the Gram ``k``;
+    the regularised Gram is written into ``out`` when one is given."""
+    m = k.shape[0]
+    yc = y - y.mean()
+    a = np.empty_like(k) if out is None else out
+    np.copyto(a, k)
+    a.flat[:: m + 1] += ridge_scale * m
+    return yc - k @ np.linalg.solve(a, yc)
+
+
+def _column_pair(x, y):
+    x = np.asarray(x, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if x.size != y.size:
+        raise InvalidSize("columns must have equal length")
+    if x.size < 20:
+        raise InvalidSize("need at least 20 samples")
+    return x, y
 
 
 def hsic_statistic(x, y):
     """Biased HSIC V-statistic with median-heuristic Gaussian kernels,
     plus the gamma moment-matching parameters of its null distribution."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    m = x.size
-    k = _gram(x, median_bandwidth(x))
-    l = _gram(y, median_bandwidth(y))
-    h = np.eye(m) - np.full((m, m), 1.0 / m)
-    kc = h @ k @ h
-    lc = h @ l @ h
-    stat = float(np.sum(kc * lc)) / m
-
-    var_hsic = (kc * lc / 6.0) ** 2
-    var_hsic = (var_hsic.sum() - np.trace(var_hsic)) / m / (m - 1)
-    var_hsic *= 72.0 * (m - 4) * (m - 5) / m / (m - 1) / (m - 2) / (m - 3)
-    k0 = k - np.diag(np.diag(k))
-    l0 = l - np.diag(np.diag(l))
-    mu_x = k0.sum() / m / (m - 1)
-    mu_y = l0.sum() / m / (m - 1)
-    mean_hsic = (1.0 + mu_x * mu_y - mu_x - mu_y) / m
-    return stat, mean_hsic, var_hsic
+    return _hsic_moments(*_centred_gram(x), *_centred_gram(y))
 
 
 def hsic_independence(x, y, alpha, method="gamma", n_permutations=500, seed=0) -> TestOutcome:
@@ -157,30 +251,15 @@ def hsic_independence(x, y, alpha, method="gamma", n_permutations=500, seed=0) -
     default; ``method="permutation"`` resamples one column instead.
     """
     _require_alpha(alpha)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if x.size != y.size:
-        raise InvalidSize("columns must have equal length")
-    if x.size < 20:
-        raise InvalidSize("need at least 20 samples")
+    x, y = _column_pair(x, y)
     _check_nonconstant(x, y)
-    stat, mean_hsic, var_hsic = hsic_statistic(x, y)
+    kc, mu_x = _centred_gram(x)
+    lc, mu_y = _centred_gram(y)
+    stat, mean_hsic, var_hsic = _hsic_moments(kc, mu_x, lc, mu_y)
     if method == "gamma":
-        if mean_hsic <= 0 or var_hsic <= 0:
-            raise DegenerateInput("gamma approximation undefined for this input")
-        # the statistic is m * HSIC while the moments are those of HSIC,
-        # hence the extra factor in the scale
-        shape = mean_hsic**2 / var_hsic
-        scale = var_hsic * x.size / mean_hsic
-        p = float(gamma_dist.sf(stat, shape, scale=scale))
+        p = _gamma_p_value(stat, mean_hsic, var_hsic, x.size)
     elif method == "permutation":
-        rng = np.random.default_rng(seed)
-        count = 0
-        for _ in range(n_permutations):
-            perm_stat, _, _ = hsic_statistic(x, rng.permutation(y))
-            if perm_stat >= stat:
-                count += 1
-        p = (count + 1.0) / (n_permutations + 1.0)
+        p = _permutation_p_value(stat, kc, lc, n_permutations, seed)
     else:
         raise InvalidParams(f"unknown method {method!r}")
     return TestOutcome(binary(1 if p > alpha else 0), p, alpha)
@@ -193,18 +272,9 @@ def kernel_regress(x, y, ridge_scale=DEFAULT_RIDGE_SCALE):
     ``ridge_scale * l``; y is centered before the solve so constant
     targets give exactly zero residuals.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if x.size != y.size:
-        raise InvalidSize("columns must have equal length")
-    if x.size < 20:
-        raise InvalidSize("need at least 20 samples")
+    x, y = _column_pair(x, y)
     _check_nonconstant(x)
-    k = _gram(x, median_bandwidth(x))
-    lam = ridge_scale * x.size
-    yc = y - y.mean()
-    alpha_vec = np.linalg.solve(k + lam * np.eye(x.size), yc)
-    return yc - k @ alpha_vec
+    return _ridge_residuals(_gram(x), y, ridge_scale)
 
 
 def anm_test(d, q: Query, alpha, ridge_scale=DEFAULT_RIDGE_SCALE) -> TestOutcome:
@@ -212,15 +282,26 @@ def anm_test(d, q: Query, alpha, ridge_scale=DEFAULT_RIDGE_SCALE) -> TestOutcome
 
     Value 1 iff the pair is marginally dependent and the residual of the
     target after regressing on the source is independent of the source.
-    The reported p-value is the residual-independence p-value.
+    The reported p-value is the residual-independence p-value.  The
+    source's Gram serves the marginal test, the regression and the
+    residual test; the target's, the regularised and the residual's Gram
+    share one buffer.
     """
     if q.kind != QueryKind.ORDERED_PAIR:
         raise InvalidSize("anm_test takes ordered pairs")
     source, target = q.members
-    x = d.column(source)
-    y = d.column(target)
-    marginal = hsic_independence(x, y, alpha)
-    residuals = kernel_regress(x, y, ridge_scale)
-    resid_test = hsic_independence(x, residuals, alpha)
-    accepted = marginal.value.value == 0 and resid_test.value.value == 1
-    return TestOutcome(binary(1 if accepted else 0), resid_test.p_value, alpha)
+    x, y = d.column(source), d.column(target)
+    _require_alpha(alpha)
+    x, y = _column_pair(x, y)
+    m = x.size
+    _check_nonconstant(x, y)
+    k = _gram(x)
+    mu_x = _off_diagonal_mean(k)
+    kc = _centre(k.copy())
+    buf = np.empty_like(k)
+    marginal_p = _gamma_p_value(*_hsic_moments(kc, mu_x, *_centred_gram(y, buf)), m)
+    residuals = _ridge_residuals(k, y, ridge_scale, buf)
+    _check_nonconstant(residuals)
+    resid_p = _gamma_p_value(*_hsic_moments(kc, mu_x, *_centred_gram(residuals, buf)), m)
+    accepted = marginal_p <= alpha and resid_p > alpha
+    return TestOutcome(binary(1 if accepted else 0), resid_p, alpha)

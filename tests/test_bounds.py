@@ -10,6 +10,7 @@ from causalpred.bounds import (
     ModelClassId,
     all_dags,
     brute_force_vc_check,
+    class_gap,
     count_queries,
     gap_binary,
     gap_real,
@@ -124,6 +125,29 @@ def test_min_training_sets_is_tight():
         k = min_training_sets(c, 12, 0.1, 0.1)
         assert gap_binary(h, k, 0.1) <= 0.1
         assert gap_binary(h, k - 1, 0.1) > 0.1
+
+
+@pytest.mark.parametrize("n, eps", [(4, 0.3), (10, 0.1), (25, 0.05)])
+def test_min_training_sets_inverts_the_class_gap(n, eps):
+    # binary classes invert gap_binary, as before; pathcorr inverts the
+    # gap_real that `causalpred bound` reports for it
+    for c in ModelClassId:
+        h = vc_upper_bound(c, n)
+        k = min_training_sets(c, n, eps, 0.1)
+        if c == ModelClassId.PATH_CORR:
+            before, at = (gap_real(h, j, 0.1, -1.0, 1.0) for j in (k - 1, k))
+        else:
+            before, at = (gap_binary(h, j, 0.1) for j in (k - 1, k))
+        assert at <= eps < before, (c, k)
+        assert class_gap(c, h, k, 0.1) == at
+
+
+def test_min_training_sets_pathcorr_below_binary_budget():
+    # plan --class pathcorr --n 10 --eps 0.1 used to give the binary gap's
+    # 161772, where gap_real is already 0.0964
+    k = min_training_sets(ModelClassId.PATH_CORR, 10, 0.1, 0.1)
+    assert k < 161772
+    assert gap_real(vc_upper_bound(ModelClassId.PATH_CORR, 10), 161772, 0.1, -1.0, 1.0) < 0.0965
 
 
 def test_min_training_sets_monotone_in_n():

@@ -10,7 +10,7 @@ from causalpred import bounds, cli
 from causalpred.core import Query, QueryKind, load_dataset
 from causalpred.learners import pc_fit
 from causalpred.errors import ParseError
-from causalpred.models import Dag, PathModel, Polytree, save_model
+from causalpred.models import Dag, PathModel, Polytree, cpdag_from_dag, save_model
 
 
 # --- query grammar ------------------------------------------------------------
@@ -150,6 +150,26 @@ def test_predict_unsupported_query_exit_code(tmp_path, capsys):
     path = tmp_path / "p.json"
     save_model(PathModel((0, 1), (0.5,)), path)
     assert cli.main(["predict", "--model", str(path), "--query", "anm:0->1"]) == 1
+
+
+def test_predict_on_cpdag_names_the_models_that_answer(tmp_path, capsys):
+    path = tmp_path / "cpdag.json"
+    save_model(cpdag_from_dag(Dag(3, [(0, 1), (1, 2)])), path)
+    assert cli.main(["predict", "--model", str(path), "--query", "ci:0,2|1"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "UnsupportedQueryForModel"
+    for model in ("path", "polytree"):
+        assert f"fit {model}" in err["message"]
+        # the named command exists
+        cli.build_parser().parse_args(["fit", model, "--data", "d.csv", "--out", "m.json"])
+
+
+def test_plan_command_pathcorr_inverts_gap_real(capsys):
+    rc = cli.main(["plan", "--class", "pathcorr", "--n", "10", "--eps", "0.1", "--eta", "0.1"])
+    assert rc == 0
+    k = json.loads(capsys.readouterr().out)["min_k"]
+    h = bounds.vc_upper_bound(bounds.ModelClassId.PATH_CORR, 10)
+    assert bounds.gap_real(h, k, 0.1, -1.0, 1.0) <= 0.1 < bounds.gap_real(h, k - 1, 0.1, -1.0, 1.0)
 
 
 def test_fit_pc_end_to_end(tmp_path, capsys):

@@ -3,7 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from causalpred.core import Query, binary
+from causalpred import harness
+from causalpred.core import Dataset, Query, binary
 from causalpred.errors import InvalidParams
 from causalpred.harness import (
     CSV_COLUMNS,
@@ -129,6 +130,29 @@ def test_anm_experiment_full_universe_gap_zero():
     for r in recs:
         assert r.k == 12
         assert r.gap == 0.0  # k covers all ordered pairs
+
+
+def test_anm_experiment_calls_module_anm_test_once_per_pair(monkeypatch):
+    # the benchmark taps harness.anm_test and reads the dataset and the query
+    # from the positional arguments of each call
+    calls = []
+    original = harness.anm_test
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "anm_test", counting)
+    cfg = ExperimentConfig("anm", n=3, l=60, alpha=0.05, repetitions=1, k_values=(6,), datasets=1)
+    run_anm_experiment(cfg)
+    assert len(calls) == 3 * 2
+    for args, kwargs in calls:
+        assert kwargs == {}
+        data, q, alpha = args
+        assert isinstance(data, Dataset) and isinstance(q, Query) and alpha == cfg.alpha
+    assert sorted(q.members for (_, q, _), _ in calls) == [
+        (a, b) for a in range(3) for b in range(3) if a != b
+    ]
 
 
 def test_run_experiment_dispatch():

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalpred.core import Dataset, Query
 from causalpred.errors import (
+    CausalPredError,
     DegenerateInput,
     InvalidParams,
     InvalidSize,
@@ -15,12 +18,20 @@ from causalpred.stattests import (
     fisher_z_ci,
     fisher_z_from_corr,
     hsic_independence,
+    hsic_statistic,
     kernel_regress,
     median_bandwidth,
     partial_correlation,
     sign_estimate,
 )
 from causalpred.synthgen import gen_gam_chain, sample
+from oracles import (
+    ref_anm_test,
+    ref_hsic_p_value,
+    ref_hsic_statistic,
+    ref_kernel_regress,
+    ref_median_bandwidth,
+)
 
 
 def _dataset(*columns):
@@ -275,3 +286,148 @@ def test_anm_wrong_kind():
     d = _dataset(rng.uniform(size=50), rng.uniform(size=50))
     with pytest.raises(InvalidSize):
         anm_test(d, Query.ci(0, 1), 0.05)
+
+
+# --- the kernel layer against its former dense formulas -----------------------
+
+
+def _kernel_column(seed, m, ties):
+    """A seeded column; with ``ties``, values from a handful of integers,
+    so many distances repeat or vanish."""
+    rng = np.random.default_rng(seed)
+    if ties:
+        return rng.integers(0, 7, m).astype(float)
+    return rng.standard_normal(m)
+
+
+KERNEL_CASES = [(20, False), (21, True), (57, False), (200, True), (333, False), (700, True)]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CausalPredError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-4, 4), min_size=2, max_size=120),
+    st.sampled_from([1.0, 0.1, 1e-3, 1e6]),
+)
+def test_median_bandwidth_equals_full_matrix_median(values, scale):
+    # integer-valued columns tie and repeat; both odd and even counts of
+    # positive pairs occur
+    x = np.asarray(values, dtype=float) * scale
+    assert _outcome(median_bandwidth, x) == _outcome(ref_median_bandwidth, x)
+
+
+@pytest.mark.parametrize("m,ties", KERNEL_CASES + [(2, False), (3, True), (1000, True)])
+def test_median_bandwidth_seeded_bit_for_bit(m, ties):
+    x = _kernel_column(m, m, ties)
+    assert _outcome(median_bandwidth, x) == _outcome(ref_median_bandwidth, x)
+
+
+@pytest.mark.parametrize("m,ties", KERNEL_CASES)
+def test_hsic_matches_dense_centring(m, ties):
+    x = _kernel_column(m, m, ties)
+    y = np.sin(x) + 0.5 * _kernel_column(m + 1, m, ties)
+    for got, want in zip(hsic_statistic(x, y), ref_hsic_statistic(x, y)):
+        assert got == pytest.approx(want, rel=1e-10, abs=0)
+    p = hsic_independence(x, y, 0.05).p_value
+    assert abs(p - ref_hsic_p_value(x, y)) <= 1e-10
+
+
+@pytest.mark.parametrize("m,ties", [(20, True), (45, False), (60, True)])
+def test_hsic_permutation_reindexes_grams(m, ties):
+    # weak dependence, so the permuted statistics fall on both sides of the
+    # observed one and the count of exceedances is informative
+    x = _kernel_column(m, m, ties)
+    y = 0.3 * x + _kernel_column(m + 1, m, ties)
+    got = hsic_independence(x, y, 0.05, method="permutation", n_permutations=60, seed=m)
+    want = ref_hsic_p_value(x, y, method="permutation", n_permutations=60, seed=m)
+    assert 1.0 / 61.0 < want < 1.0
+    assert abs(got.p_value - want) <= 1e-10
+
+
+@pytest.mark.parametrize("m,ties", KERNEL_CASES)
+def test_kernel_regress_matches_reference(m, ties):
+    x = _kernel_column(m, m, ties)
+    y = np.cos(2 * x) + 0.3 * _kernel_column(m + 1, m, ties)
+    np.testing.assert_allclose(kernel_regress(x, y), ref_kernel_regress(x, y), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("m,ties", KERNEL_CASES)
+def test_anm_matches_five_bandwidth_reference(m, ties):
+    x = _kernel_column(m, m, ties)
+    y = np.tanh(x) + 0.2 * _kernel_column(m + 1, m, ties)
+    d = _dataset(x, y)
+    for source, target, (a, b) in ((0, 1, (x, y)), (1, 0, (y, x))):
+        out = anm_test(d, Query.ordered_pair(source, target), 0.05)
+        value, p = ref_anm_test(a, b, 0.05)
+        assert out.value.value == value
+        assert abs(out.p_value - p) <= 1e-10
+
+
+def test_anm_matches_reference_on_gam_chain():
+    scm = gen_gam_chain(3, seed=4)
+    d = sample(scm, 600, seed=104).dataset
+    for s, t in ((0, 1), (1, 0), (1, 2), (0, 2)):
+        out = anm_test(d, Query.ordered_pair(s, t), 0.05)
+        value, p = ref_anm_test(d.column(s), d.column(t), 0.05)
+        assert out.value.value == value
+        assert abs(out.p_value - p) <= 1e-10
+
+
+def _error(fn, *args):
+    with pytest.raises(CausalPredError) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+# a column of two clusters 1.2e154 apart: the median squared distance
+# overflows, the bandwidth is infinite and the Gram is all ones, so the
+# gamma moments vanish
+OVERFLOW = np.r_[np.zeros(10), np.full(10, 1.2e154)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_hsic_errors_unchanged_and_in_order():
+    rng = np.random.default_rng(16)
+    cases = [
+        (rng.standard_normal(10), np.ones(11)),  # unequal lengths before too few
+        (np.ones(10), np.ones(10)),  # too few before constant
+        (np.ones(30), rng.standard_normal(30)),  # constant column
+        (rng.standard_normal(30), np.full(30, 2.0)),
+        (OVERFLOW, OVERFLOW[::-1].copy()),  # undefined gamma
+    ]
+    want = [InvalidSize, InvalidSize, DegenerateInput, DegenerateInput, DegenerateInput]
+    for (x, y), kind in zip(cases, want):
+        got = _error(hsic_independence, x, y, 0.05)
+        assert got[0] is kind
+        assert got == _error(ref_hsic_p_value, x, y)
+    assert "gamma" in got[1]
+    for x, y in cases[:2]:
+        assert _error(kernel_regress, x, y) == _error(ref_kernel_regress, x, y)
+    x = np.ones(30)
+    assert _error(kernel_regress, x, x) == _error(ref_kernel_regress, x, x)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_anm_errors_unchanged_and_in_order():
+    rng = np.random.default_rng(17)
+    x = rng.uniform(-1, 1, 40)
+    cases = [
+        (np.ones(10), np.arange(10.0)),  # too few before constant
+        (np.ones(40), x),  # constant source
+        (x, np.full(40, 3.0)),  # constant target
+        (x, 1e-5 * x),  # the ridge fit leaves a constant residual
+        (OVERFLOW, OVERFLOW[::-1].copy()),  # undefined gamma in the marginal test
+    ]
+    for a, b in cases:
+        got = _error(anm_test, _dataset(a, b), Query.ordered_pair(0, 1), 0.05)
+        assert got == _error(ref_anm_test, a, b, 0.05)
+    assert _error(anm_test, _dataset(x, 1e-5 * x), Query.ordered_pair(0, 1), 0.05) == (
+        DegenerateInput,
+        "constant column",
+    )
