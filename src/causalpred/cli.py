@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import bounds, harness, learners, models, stattests, synthgen
-from .core import Query, QueryKind, load_dataset, save_dataset
+from .core import Query, QueryKind, load_dataset, load_json, save_dataset
 from .errors import CausalPredError, ParseError, UnsupportedQueryForModel
 
 DEFAULT_SEED_ENV = "CAUSALPRED_SEED"
@@ -76,6 +76,12 @@ def format_query(prefix, q):
 def _emit(obj):
     json.dump(obj, sys.stdout, indent=2, default=float)
     sys.stdout.write("\n")
+
+
+def _report(error, message):
+    """An error as one JSON object on stderr."""
+    json.dump({"error": error, "message": message}, sys.stderr)
+    sys.stderr.write("\n")
 
 
 def _outcome_json(out):
@@ -235,7 +241,7 @@ def cmd_plan(args):
 
 def cmd_experiment(args):
     with open(args.config, encoding="utf-8") as fh:
-        cfg = harness.ExperimentConfig.from_json(json.load(fh))
+        cfg = harness.ExperimentConfig.from_json(load_json(fh))
     records = harness.run_experiment(cfg)
     harness.write_records(records, args.out)
     _emit({"written": args.out, "records": len(records), "summary": harness.summarize(records)})
@@ -244,16 +250,28 @@ def cmd_experiment(args):
 
 def cmd_merge(args):
     with open(args.cov_xy, encoding="utf-8") as fh:
-        cov_xy = np.asarray(json.load(fh), dtype=float)
+        cov_xy = np.asarray(load_json(fh), dtype=float)
     with open(args.cov_yz, encoding="utf-8") as fh:
-        cov_yz = np.asarray(json.load(fh), dtype=float)
+        cov_yz = np.asarray(load_json(fh), dtype=float)
     glued = models.glue_gaussian_chain(cov_xy, cov_yz)
     _emit({"covariance": glued.tolist()})
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error, such as an unknown --class, like every other
+    error: one JSON object on stderr; the exit code stays argparse's 2."""
+
+    def error(self, message):
+        _report("UsageError", f"{self.prog}: {message}")
+        self.exit(2)
+
+
+MODEL_CLASSES = [c.value for c in bounds.ModelClassId]
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="causalpred",
         description="Causal models as predictors of statistical-test outcomes",
     )
@@ -295,7 +313,7 @@ def build_parser():
     pr.set_defaults(func=cmd_predict)
 
     b = sub.add_parser("bound", help="generalization-bound report")
-    b.add_argument("--class", dest="model_class", required=True)
+    b.add_argument("--class", dest="model_class", required=True, choices=MODEL_CLASSES)
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--k", type=int, required=True)
     b.add_argument("--eta", type=float, default=0.1)
@@ -303,7 +321,7 @@ def build_parser():
     b.set_defaults(func=cmd_bound)
 
     pl = sub.add_parser("plan", help="training-set budget vs possible tests")
-    pl.add_argument("--class", dest="model_class", required=True)
+    pl.add_argument("--class", dest="model_class", required=True, choices=MODEL_CLASSES)
     pl.add_argument("--n", type=int, required=True)
     pl.add_argument("--eps", type=float, default=0.1)
     pl.add_argument("--eta", type=float, default=0.1)
@@ -332,12 +350,10 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ParseError, UnsupportedQueryForModel) as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
+        _report(type(exc).__name__, str(exc))
         return 1
     except (CausalPredError, OSError) as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
+        _report(type(exc).__name__, str(exc))
         return 2
 
 

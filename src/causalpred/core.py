@@ -29,6 +29,7 @@ from .errors import (
     LengthMismatch,
     MissingVariable,
     NonNumericCell,
+    ParseError,
     TagMismatch,
 )
 
@@ -239,6 +240,14 @@ def load_dataset(path, names_path=None) -> Dataset:
     if bad.size:
         raise NonNumericCell(int(bad[0][0]) + 1, int(bad[0][1]))
     return Dataset(data, tuple(columns))
+
+
+def load_json(fh):
+    """``json.load`` of an open file; text that is not JSON is a ParseError."""
+    try:
+        return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{fh.name} is not JSON: {exc}") from None
 
 
 def save_dataset(d: Dataset, path):

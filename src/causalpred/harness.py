@@ -19,7 +19,7 @@ from .core import Query, QueryKind, binary, empirical_error, enumerate_queries
 from .errors import InvalidParams
 from .learners import pc_fit, pc_oracle, polytree_from_anm
 from .models import d_separated, q_anm_polytree, random_dag_from_cpdag
-from .stattests import TestOutcome, anm_test, fisher_z_from_corr
+from .stattests import TestOutcome, anm_test, correlation_matrix, fisher_z_from_corr
 from .synthgen import gen_gam_scm, gen_linear_scm, sample
 
 
@@ -124,7 +124,7 @@ def run_ci_experiment(cfg: ExperimentConfig):
 
         else:
             data = sample(scm, cfg.l, seed + 1).dataset
-            corr = np.corrcoef(data.samples, rowvar=False)
+            corr = correlation_matrix(data)
             cpdag, labels = pc_fit(data, cfg.alpha, cfg.max_cond)
 
             def tester(q):

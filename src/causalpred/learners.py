@@ -15,7 +15,13 @@ import numpy as np
 from .core import Query, QueryKind, binary, enumerate_queries, sample_queries
 from .errors import InvalidSize, KTooLarge, ZeroCorrelation
 from .models import PathModel, Polytree, _Pdag, d_separated, forest_union
-from .stattests import VAR_EPS, TestOutcome, anm_test, fisher_z_from_corr
+from .stattests import (
+    VAR_EPS,
+    TestOutcome,
+    anm_test,
+    correlation_matrix,
+    fisher_z_from_corr,
+)
 from .synthgen import sample
 
 
@@ -91,7 +97,7 @@ def pc_from_ci(n, ci_test, max_cond):
 
 def pc_fit(d, alpha, max_cond):
     """PC with Fisher-Z tests on the dataset's correlation matrix."""
-    corr = np.corrcoef(d.samples, rowvar=False)
+    corr = correlation_matrix(d)
     index = {v: i for i, v in enumerate(d.columns)}
 
     def ci_test(a, b, cond):
@@ -129,7 +135,7 @@ def select_alpha(candidates, scms, l, seed=0):
     for idx, scm in enumerate(scms):
         data = sample(scm, l, seed + idx).dataset
         g = scm.dag()
-        corr = np.corrcoef(data.samples, rowvar=False)
+        corr = correlation_matrix(data)
         queries = enumerate_queries(g.n, QueryKind.COND_INDEP, 0) + enumerate_queries(
             g.n, QueryKind.COND_INDEP, 1
         )
@@ -207,7 +213,7 @@ def fit_path_model(d):
     n = len(d.columns)
     if n < 2:
         raise InvalidSize("need at least two variables")
-    corr = np.corrcoef(d.samples, rowvar=False)
+    corr = correlation_matrix(d)
     abs_corr = np.abs(corr)
     np.fill_diagonal(abs_corr, -1.0)
     if np.max(abs_corr) <= VAR_EPS:

@@ -14,12 +14,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Query, QueryKind
+from .core import Query, QueryKind, load_json
 from .errors import (
     GraphError,
     InvalidSize,
     MarginalMismatch,
     NonPsdInput,
+    ParseError,
     UnknownNode,
     ZeroCorrelation,
 )
@@ -33,7 +34,10 @@ def _check_nodes(n, *nodes):
 
 @dataclass(frozen=True)
 class Dag:
-    """Directed acyclic graph on nodes 0..n-1; an edge (i, j) means i -> j."""
+    """Directed acyclic graph on nodes 0..n-1; an edge (i, j) means i -> j.
+
+    Each node's parents and children are built once, as frozensets, and are
+    not fields: equality, hashing and repr see only ``n`` and ``edges``."""
 
     n: int
     edges: frozenset
@@ -45,27 +49,33 @@ class Dag:
                 raise GraphError(f"self-loop at {a}")
             if not (0 <= a < n and 0 <= b < n):
                 raise UnknownNode(a if not 0 <= a < n else b)
-        object.__setattr__(self, "n", int(n))
+        n = int(n)
+        parents = [set() for _ in range(n)]
+        children = [set() for _ in range(n)]
+        for a, b in edges:
+            parents[b].add(a)
+            children[a].add(b)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_parents", tuple(map(frozenset, parents)))
+        object.__setattr__(self, "_children", tuple(map(frozenset, children)))
         if self.topological_order() is None:
             raise GraphError("graph contains a directed cycle")
 
     def parents(self, v):
-        return {a for a, b in self.edges if b == v}
+        return self._parents[v]
 
     def children(self, v):
-        return {b for a, b in self.edges if a == v}
+        return self._children[v]
 
     def topological_order(self):
-        indeg = {v: 0 for v in range(self.n)}
-        for _, b in self.edges:
-            indeg[b] += 1
-        queue = deque(sorted(v for v in range(self.n) if indeg[v] == 0))
+        indeg = [len(p) for p in self._parents]
+        queue = deque(v for v in range(self.n) if indeg[v] == 0)
         order = []
         while queue:
             v = queue.popleft()
             order.append(v)
-            for c in sorted(self.children(v)):
+            for c in sorted(self._children[v]):
                 indeg[c] -= 1
                 if indeg[c] == 0:
                     queue.append(c)
@@ -541,5 +551,13 @@ def save_model(model, path):
 
 
 def load_model(path):
+    """Read a model file; a file whose JSON lacks a field or holds a value
+    of the wrong type is a ParseError, like text that is not JSON."""
     with open(path, encoding="utf-8") as fh:
-        return model_from_json(json.load(fh))
+        obj = load_json(fh)
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path} holds no JSON object")
+    try:
+        return model_from_json(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path} is not a model: {type(exc).__name__} {exc}") from None

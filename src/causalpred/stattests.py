@@ -7,12 +7,12 @@ kernel ridge regression used by the bivariate additive-noise test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import pdist
-from scipy.stats import gamma as gamma_dist
-from scipy.stats import norm
+from scipy.special import gammaincc
 
 from .core import PropertyValue, Query, QueryKind, binary, real, sign
 from .errors import DegenerateInput, InvalidParams, InvalidSize, ZeroCorrelation
@@ -50,29 +50,55 @@ def _check_nonconstant(*cols):
 # --- Fisher-Z -----------------------------------------------------------------
 
 
+def correlation_matrix(d):
+    """Correlation matrix of a dataset's columns.  A constant column has no
+    correlations, so it is refused by name before numpy divides by zero."""
+    for col, var in zip(d.columns, np.var(d.samples, axis=0)):
+        if var < VAR_EPS:
+            raise DegenerateInput(f"column {col} is constant")
+    return np.corrcoef(d.samples, rowvar=False)
+
+
 def partial_correlation(corr, target_idx, cond_idx):
     """Partial correlation of two variables given a set, from a correlation
-    matrix, via inversion of the relevant submatrix."""
-    idx = list(target_idx) + list(cond_idx)
-    sub = corr[np.ix_(idx, idx)]
-    if np.linalg.cond(sub) > 1e12:
-        raise DegenerateInput("correlation submatrix is singular")
-    prec = np.linalg.inv(sub)
-    return -prec[0, 1] / np.sqrt(prec[0, 0] * prec[1, 1])
+    matrix: in closed form for at most one conditioning variable, else via
+    inversion of the relevant submatrix.
+
+    Given c, the submatrix of (a, b, c) has determinant
+    (1 - r_ac^2)(1 - r_bc^2)(1 - r_ab.c^2), so it is singular exactly when c
+    is collinear with a target or the result is at +-1; the first case is
+    refused here, the second by the caller."""
+    a, b = target_idx
+    cond = list(cond_idx)
+    if len(cond) > 1:
+        idx = [a, b] + cond
+        sub = corr[np.ix_(idx, idx)]
+        if not np.isfinite(sub).all() or np.linalg.cond(sub) > 1e12:
+            raise DegenerateInput("correlation submatrix is singular or undefined")
+        prec = np.linalg.inv(sub)
+        return float(-prec[0, 1] / np.sqrt(prec[0, 0] * prec[1, 1]))
+    r = corr.item(a, b)
+    if cond:
+        r_ac, r_bc = corr.item(a, cond[0]), corr.item(b, cond[0])
+        if not (abs(r_ac) < 1.0 - VAR_EPS and abs(r_bc) < 1.0 - VAR_EPS):
+            raise DegenerateInput("conditioning variable collinear with a target")
+        r = (r - r_ac * r_bc) / math.sqrt((1.0 - r_ac * r_ac) * (1.0 - r_bc * r_bc))
+    return r
 
 
 def fisher_z_from_corr(corr, l, target_idx, cond_idx, alpha) -> TestOutcome:
-    """Fisher-Z test evaluated on a precomputed correlation matrix."""
+    """Fisher-Z test evaluated on a precomputed correlation matrix; the
+    two-sided normal tail 2 * sf(|z|) is erfc(|z| / sqrt(2))."""
     _require_alpha(alpha)
     n_cond = len(cond_idx)
     if l <= n_cond + 3:
         raise InvalidSize(f"need more than {n_cond + 3} samples")
     r = partial_correlation(corr, target_idx, cond_idx)
-    if abs(r) >= 1.0 - VAR_EPS:
-        raise DegenerateInput("partial correlation at the +-1 boundary")
-    stat = np.sqrt(l - n_cond - 3) * np.arctanh(r)
-    p = 2.0 * norm.sf(abs(stat))
-    return TestOutcome(binary(1 if p > alpha else 0), float(p), alpha)
+    if not abs(r) < 1.0 - VAR_EPS:
+        raise DegenerateInput("partial correlation at the +-1 boundary or undefined")
+    stat = math.sqrt(l - n_cond - 3) * math.atanh(r)
+    p = math.erfc(abs(stat) / math.sqrt(2.0))
+    return TestOutcome(binary(1 if p > alpha else 0), p, alpha)
 
 
 def fisher_z_ci(d, q: Query, alpha) -> TestOutcome:
@@ -200,7 +226,9 @@ def _gamma_p_value(stat, mean_hsic, var_hsic, m) -> float:
     # hence the extra factor in the scale
     shape = mean_hsic**2 / var_hsic
     scale = var_hsic * m / mean_hsic
-    return float(gamma_dist.sf(stat, shape, scale=scale))
+    # upper tail of Gamma(shape, scale), the regularised upper incomplete
+    # gamma; a statistic rounded below 0 has tail 1, as below the support
+    return float(gammaincc(shape, max(stat, 0.0) / scale))
 
 
 def _permutation_p_value(stat, kc, lc, n_permutations, seed) -> float:

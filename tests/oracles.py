@@ -7,10 +7,21 @@ of DFS) so that agreement is meaningful evidence of correctness.
 
 import numpy as np
 from scipy.stats import gamma as gamma_dist
+from scipy.stats import norm
 
-from causalpred.errors import DegenerateInput, InvalidSize
+from causalpred.core import binary
+from causalpred.errors import DegenerateInput, InvalidParams, InvalidSize
 from causalpred.models import Dag
-from causalpred.stattests import DEFAULT_RIDGE_SCALE, VAR_EPS
+from causalpred.stattests import DEFAULT_RIDGE_SCALE, VAR_EPS, TestOutcome
+
+
+def scan_parents(g: Dag, v):
+    """Parents of v by a scan of the edge set."""
+    return {a for a, b in g.edges if b == v}
+
+
+def scan_children(g: Dag, v):
+    return {b for a, b in g.edges if a == v}
 
 
 def moral_d_separated(g: Dag, x, y, z):
@@ -20,15 +31,19 @@ def moral_d_separated(g: Dag, x, y, z):
     directions, remove z, and check undirected connectivity of x and y.
     """
     relevant = set(z) | {x, y}
-    for v in list(relevant):
-        relevant |= g.ancestors(v)
+    stack = list(relevant)
+    while stack:
+        for p in scan_parents(g, stack.pop()):
+            if p not in relevant:
+                relevant.add(p)
+                stack.append(p)
 
     und = set()
     for a, b in g.edges:
         if a in relevant and b in relevant:
             und.add(frozenset((a, b)))
     for v in relevant:
-        ps = sorted(p for p in g.parents(v) if p in relevant)
+        ps = sorted(p for p in scan_parents(g, v) if p in relevant)
         for i in range(len(ps)):
             for j in range(i + 1, len(ps)):
                 und.add(frozenset((ps[i], ps[j])))
@@ -174,3 +189,35 @@ def ref_anm_test(x, y, alpha, ridge_scale=DEFAULT_RIDGE_SCALE):
     residuals = ref_kernel_regress(x, y, ridge_scale)
     resid = ref_hsic_p_value(x, residuals)
     return int(not marginal > alpha and resid > alpha), resid
+
+
+# --- Fisher-Z: the former inverse path ----------------------------------------
+#
+# The package takes partial correlations given at most one variable in
+# closed form, guards them by the factors of the submatrix determinant and
+# takes the two-sided tail as erfc; these are the formulas it replaced for
+# every conditioning size: an SVD condition-number guard, a matrix inverse
+# and 2 * norm.sf.
+
+
+def ref_partial_correlation(corr, target_idx, cond_idx):
+    idx = list(target_idx) + list(cond_idx)
+    sub = corr[np.ix_(idx, idx)]
+    if np.linalg.cond(sub) > 1e12:
+        raise DegenerateInput("correlation submatrix is singular")
+    prec = np.linalg.inv(sub)
+    return -prec[0, 1] / np.sqrt(prec[0, 0] * prec[1, 1])
+
+
+def ref_fisher_z_from_corr(corr, l, target_idx, cond_idx, alpha):
+    if not 0.0 < alpha < 1.0:
+        raise InvalidParams(f"alpha {alpha} outside (0, 1)")
+    n_cond = len(cond_idx)
+    if l <= n_cond + 3:
+        raise InvalidSize(f"need more than {n_cond + 3} samples")
+    r = ref_partial_correlation(corr, target_idx, cond_idx)
+    if abs(r) >= 1.0 - VAR_EPS:
+        raise DegenerateInput("partial correlation at the +-1 boundary")
+    stat = np.sqrt(l - n_cond - 3) * np.arctanh(r)
+    p = 2.0 * norm.sf(abs(stat))
+    return TestOutcome(binary(1 if p > alpha else 0), float(p), alpha)

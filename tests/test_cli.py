@@ -1,5 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +94,72 @@ def test_missing_file_exit_code(capsys):
     assert cli.main(["test", "--data", "no-such-file.csv", "--query", "ci:0,1"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert "error" in err
+
+
+def _one_json_object(err):
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    return json.loads(err)
+
+
+@pytest.mark.parametrize("command", [["fit", "pc"], ["fit", "path"]], ids=["pc", "path"])
+def test_constant_column_exit_code(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    rows = np.random.default_rng(0).standard_normal((50, 3))
+    rows[:, 2] = 1.5
+    (tmp_path / "d.csv").write_text(
+        "0,1,2\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist())
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main([*command, "--data", "d.csv", "--out", "m.json"])
+    assert rc == 2
+    assert not caught
+    err = _one_json_object(capsys.readouterr().err)
+    assert err == {"error": "DegenerateInput", "message": "column 2 is constant"}
+
+
+@pytest.mark.parametrize("command", ["bound", "plan"])
+def test_unknown_class_is_a_usage_error(capsys, command):
+    args = [command, "--class", "foo", "--n", "10"] + (["--k", "100"] if command == "bound" else [])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    err = _one_json_object(capsys.readouterr().err)
+    assert err["error"] == "UsageError"
+    assert "invalid choice: 'foo'" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"type": "dag", "n": 3}', '{"type": "dag", "n": 3, "directed": [[0]]}', "[1, 2]", "{not json"],
+    ids=["no-directed", "short-edge", "not-an-object", "not-json"],
+)
+def test_predict_on_a_malformed_model_file(tmp_path, capsys, text):
+    # a ParseError, which the CLI reports with exit code 1
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    assert cli.main(["predict", "--model", str(path), "--query", "ci:0,2|1"]) == 1
+    assert _one_json_object(capsys.readouterr().err)["error"] == "ParseError"
+
+
+def test_merge_on_a_malformed_file(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    a.write_text(json.dumps([[1, 0.5], [0.5, 1]]))
+    b.write_text("[[1, 0.4], [0.4")
+    assert cli.main(["merge", str(a), str(b)]) == 1
+    err = _one_json_object(capsys.readouterr().err)
+    assert err["error"] == "ParseError" and str(b) in err["message"]
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, causalpred.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 # --- subcommands --------------------------------------------------------------

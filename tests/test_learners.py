@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalpred.core import Dataset, Query, binary
-from causalpred.errors import InvalidSize, KTooLarge, ZeroCorrelation
+from causalpred.errors import DegenerateInput, InvalidSize, KTooLarge, ZeroCorrelation
 from causalpred.learners import (
     LabeledQuery,
     fit_path_model,
@@ -17,6 +17,7 @@ from causalpred.learners import (
 from causalpred.models import Dag, PathModel, is_polytree_edges, path_corr
 from causalpred.stattests import TestOutcome
 from causalpred.synthgen import gen_linear_scm, sample
+from oracles import ref_fisher_z_from_corr
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
 COLLIDER = Dag(3, [(0, 2), (1, 2)])
@@ -76,6 +77,35 @@ def test_pc_fit_deterministic():
     assert [(q.query, q.outcome.p_value) for q in la] == [
         (q.query, q.outcome.p_value) for q in lb
     ]
+
+
+@pytest.mark.parametrize("seed, max_cond", [(3, 1), (9, 1), (21, 2)])
+def test_pc_fit_log_matches_reference_tester(seed, max_cond):
+    # the log is PC's training set: the same queries in the same order,
+    # with the same labels, whichever Fisher-Z formula labels them
+    d = sample(gen_linear_scm(15, 1.5, seed), 5000, seed + 1).dataset
+    corr = np.corrcoef(d.samples, rowvar=False)
+    cpdag, log = pc_fit(d, 0.001, max_cond)
+    ref_cpdag, ref_log = pc_from_ci(
+        15,
+        lambda a, b, cond: ref_fisher_z_from_corr(corr, d.l, (a, b), cond, 0.001),
+        max_cond,
+    )
+    assert cpdag == ref_cpdag
+    assert [(lq.query, lq.outcome.value) for lq in log] == [
+        (lq.query, lq.outcome.value) for lq in ref_log
+    ]
+    assert max(abs(x.outcome.p_value - y.outcome.p_value) for x, y in zip(log, ref_log)) <= 1e-12
+
+
+def test_pc_fit_and_fit_path_name_a_constant_column():
+    rng = np.random.default_rng(0)
+    samples = rng.standard_normal((100, 3))
+    samples[:, 1] = 4.0
+    d = Dataset(samples, (0, 7, 2))
+    for fit in (lambda: pc_fit(d, 0.01, 1), lambda: fit_path_model(d)):
+        with pytest.raises(DegenerateInput, match="column 7 is constant"):
+            fit()
 
 
 def test_pc_negative_max_cond():

@@ -37,7 +37,13 @@ from causalpred.models import (
     save_model,
     v_structures,
 )
-from oracles import closure_has_path, moral_d_separated, random_dag
+from oracles import (
+    closure_has_path,
+    moral_d_separated,
+    random_dag,
+    scan_children,
+    scan_parents,
+)
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
 COLLIDER = Dag(3, [(0, 2), (1, 2)])
@@ -56,6 +62,35 @@ def test_dag_rejects_cycles_and_self_loops():
         Dag(2, [(0, 0)])
     with pytest.raises(UnknownNode):
         Dag(2, [(0, 5)])
+
+
+@st.composite
+def _dag_edges(draw, max_n=9):
+    n = draw(st.integers(1, max_n))
+    order = draw(st.permutations(range(n)))
+    forward = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    return n, draw(st.lists(st.sampled_from(forward), unique=True)) if forward else []
+
+
+@given(_dag_edges())
+def test_dag_adjacency_matches_edge_scan(case):
+    n, edges = case
+    g = Dag(n, edges)
+    for v in range(n):
+        assert g.parents(v) == scan_parents(g, v)
+        assert g.children(v) == scan_children(g, v)
+        assert isinstance(g.parents(v), frozenset) and isinstance(g.children(v), frozenset)
+
+
+@given(_dag_edges())
+def test_dag_equality_hash_and_repr_see_only_n_and_edges(case):
+    n, edges = case
+    g, h = Dag(n, edges), Dag(n, list(reversed(edges)))
+    assert g == h and hash(g) == hash(h) == hash((n, frozenset(edges)))
+    assert repr(g) == f"Dag(n={n}, edges={g.edges!r})"
+    if edges:
+        assert g != Dag(n, edges[1:])
+    assert Polytree(2, [(0, 1)]) != Dag(2, [(0, 1)])
 
 
 def test_polytree_rejects_undirected_cycle():

@@ -1,9 +1,12 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.stats import gamma as gamma_dist
 
-from causalpred.core import Dataset, Query
+from causalpred.core import Dataset, Query, QueryKind, enumerate_queries
 from causalpred.errors import (
     CausalPredError,
     DegenerateInput,
@@ -13,6 +16,7 @@ from causalpred.errors import (
 )
 from causalpred.stattests import (
     TestOutcome,
+    _gamma_p_value,
     anm_test,
     corr_estimate,
     fisher_z_ci,
@@ -24,9 +28,10 @@ from causalpred.stattests import (
     partial_correlation,
     sign_estimate,
 )
-from causalpred.synthgen import gen_gam_chain, sample
+from causalpred.synthgen import gen_gam_chain, gen_linear_scm, sample
 from oracles import (
     ref_anm_test,
+    ref_fisher_z_from_corr,
     ref_hsic_p_value,
     ref_hsic_statistic,
     ref_kernel_regress,
@@ -116,6 +121,164 @@ def test_partial_correlation_closed_form():
     got = partial_correlation(corr, (0, 1), (2,))
     want = (0.3 - 0.5 * 0.4) / np.sqrt((1 - 0.25) * (1 - 0.16))
     assert got == pytest.approx(want)
+
+
+# --- Fisher-Z closed form against the former inverse path ---------------------
+#
+# Given at most one variable the package takes the partial correlation in
+# closed form and the tail as erfc; ``ref_fisher_z_from_corr`` inverts the
+# submatrix behind an SVD condition-number guard and takes 2 * norm.sf.
+
+
+def _fisher_pair(corr, l, a, b, cond, alpha):
+    got = fisher_z_from_corr(corr, l, (a, b), cond, alpha)
+    want = ref_fisher_z_from_corr(corr, l, (a, b), cond, alpha)
+    return got, want
+
+
+def _order01(k):
+    for a, b in combinations(range(k), 2):
+        yield a, b, ()
+        for c in range(k):
+            if c not in (a, b):
+                yield a, b, (c,)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 6),
+    st.sampled_from([20, 1000, 10_000]),
+    st.floats(0.0, 3.0),
+)
+def test_fisher_z_closed_form_matches_inverse(seed, k, l, mixing):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((200, k)) @ (np.eye(k) + mixing * rng.standard_normal((k, k)))
+    corr = np.corrcoef(x, rowvar=False)
+    assume(np.linalg.cond(corr) < 1e3)
+    for a, b, cond in _order01(k):
+        got, want = _fisher_pair(corr, l, a, b, cond, 0.05)
+        assert abs(got.p_value - want.p_value) <= 1e-12, (a, b, cond)
+        assert got.value == want.value
+
+
+@pytest.mark.parametrize("seed", [5, 17])
+def test_fisher_z_closed_form_matches_inverse_on_the_ci_universe(seed):
+    # the order-0/1 universe the CI experiment scores, at its n, l and alpha
+    d = sample(gen_linear_scm(20, 1.5, seed), 10_000, seed + 1).dataset
+    corr = np.corrcoef(d.samples, rowvar=False)
+    universe = enumerate_queries(20, QueryKind.COND_INDEP, 0) + enumerate_queries(
+        20, QueryKind.COND_INDEP, 1
+    )
+    worst = 0.0
+    for q in universe:
+        got, want = _fisher_pair(corr, d.l, *q.members, q.cond, 0.001)
+        assert got.value == want.value, q
+        worst = max(worst, abs(got.p_value - want.p_value))
+    assert worst <= 1e-12
+
+
+def _degenerate(f, *args):
+    try:
+        f(*args)
+    except DegenerateInput:
+        return True
+    return False
+
+
+def _collinear_cases():
+    rng = np.random.default_rng(3)
+    a, b, c, e = rng.standard_normal((4, 500))
+    return {
+        "collinear pair": ([a, 2.0 * a], ()),
+        "anti-collinear pair": ([a, -0.5 * a], ()),
+        "c collinear with a": ([a, b, 3.0 * a], (2,)),
+        "c collinear with b": ([a, b, -b], (2,)),
+        "a = b + c": ([b + c, b, c], (2,)),
+        "a = b - 2c": ([b - 2.0 * c, b, c], (2,)),
+        "|cond| = 2, a = b + c + e": ([b + c + e, b, c, e], (2, 3)),
+        "|cond| = 2, collinear conditioning set": ([a, b, c, 2.0 * c], (2, 3)),
+        "independent pair": ([a, b], ()),
+        "independent given one": ([a, b, c], (2,)),
+        "independent given two": ([a, b, c, e], (2, 3)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_collinear_cases()))
+def test_fisher_z_degenerate_inputs_match_former_guard(case):
+    cols, cond = _collinear_cases()[case]
+    corr = np.corrcoef(np.column_stack(cols), rowvar=False)
+    args = (corr, 500, (0, 1), cond, 0.05)
+    old = _degenerate(ref_fisher_z_from_corr, *args)
+    assert _degenerate(fisher_z_from_corr, *args) == old
+    assert old == (not case.startswith("independent"))
+
+
+@pytest.mark.parametrize("cond", [(), (2,), (2, 3)])
+def test_fisher_z_undefined_correlation_is_degenerate(cond):
+    # a NaN correlation (a constant column) is refused, not turned into a
+    # NaN p-value
+    corr = np.eye(4)
+    corr[0, 2] = corr[2, 0] = corr[0, 1] = corr[1, 0] = np.nan
+    with pytest.raises(DegenerateInput):
+        fisher_z_from_corr(corr, 100, (0, 1), cond, 0.05)
+
+
+def _near_singular_triples(rng, count):
+    """Correlation matrices of unit vectors a, b, c in R^3: a at a small
+    angle to c, or b at a small angle to the plane of a and c."""
+    c = np.array([1.0, 0.0, 0.0])
+    for delta in np.logspace(-14, -6, count):
+        th = np.sqrt(2.0 * delta) * rng.uniform(0.5, 2.0)
+        b = rng.standard_normal(3)
+        yield np.array([np.cos(th), np.sin(th), 0.0]), b / np.linalg.norm(b), c
+        a = rng.standard_normal(3)
+        a[2] = 0.0
+        b = rng.standard_normal(3)
+        b[2] = 0.0
+        b = b / np.linalg.norm(b) * np.cos(th) + np.array([0.0, 0.0, np.sin(th)])
+        yield a / np.linalg.norm(a), b, c
+
+
+def test_fisher_z_guard_refuses_only_what_the_former_guard_refused():
+    # The closed form refuses |r_ac| or |r_bc| >= 1 - 1e-12 and a partial
+    # correlation at +-1; the former guard refused cond > 1e12.  They differ
+    # only where the former guard refused a submatrix that the closed form
+    # still evaluates: cond > 1e12 with each determinant factor above 1e-12.
+    rng = np.random.default_rng(11)
+    refused = differ = 0
+    for vecs in _near_singular_triples(rng, 600):
+        v = np.array(vecs)
+        corr = v @ v.T
+        np.fill_diagonal(corr, 1.0)
+        args = (corr, 1000, (0, 1), (2,), 0.05)
+        old = _degenerate(ref_fisher_z_from_corr, *args)
+        new = _degenerate(fisher_z_from_corr, *args)
+        assert old or not new
+        if old != new:
+            differ += 1
+            assert np.linalg.cond(corr) > 1e12
+        refused += new
+    for delta in np.logspace(-14, -10, 200):
+        r = 1.0 - delta
+        corr = np.array([[1.0, r], [r, 1.0]])
+        args = (corr, 1000, (0, 1), (), 0.05)
+        old = _degenerate(ref_fisher_z_from_corr, *args)
+        new = _degenerate(fisher_z_from_corr, *args)
+        assert old or not new
+        assert old == new or 1e-12 < delta < 2e-12
+    assert refused > 0 and differ > 0
+
+
+def test_gamma_tail_equals_scipy_stats():
+    rng = np.random.default_rng(2)
+    for _ in range(2000):
+        mean, var = rng.uniform(1e-4, 1.0), 10.0 ** rng.uniform(-8, 0)
+        m = int(rng.integers(20, 2000))
+        shape, scale = mean**2 / var, var * m / mean
+        stat = rng.uniform(-0.1, 4.0) * shape * scale
+        want = float(gamma_dist.sf(stat, shape, scale=scale))
+        assert _gamma_p_value(stat, mean, var, m) == want
 
 
 # --- correlation estimators ---------------------------------------------------
