@@ -13,7 +13,7 @@ from .errors import InvalidN, InvalidParams, InvalidSize, NTooLarge, Unsupported
 from .models import (
     Dag,
     PathModel,
-    d_separated,
+    d_separated_many,
     is_polytree_edges,
     path_sign,
     q_dirpath,
@@ -198,7 +198,7 @@ def brute_force_vc_check(c: ModelClassId, n) -> int:
         dags = all_dags(n)
         if c == ModelClassId.POLYTREES:
             dags = [g for g in dags if is_polytree_edges(n, g.edges)]
-        functions = {tuple(d_separated(g, q) for q in queries) for g in dags}
+        functions = {tuple(d_separated_many(g, queries)) for g in dags}
         return len(functions)
     if c == ModelClassId.DIRECTIONALITY:
         queries = enumerate_queries(n, QueryKind.ORDERED_PAIR)

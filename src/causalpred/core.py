@@ -210,7 +210,10 @@ def load_dataset(path, names_path=None) -> Dataset:
     name_to_id = {}
     if names_path is not None:
         with open(names_path, encoding="utf-8") as fh:
-            names = json.load(fh)["names"]
+            obj = load_json(fh)
+        names = obj.get("names") if isinstance(obj, dict) else None
+        if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+            raise ParseError(f'{names_path} holds no "names" list of strings')
         name_to_id = {name: i for i, name in enumerate(names)}
 
     columns = []

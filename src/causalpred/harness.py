@@ -9,17 +9,18 @@ additive-noise tests.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+# d_separated and empirical_error stay bound here for the benchmark's tracer
 from .bounds import ModelClassId, gap_binary, vc_upper_bound
-from .core import Query, QueryKind, binary, empirical_error, enumerate_queries
-from .errors import InvalidParams
+from .core import QueryKind, empirical_error, enumerate_queries
+from .errors import InvalidParams, LengthMismatch, ParseError, TagMismatch
 from .learners import pc_fit, pc_oracle, polytree_from_anm
-from .models import d_separated, q_anm_polytree, random_dag_from_cpdag
-from .stattests import TestOutcome, anm_test, correlation_matrix, fisher_z_from_corr
+from .models import d_separated, d_separated_many, q_anm_polytree, random_dag_from_cpdag
+from .stattests import anm_test, correlation_matrix, fisher_z_from_corr
 from .synthgen import gen_gam_scm, gen_linear_scm, sample
 
 
@@ -49,9 +50,16 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(obj):
-        if "k_values" in obj:
-            obj = dict(obj, k_values=tuple(obj["k_values"]))
-        return ExperimentConfig(**obj)
+        """Config from a parsed JSON object; a non-object, an unknown or
+        missing key, or a value of the wrong type is a ParseError."""
+        if not isinstance(obj, dict):
+            raise ParseError("experiment config must be a JSON object")
+        try:
+            if "k_values" in obj:
+                obj = dict(obj, k_values=tuple(obj["k_values"]))
+            return ExperimentConfig(**obj)
+        except TypeError as exc:
+            raise ParseError(f"bad experiment config: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -94,11 +102,24 @@ def write_records(records, path):
         w.writerows([getattr(r, c) for c in CSV_COLUMNS] for r in records)
 
 
+def _disagreement(predictions, results) -> float:
+    """Share of positions where two 0/1 arrays differ: for binary values
+    the float ``empirical_error`` gives, without a PropertyValue each."""
+    predictions, results = np.asarray(predictions), np.asarray(results)
+    if predictions.shape != results.shape:
+        raise LengthMismatch(f"{predictions.size} predictions vs {results.size} results")
+    if not predictions.size:
+        raise LengthMismatch("need at least one prediction")
+    for a in (predictions, results):
+        if np.count_nonzero((a != 0) & (a != 1)):
+            raise TagMismatch("binary values must be 0 or 1")
+    return int(np.count_nonzero(predictions != results)) / predictions.size
+
+
 def expected_risk(predict, queries, tester) -> float:
-    """Disagreement of a predictor against a tester on a query universe."""
-    predictions = [binary(predict(q)) for q in queries]
-    results = [tester(q).value for q in queries]
-    return empirical_error(predictions, results)
+    """Disagreement of a predictor against a tester on a query universe;
+    ``predict`` and ``tester`` take the query list and return 0/1 arrays."""
+    return _disagreement(predict(queries), tester(queries))
 
 
 def run_ci_experiment(cfg: ExperimentConfig):
@@ -118,24 +139,24 @@ def run_ci_experiment(cfg: ExperimentConfig):
         truth = scm.dag()
         if cfg.oracle:
             cpdag, labels = pc_oracle(truth, cfg.max_cond)
-
-            def tester(q):
-                return TestOutcome(binary(d_separated(truth, q)), None, None)
-
+            tester = partial(d_separated_many, truth)
         else:
             data = sample(scm, cfg.l, seed + 1).dataset
             corr = correlation_matrix(data)
             cpdag, labels = pc_fit(data, cfg.alpha, cfg.max_cond)
 
-            def tester(q):
-                return fisher_z_from_corr(corr, cfg.l, q.members, q.cond, cfg.alpha)
+            def tester(queries):
+                return [
+                    fisher_z_from_corr(corr, cfg.l, q.members, q.cond, cfg.alpha).value.value
+                    for q in queries
+                ]
 
         g = random_dag_from_cpdag(cpdag, seed + 2)
-        empirical = empirical_error(
-            [binary(d_separated(g, lq.query)) for lq in labels],
-            [lq.outcome.value for lq in labels],
+        empirical = _disagreement(
+            d_separated_many(g, [lq.query for lq in labels]),
+            [lq.outcome.value.value for lq in labels],
         )
-        expected = expected_risk(lambda q: d_separated(g, q), universe, tester)
+        expected = expected_risk(partial(d_separated_many, g), universe, tester)
         k_used = len(labels)
         records.append(
             RiskRecord(
@@ -171,20 +192,25 @@ def run_anm_experiment(cfg: ExperimentConfig):
         scm = gen_gam_scm(cfg.n, cfg.expected_degree, seed)
         data = sample(scm, cfg.l, seed + 1).dataset
         cache = {q: anm_test(data, q, cfg.alpha) for q in universe}
-        tester = cache.__getitem__
+
+        def tester(queries):
+            return [cache[q].value.value for q in queries]
+
         for k in cfg.k_values:
             for rep in range(cfg.repetitions):
                 rep_seed = seed + 10 * rep + 2
                 tree, labels = polytree_from_anm(
-                    data, k, cfg.alpha, rep_seed, tester=tester
+                    data, k, cfg.alpha, rep_seed, tester=cache.__getitem__
                 )
-                empirical = empirical_error(
-                    [binary(q_anm_polytree(tree, lq.query)) for lq in labels],
-                    [lq.outcome.value for lq in labels],
+
+                def predict(queries):
+                    return [q_anm_polytree(tree, q) for q in queries]
+
+                empirical = _disagreement(
+                    predict([lq.query for lq in labels]),
+                    [lq.outcome.value.value for lq in labels],
                 )
-                expected = expected_risk(
-                    lambda q: q_anm_polytree(tree, q), universe, tester
-                )
+                expected = expected_risk(predict, universe, tester)
                 records.append(
                     RiskRecord(
                         "anm",

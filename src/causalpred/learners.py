@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import Query, QueryKind, binary, enumerate_queries, sample_queries
 from .errors import InvalidSize, KTooLarge, ZeroCorrelation
-from .models import PathModel, Polytree, _Pdag, d_separated, forest_union
+from .models import PathModel, Polytree, _Pdag, d_separated, d_separated_many, forest_union
 from .stattests import (
     VAR_EPS,
     TestOutcome,
@@ -139,13 +139,13 @@ def select_alpha(candidates, scms, l, seed=0):
         queries = enumerate_queries(g.n, QueryKind.COND_INDEP, 0) + enumerate_queries(
             g.n, QueryKind.COND_INDEP, 1
         )
-        truth = {q: d_separated(g, q) for q in queries}
+        truth = d_separated_many(g, queries)
         for alpha in candidates:
             tp = fp = fn = 0
-            for q in queries:
+            for q, separated in zip(queries, truth):
                 out = fisher_z_from_corr(corr, l, q.members, q.cond, alpha)
                 predicted_dep = out.value.value == 0
-                true_dep = truth[q] == 0
+                true_dep = separated == 0
                 if predicted_dep and true_dep:
                     tp += 1
                 elif predicted_dep:

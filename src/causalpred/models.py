@@ -211,53 +211,74 @@ class PathModel:
 # --- predictors ---------------------------------------------------------------
 
 
-def d_separated(g: Dag, q: Query) -> int:
-    """1 iff the query pair is d-separated given the conditioning set.
+def d_connected(g: Dag, x, z) -> set:
+    """Every node d-connected to x given z: one reachability pass (Koller &
+    Friedman, algorithm 3.1), in its Bayes-ball form (Shachter, 1998).
 
-    Reachability formulation (Koller & Friedman, algorithm 3.1): walk the
-    graph keeping track of the direction the trail enters each node and
-    apply the collider rules exactly.
+    The walk tracks the direction a trail enters each node.  Entered from a
+    child, a node outside z passes the trail on to its parents and
+    children.  Entered from a parent, a node outside z passes it on to its
+    children, and a node in z (an observed collider) back to its parents.
+    A collider outside z with a descendant in z needs no rule of its own:
+    the trail runs down to that descendant and back up through it.  The
+    result holds x itself unless x is in z.
     """
+    z = frozenset(z)
+    parents, children = g._parents, g._children
+    reached, seen_up, seen_down = set(), set(), set()
+    up, down = [x], []  # entered from a child, from a parent
+    while up or down:
+        while up:
+            v = up.pop()
+            if v in seen_up:
+                continue
+            seen_up.add(v)
+            if v not in z:
+                reached.add(v)
+                up.extend(parents[v])
+                down.extend(children[v])
+        while down:
+            v = down.pop()
+            if v in seen_down:
+                continue
+            seen_down.add(v)
+            if v in z:
+                up.extend(parents[v])
+            else:
+                reached.add(v)
+                down.extend(children[v])
+    return reached
+
+
+def _ci_query_nodes(g: Dag, q: Query):
     if q.kind != QueryKind.COND_INDEP:
         raise InvalidSize("d-separation takes conditional-independence queries")
-    x, y = q.members
-    z = set(q.cond)
-    _check_nodes(g.n, x, y, *z)
+    _check_nodes(g.n, *q.members, *q.cond)
+    return q.members
 
-    # ancestors of the conditioning set, including the set itself
-    anc_z = set(z)
-    stack = list(z)
-    while stack:
-        v = stack.pop()
-        for p in g.parents(v):
-            if p not in anc_z:
-                anc_z.add(p)
-                stack.append(p)
 
-    # (node, direction): direction "up" = trail arrives from a child,
-    # "down" = trail arrives from a parent
-    visited = set()
-    frontier = deque([(x, "up")])
-    while frontier:
-        v, direction = frontier.popleft()
-        if (v, direction) in visited:
-            continue
-        visited.add((v, direction))
-        if v not in z and v == y:
-            return 0
-        if direction == "up" and v not in z:
-            for p in g.parents(v):
-                frontier.append((p, "up"))
-            for c in g.children(v):
-                frontier.append((c, "down"))
-        elif direction == "down":
-            if v not in z:
-                for c in g.children(v):
-                    frontier.append((c, "down"))
-            if v in anc_z:
-                for p in g.parents(v):
-                    frontier.append((p, "up"))
-    return 1
+def d_separated(g: Dag, q: Query) -> int:
+    """1 iff the query pair is d-separated given the conditioning set."""
+    x, y = _ci_query_nodes(g, q)
+    return int(y not in d_connected(g, x, q.cond))
+
+
+def d_separated_many(g: Dag, queries) -> np.ndarray:
+    """``d_separated`` of each query, as a 0/1 array in query order.
+
+    Queries are checked in order, so the first bad one raises what the
+    scalar call raises.  One pass per (first member, conditioning set)
+    answers every query that shares it.
+    """
+    reach = {}
+    out = []
+    for q in queries:
+        x, y = _ci_query_nodes(g, q)
+        key = (x, q.cond)
+        if key not in reach:
+            reach[key] = d_connected(g, x, q.cond)
+        out.append(y not in reach[key])
+    return np.array(out, dtype=np.int64)
 
 
 def q_dirpath(g: Dag, q: Query) -> int:

@@ -19,6 +19,9 @@ from .errors import DegenerateInput, InvalidParams, InvalidSize, ZeroCorrelation
 
 VAR_EPS = 1e-12
 DEFAULT_RIDGE_SCALE = 1e-3  # ridge = scale * sample count
+# anm_test holds about four dense m x m float arrays at once (8 bytes per
+# entry): 0.8 GB at this many rows
+MAX_ANM_ROWS = 5000
 
 
 @dataclass(frozen=True)
@@ -42,9 +45,12 @@ def _require_alpha(alpha):
 
 
 def _check_nonconstant(*cols):
-    for c in cols:
-        if np.var(c) < VAR_EPS:
-            raise DegenerateInput("constant column")
+    # a variance that overflows is not that of a constant column; the
+    # kernel layer refuses such a column by its squared distances
+    with np.errstate(over="ignore"):
+        for c in cols:
+            if np.var(c) < VAR_EPS:
+                raise DegenerateInput("constant column")
 
 
 # --- Fisher-Z -----------------------------------------------------------------
@@ -154,7 +160,10 @@ def median_bandwidth(x) -> float:
     pos = d2[d2 > 0]
     if pos.size == 0:
         raise DegenerateInput("all points identical")
-    return float(np.sqrt(0.5 * _median(pos)))
+    median = _median(pos)
+    if not np.isfinite(median):
+        raise DegenerateInput("squared distances between points overflow; rescale the column")
+    return float(np.sqrt(0.5 * median))
 
 
 def _median(a):
@@ -173,8 +182,9 @@ def _gram(x, out=None):
     written into ``out`` when one is given."""
     x = np.asarray(x, dtype=float).reshape(-1)
     bandwidth = median_bandwidth(x)
-    k = np.subtract.outer(x, x, out=out)
-    np.square(k, out=k)
+    with np.errstate(over="ignore"):  # a distance that overflows has kernel value 0
+        k = np.subtract.outer(x, x, out=out)
+        np.square(k, out=k)
     np.divide(k, -(2.0 * bandwidth**2), out=k)
     return np.exp(k, out=k)
 
@@ -322,6 +332,11 @@ def anm_test(d, q: Query, alpha, ridge_scale=DEFAULT_RIDGE_SCALE) -> TestOutcome
     _require_alpha(alpha)
     x, y = _column_pair(x, y)
     m = x.size
+    if m > MAX_ANM_ROWS:
+        raise InvalidSize(
+            f"anm_test on {m} rows would hold four dense {m} x {m} arrays "
+            f"({4 * 8 * m * m / 1e9:.1f} GB); the limit is {MAX_ANM_ROWS} rows"
+        )
     _check_nonconstant(x, y)
     k = _gram(x)
     mu_x = _off_diagonal_mean(k)

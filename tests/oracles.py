@@ -9,10 +9,20 @@ import numpy as np
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
-from causalpred.core import binary
+from causalpred.bounds import ModelClassId, gap_binary, vc_upper_bound
+from causalpred.core import QueryKind, binary, empirical_error, enumerate_queries
 from causalpred.errors import DegenerateInput, InvalidParams, InvalidSize
-from causalpred.models import Dag
-from causalpred.stattests import DEFAULT_RIDGE_SCALE, VAR_EPS, TestOutcome
+from causalpred.harness import RiskRecord
+from causalpred.learners import pc_fit, pc_oracle, polytree_from_anm
+from causalpred.models import Dag, d_separated, q_anm_polytree, random_dag_from_cpdag
+from causalpred.stattests import (
+    DEFAULT_RIDGE_SCALE,
+    VAR_EPS,
+    TestOutcome,
+    anm_test,
+    fisher_z_from_corr,
+)
+from causalpred.synthgen import gen_gam_scm, gen_linear_scm, sample
 
 
 def scan_parents(g: Dag, v):
@@ -221,3 +231,92 @@ def ref_fisher_z_from_corr(corr, l, target_idx, cond_idx, alpha):
     stat = np.sqrt(l - n_cond - 3) * np.arctanh(r)
     p = 2.0 * norm.sf(abs(stat))
     return TestOutcome(binary(1 if p > alpha else 0), float(p), alpha)
+
+
+# --- risk scoring: the former per-query path ----------------------------------
+#
+# The harness scores a predictor with one batch call per side and counts
+# disagreements in an array; these are the loops it replaced: one scalar
+# prediction and one TestOutcome per query, each wrapped in a binary
+# PropertyValue and averaged by empirical_error.
+
+
+def ref_expected_risk(predict, queries, tester):
+    """``predict(q)`` gives 0/1 and ``tester(q)`` a TestOutcome, per query."""
+    predictions = [binary(predict(q)) for q in queries]
+    results = [tester(q).value for q in queries]
+    return empirical_error(predictions, results)
+
+
+def ref_run_ci_experiment(cfg):
+    """``harness.run_ci_experiment`` scored query by query with the scalar
+    ``d_separated`` and ``empirical_error``."""
+    universe = enumerate_queries(cfg.n, QueryKind.COND_INDEP, 0) + enumerate_queries(
+        cfg.n, QueryKind.COND_INDEP, 1
+    )
+    h = vc_upper_bound(ModelClassId.ALL_DAGS, cfg.n)
+    records = []
+    for rep in range(cfg.repetitions):
+        seed = cfg.seed + 1000 * rep
+        scm = gen_linear_scm(cfg.n, cfg.expected_degree, seed)
+        truth = scm.dag()
+        if cfg.oracle:
+            cpdag, labels = pc_oracle(truth, cfg.max_cond)
+
+            def tester(q):
+                return TestOutcome(binary(d_separated(truth, q)), None, None)
+
+        else:
+            data = sample(scm, cfg.l, seed + 1).dataset
+            corr = np.corrcoef(data.samples, rowvar=False)
+            cpdag, labels = pc_fit(data, cfg.alpha, cfg.max_cond)
+
+            def tester(q):
+                return fisher_z_from_corr(corr, cfg.l, q.members, q.cond, cfg.alpha)
+
+        g = random_dag_from_cpdag(cpdag, seed + 2)
+        empirical = empirical_error(
+            [binary(d_separated(g, lq.query)) for lq in labels],
+            [lq.outcome.value for lq in labels],
+        )
+        expected = ref_expected_risk(lambda q: d_separated(g, q), universe, tester)
+        records.append(
+            RiskRecord(
+                "ci", cfg.n, cfg.l, cfg.alpha, len(labels), rep, empirical, expected,
+                gap_binary(h, len(labels), cfg.eta), seed,
+            )
+        )
+    return records
+
+
+def ref_run_anm_experiment(cfg):
+    """``harness.run_anm_experiment`` scored query by query with the scalar
+    ``q_anm_polytree`` and ``empirical_error``."""
+    h = vc_upper_bound(ModelClassId(cfg.bound_class), cfg.n)
+    universe = enumerate_queries(cfg.n, QueryKind.ORDERED_PAIR)
+    records = []
+    for ds in range(cfg.datasets):
+        seed = cfg.seed + 100_000 * ds
+        scm = gen_gam_scm(cfg.n, cfg.expected_degree, seed)
+        data = sample(scm, cfg.l, seed + 1).dataset
+        cache = {q: anm_test(data, q, cfg.alpha) for q in universe}
+        for k in cfg.k_values:
+            for rep in range(cfg.repetitions):
+                rep_seed = seed + 10 * rep + 2
+                tree, labels = polytree_from_anm(
+                    data, k, cfg.alpha, rep_seed, tester=cache.__getitem__
+                )
+                empirical = empirical_error(
+                    [binary(q_anm_polytree(tree, lq.query)) for lq in labels],
+                    [lq.outcome.value for lq in labels],
+                )
+                expected = ref_expected_risk(
+                    lambda q: q_anm_polytree(tree, q), universe, cache.__getitem__
+                )
+                records.append(
+                    RiskRecord(
+                        "anm", cfg.n, cfg.l, cfg.alpha, k, rep, empirical, expected,
+                        gap_binary(h, k, cfg.eta), rep_seed,
+                    )
+                )
+    return records

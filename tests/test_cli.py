@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from causalpred import bounds, cli
+from causalpred import bounds, cli, stattests
 from causalpred.core import Query, QueryKind, load_dataset
 from causalpred.learners import pc_fit
 from causalpred.errors import ParseError
@@ -116,6 +116,60 @@ def test_constant_column_exit_code(tmp_path, monkeypatch, capsys, command):
     assert not caught
     err = _one_json_object(capsys.readouterr().err)
     assert err == {"error": "DegenerateInput", "message": "column 2 is constant"}
+
+
+def _write_csv(path, rows):
+    path.write_text(
+        ",".join(map(str, range(len(rows[0])))) + "\n"
+        + "".join(",".join(map(repr, r)) + "\n" for r in np.asarray(rows).tolist())
+    )
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["test", "--query", "anm:0->1"],
+        ["test", "--query", "anm:1->0"],
+        ["fit", "polytree", "--k", "2", "--out", "m.json"],
+    ],
+    ids=["test-source", "test-target", "fit-polytree"],
+)
+def test_overflowing_column_exit_code(tmp_path, monkeypatch, capsys, command):
+    # squared distances between values near 1e160 overflow a double
+    monkeypatch.chdir(tmp_path)
+    rows = np.random.default_rng(1).standard_normal((60, 2))
+    rows[:, 0] *= 1e160
+    _write_csv(tmp_path / "d.csv", rows)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main([*command, "--data", "d.csv"])
+    assert rc == 2
+    assert not caught
+    err = _one_json_object(capsys.readouterr().err)
+    assert err["error"] == "DegenerateInput"
+    assert "squared distances" in err["message"] and "overflow" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["test", "--query", "anm:0->1"], ["fit", "polytree", "--k", "1", "--out", "m.json"]],
+    ids=["test", "fit-polytree"],
+)
+def test_anm_size_guard_refuses_before_allocating(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    rows = np.random.default_rng(2).standard_normal((stattests.MAX_ANM_ROWS + 1, 2))
+    _write_csv(tmp_path / "d.csv", rows)
+
+    def no_gram(*args, **kwargs):
+        raise AssertionError("a Gram was built")
+
+    monkeypatch.setattr(stattests, "_gram", no_gram)
+    monkeypatch.setattr(stattests, "median_bandwidth", no_gram)
+    assert cli.main([*command, "--data", "d.csv"]) == 2
+    err = _one_json_object(capsys.readouterr().err)
+    assert err["error"] == "InvalidSize"
+    assert str(stattests.MAX_ANM_ROWS + 1) in err["message"]
+    assert f"limit is {stattests.MAX_ANM_ROWS} rows" in err["message"]
 
 
 @pytest.mark.parametrize("command", ["bound", "plan"])
@@ -387,6 +441,32 @@ def test_experiment_command(tmp_path, capsys):
     info = json.loads(capsys.readouterr().out)
     assert info["records"] == 2
     assert out.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"experiment": "ci", "bogus": 1}', '{"n": 5}', "[1]", '{"experiment": "anm", "k_values": 3}'],
+    ids=["unknown-key", "missing-key", "not-an-object", "k-values-not-a-list"],
+)
+def test_experiment_on_a_malformed_config(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert cli.main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 1
+    assert _one_json_object(capsys.readouterr().err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize(
+    "text", ['{"nam": []}', "{bad", '["x", "y"]', '{"names": [["x"]]}'],
+    ids=["no-names", "not-json", "not-an-object", "unhashable-name"],
+)
+def test_malformed_names_file(tmp_path, capsys, text):
+    data, names = tmp_path / "d.csv", tmp_path / "names.json"
+    _write_csv(data, np.random.default_rng(3).standard_normal((30, 2)))
+    names.write_text(text)
+    rc = cli.main(["test", "--data", str(data), "--names", str(names), "--query", "ci:0,1|"])
+    assert rc == 1
+    err = _one_json_object(capsys.readouterr().err)
+    assert err["error"] == "ParseError" and str(names) in err["message"]
 
 
 def test_seed_env_variable(tmp_path, monkeypatch, capsys):

@@ -2,10 +2,12 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from causalpred import harness
 from causalpred.core import Dataset, Query, binary
-from causalpred.errors import InvalidParams
+from causalpred.errors import InvalidParams, LengthMismatch, ParseError, TagMismatch
 from causalpred.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -18,6 +20,7 @@ from causalpred.harness import (
     write_records,
 )
 from causalpred.stattests import TestOutcome
+from oracles import ref_expected_risk, ref_run_anm_experiment, ref_run_ci_experiment
 
 
 # --- config -------------------------------------------------------------------
@@ -40,6 +43,14 @@ def test_config_from_json():
     assert cfg.n == 6
 
 
+@pytest.mark.parametrize(
+    "obj", [{"experiment": "ci", "bogus": 1}, {"n": 5}, [1], {"experiment": "anm", "k_values": 3}]
+)
+def test_config_from_json_parse_errors(obj):
+    with pytest.raises(ParseError):
+        ExperimentConfig.from_json(obj)
+
+
 def test_experiment_type_mismatch():
     with pytest.raises(InvalidParams):
         run_ci_experiment(ExperimentConfig("anm", k_values=(5,)))
@@ -53,36 +64,59 @@ def test_experiment_type_mismatch():
 
 
 def _const_tester(value):
-    def tester(q):
-        return TestOutcome(binary(value), None, None)
+    def tester(queries):
+        return np.full(len(queries), value)
 
     return tester
 
 
 def test_expected_risk_half_disagreement():
     queries = [Query.ci(0, 1), Query.ci(0, 2)]
-    risk = expected_risk(lambda q: int(q == Query.ci(0, 1)), queries, _const_tester(1))
+    risk = expected_risk(lambda qs: [int(q == Query.ci(0, 1)) for q in qs], queries, _const_tester(1))
     assert risk == 0.5
 
 
 def test_expected_risk_perfect_oracle():
     queries = [Query.ci(0, 1), Query.ci(0, 2), Query.ci(1, 2)]
-    assert expected_risk(lambda q: 1, queries, _const_tester(1)) == 0.0
+    assert expected_risk(lambda qs: np.ones(len(qs), dtype=int), queries, _const_tester(1)) == 0.0
 
 
 def test_expected_risk_random_predictor_on_balanced_labels():
     queries = [Query.ci(0, i) for i in range(1, 101)]
     labels = {q: i % 2 for i, q in enumerate(queries)}
 
-    def tester(q):
-        return TestOutcome(binary(labels[q]), None, None)
+    def tester(qs):
+        return [labels[q] for q in qs]
 
     risks = []
     for s in range(40):
         rng = np.random.default_rng(s)
         draws = {q: int(rng.random() < 0.5) for q in queries}
-        risks.append(expected_risk(lambda q: draws[q], queries, tester))
+        risks.append(expected_risk(lambda qs: [draws[q] for q in qs], queries, tester))
     assert abs(np.mean(risks) - 0.5) < 0.05
+
+
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=300))
+def test_expected_risk_equals_the_per_query_reference(pairs):
+    queries = [Query.ci(0, 1, (i + 2,)) for i in range(len(pairs))]
+    pred = dict(zip(queries, (p for p, _ in pairs)))
+    res = dict(zip(queries, (r for _, r in pairs)))
+    got = expected_risk(lambda qs: [pred[q] for q in qs], queries, lambda qs: [res[q] for q in qs])
+    want = ref_expected_risk(pred.__getitem__, queries, lambda q: TestOutcome(binary(res[q])))
+    assert type(got) is float and got == want
+
+
+def test_expected_risk_errors():
+    queries = [Query.ci(0, 1), Query.ci(0, 2)]
+    with pytest.raises(LengthMismatch):
+        expected_risk(lambda qs: [1], queries, _const_tester(1))
+    with pytest.raises(LengthMismatch):
+        expected_risk(lambda qs: [], [], lambda qs: [])
+    for bad in ([0, 2], [-1, 1], [0.5, 1]):
+        with pytest.raises(TagMismatch):
+            expected_risk(lambda qs: bad, queries, _const_tester(1))
+        with pytest.raises(TagMismatch):
+            expected_risk(_const_tester(1), queries, lambda qs: bad)
 
 
 def test_risk_record_gap_bit_exact():
@@ -153,6 +187,21 @@ def test_anm_experiment_calls_module_anm_test_once_per_pair(monkeypatch):
     assert sorted(q.members for (_, q, _), _ in calls) == [
         (a, b) for a in range(3) for b in range(3) if a != b
     ]
+
+
+@pytest.mark.parametrize("oracle", [False, True], ids=["fisher-z", "oracle"])
+def test_ci_records_equal_the_per_query_reference(oracle):
+    for seed in (0, 7):
+        cfg = ExperimentConfig("ci", n=8, l=2000, alpha=0.01, repetitions=3, seed=seed, oracle=oracle)
+        assert run_ci_experiment(cfg) == ref_run_ci_experiment(cfg)
+
+
+def test_anm_records_equal_the_per_query_reference():
+    # criterion 6 sized down: n 10 -> 5, m 600 -> 150, 3 datasets -> 2
+    cfg = ExperimentConfig(
+        "anm", n=5, l=150, alpha=0.05, repetitions=4, seed=11, k_values=(4, 10, 20), datasets=2
+    )
+    assert run_anm_experiment(cfg) == ref_run_anm_experiment(cfg)
 
 
 def test_run_experiment_dispatch():

@@ -20,7 +20,9 @@ from causalpred.models import (
     PathModel,
     Polytree,
     cpdag_from_dag,
+    d_connected,
     d_separated,
+    d_separated_many,
     forest_union,
     glue_gaussian_chain,
     is_polytree,
@@ -165,6 +167,58 @@ def test_d_separated_wrong_kind():
         d_separated(CHAIN, Query.ordered_pair(0, 1))
     with pytest.raises(UnknownNode):
         d_separated(CHAIN, Query.ci(0, 5))
+
+
+@st.composite
+def _graph_and_ci_queries(draw):
+    """A random DAG and a list of CI queries in mixed order, with
+    duplicates and conditioning sets of size 0 to 3."""
+    n = draw(st.integers(2, 8))
+    g = random_dag(n, draw(st.integers(0, 2**32 - 1)), p=draw(st.sampled_from([0.2, 0.4, 0.7])))
+    drawn = st.tuples(st.permutations(range(n)), st.integers(0, min(3, n - 2)))
+    queries = [Query.ci(p[0], p[1], p[2 : 2 + k]) for p, k in draw(st.lists(drawn, max_size=40))]
+    if queries:
+        queries += draw(st.lists(st.sampled_from(queries), max_size=10))
+    return g, draw(st.permutations(queries))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph_and_ci_queries())
+def test_d_separated_many_matches_scalar_and_moral_oracle(case):
+    g, queries = case
+    got = d_separated_many(g, queries)
+    assert got.shape == (len(queries),)
+    assert got.tolist() == [d_separated(g, q) for q in queries]
+    assert got.tolist() == [moral_d_separated(g, *q.members, set(q.cond)) for q in queries]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graph_and_ci_queries())
+def test_d_connected_is_the_set_the_moral_oracle_connects(case):
+    g, queries = case
+    for q in queries[:5]:
+        x, z = q.members[0], set(q.cond)
+        want = {x} | {v for v in range(g.n) if v not in z | {x} and not moral_d_separated(g, x, v, z)}
+        assert d_connected(g, x, z) == want
+
+
+@given(_graph_and_ci_queries(), st.data())
+def test_d_separated_many_raises_the_scalar_error_of_the_first_bad_query(case, data):
+    g, queries = case
+    n = g.n
+    bad = [Query.ordered_pair(0, 1), Query.ci(0, n), Query.ci(0, 1, (n + 1,)), Query.ci(n + 2, 0)]
+    for q in data.draw(st.lists(st.sampled_from(bad), min_size=1, max_size=3)):
+        queries.insert(data.draw(st.integers(0, len(queries))), q)
+    first = next(q for q in queries if q in bad)
+    with pytest.raises((InvalidSize, UnknownNode)) as want:
+        d_separated(g, first)
+    with pytest.raises(type(want.value)) as got:
+        d_separated_many(g, queries)
+    assert str(got.value) == str(want.value)
+
+
+def test_d_separated_many_of_no_queries():
+    assert d_separated_many(CHAIN, []).shape == (0,)
 
 
 # --- directed paths -----------------------------------------------------------

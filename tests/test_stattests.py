@@ -1,3 +1,4 @@
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -549,9 +550,11 @@ def _error(fn, *args):
 
 
 # a column of two clusters 1.2e154 apart: the median squared distance
-# overflows, the bandwidth is infinite and the Gram is all ones, so the
-# gamma moments vanish
+# overflows; the former code took an infinite bandwidth and an all-ones
+# Gram, so the gamma moments vanished, and the package now refuses the
+# column by its distances
 OVERFLOW = np.r_[np.zeros(10), np.full(10, 1.2e154)]
+OVERFLOW_ERROR = (DegenerateInput, "squared distances between points overflow; rescale the column")
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -562,18 +565,35 @@ def test_hsic_errors_unchanged_and_in_order():
         (np.ones(10), np.ones(10)),  # too few before constant
         (np.ones(30), rng.standard_normal(30)),  # constant column
         (rng.standard_normal(30), np.full(30, 2.0)),
-        (OVERFLOW, OVERFLOW[::-1].copy()),  # undefined gamma
     ]
-    want = [InvalidSize, InvalidSize, DegenerateInput, DegenerateInput, DegenerateInput]
+    want = [InvalidSize, InvalidSize, DegenerateInput, DegenerateInput]
     for (x, y), kind in zip(cases, want):
         got = _error(hsic_independence, x, y, 0.05)
         assert got[0] is kind
         assert got == _error(ref_hsic_p_value, x, y)
-    assert "gamma" in got[1]
+    assert "gamma" in _error(ref_hsic_p_value, OVERFLOW, OVERFLOW[::-1].copy())[1]
+    assert _error(hsic_independence, OVERFLOW, OVERFLOW[::-1].copy(), 0.05) == OVERFLOW_ERROR
+    assert _error(median_bandwidth, OVERFLOW) == OVERFLOW_ERROR
+    assert "gamma" in _error(_gamma_p_value, 1.0, 0.0, 1.0, 30)[1]
     for x, y in cases[:2]:
         assert _error(kernel_regress, x, y) == _error(ref_kernel_regress, x, y)
     x = np.ones(30)
     assert _error(kernel_regress, x, x) == _error(ref_kernel_regress, x, x)
+
+
+def test_an_outlying_point_leaves_a_finite_bandwidth_and_no_warning():
+    # one value 1e160 away: its squared distances overflow to inf and its
+    # kernel values are 0, but the median, the bandwidth and the test stand
+    rng = np.random.default_rng(18)
+    x = np.r_[rng.uniform(-1, 1, 59), 1e160]
+    y = np.sin(3 * x[::-1]) + 0.1 * rng.standard_normal(60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = anm_test(_dataset(y, x), Query.ordered_pair(1, 0), 0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        value, p = ref_anm_test(x, y, 0.05)
+    assert out.value.value == value and abs(out.p_value - p) <= 1e-10
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -585,11 +605,12 @@ def test_anm_errors_unchanged_and_in_order():
         (np.ones(40), x),  # constant source
         (x, np.full(40, 3.0)),  # constant target
         (x, 1e-5 * x),  # the ridge fit leaves a constant residual
-        (OVERFLOW, OVERFLOW[::-1].copy()),  # undefined gamma in the marginal test
     ]
     for a, b in cases:
         got = _error(anm_test, _dataset(a, b), Query.ordered_pair(0, 1), 0.05)
         assert got == _error(ref_anm_test, a, b, 0.05)
+    for a, b in ((OVERFLOW, OVERFLOW[::-1].copy()), (x[:20], OVERFLOW)):
+        assert _error(anm_test, _dataset(a, b), Query.ordered_pair(0, 1), 0.05) == OVERFLOW_ERROR
     assert _error(anm_test, _dataset(x, 1e-5 * x), Query.ordered_pair(0, 1), 0.05) == (
         DegenerateInput,
         "constant column",
