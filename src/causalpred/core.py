@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import csv
+import io
 import json
 import random
 from dataclasses import dataclass, field
@@ -179,10 +180,6 @@ class Dataset:
     def l(self):
         return self.samples.shape[0]
 
-    @property
-    def k(self):
-        return self.samples.shape[1]
-
     def column(self, variable) -> np.ndarray:
         """Return the sample column for a global variable id."""
         try:
@@ -192,15 +189,32 @@ class Dataset:
         return self.samples[:, idx]
 
 
+_NOT_PLAIN = bytes(c for c in range(32) if c not in (10, 13)) + b'"\x7f'
+
+
+def _plain_lines(text):
+    """The lines of a text of printable ASCII and line ends, with no quote
+    character and no blank line, else None.  csv.reader cuts such a text
+    into rows at these lines and commas, and np.loadtxt reads a cell of it
+    exactly when float() does, to the same double."""
+    if not text.isascii() or len(text.encode("ascii").translate(None, _NOT_PLAIN)) != len(text):
+        return None
+    lines = text.splitlines()
+    return lines if lines and "" not in lines else None
+
+
 def load_dataset(path, names_path=None) -> Dataset:
     """Load a CSV dataset; header row carries variable ids or names.
 
     Names are resolved through a sidecar JSON file ``{"names": [...]}``
-    whose list index is the global variable id.
+    whose list index is the global variable id.  A cell holds what
+    ``float()`` reads, apart from non-finite values.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+        text = fh.read()
+    lines = _plain_lines(text)
+    rows = list(csv.reader(io.StringIO(text, newline=""))) if lines is None else lines
     if not rows:
         raise InvalidSize(f"{path} is empty")
     header, body = rows[0], rows[1:]
@@ -217,7 +231,7 @@ def load_dataset(path, names_path=None) -> Dataset:
         name_to_id = {name: i for i, name in enumerate(names)}
 
     columns = []
-    for cell in header:
+    for cell in header if lines is None else header.split(","):
         cell = cell.strip()
         if cell in name_to_id:
             columns.append(name_to_id[cell])
@@ -229,19 +243,26 @@ def load_dataset(path, names_path=None) -> Dataset:
     if len(set(columns)) != len(columns):
         raise DuplicateColumn(f"duplicate header ids in {columns}")
 
-    data = np.empty((len(body), len(columns)))
-    for i, row in enumerate(body):
-        if len(row) != len(columns):
-            raise InvalidSize(f"row {i + 1} has {len(row)} cells, expected {len(columns)}")
-        for j, cell in enumerate(row):
-            try:
-                data[i, j] = float(cell)
-            except ValueError:
-                raise NonNumericCell(i + 1, j) from None
-    # float() accepts "nan" and "inf", which no test or fit can use
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        raise NonNumericCell(int(bad[0][0]) + 1, int(bad[0][1]))
+    try:  # a plain body in one call; the per-cell pass below names a fault
+        data = None if lines is None else np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        data = None
+    if data is None or data.shape != (len(body), len(columns)) or not np.isfinite(data).all():
+        if lines is not None:
+            body = [line.split(",") for line in body]
+        data = np.empty((len(body), len(columns)))
+        for i, row in enumerate(body):
+            if len(row) != len(columns):
+                raise InvalidSize(f"row {i + 1} has {len(row)} cells, expected {len(columns)}")
+            for j, cell in enumerate(row):
+                try:
+                    data[i, j] = float(cell)
+                except ValueError:
+                    raise NonNumericCell(i + 1, j) from None
+        # float() accepts "nan" and "inf", which no test or fit can use
+        bad = np.argwhere(~np.isfinite(data))
+        if bad.size:
+            raise NonNumericCell(int(bad[0][0]) + 1, int(bad[0][1]))
     return Dataset(data, tuple(columns))
 
 
@@ -254,21 +275,10 @@ def load_json(fh):
 
 
 def save_dataset(d: Dataset, path):
-    """Write a dataset back to CSV with integer-id header."""
+    """Write a dataset as csv.writer does: id header, ``repr`` floats, CRLF."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(d.columns)
-        w.writerows(d.samples.tolist())
-
-
-def project(d: Dataset, q: Query) -> Dataset:
-    """Restrict a dataset to the query's variables, in canonical order."""
-    wanted = q.variables()
-    for v in wanted:
-        if v not in d.columns:
-            raise MissingVariable(v)
-    idx = [d.columns.index(v) for v in wanted]
-    return Dataset(d.samples[:, idx], wanted)
+        fh.write(",".join(map(str, d.columns)) + "\r\n")
+        fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in d.samples.tolist()]))
 
 
 def enumerate_queries(n, kind, cond_size=0):

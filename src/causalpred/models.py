@@ -299,13 +299,12 @@ def q_anm_polytree(g: Polytree, q: Query) -> int:
     return int((i, j) in g.edges)
 
 
-def q_lingam_admissible(g: Dag, q: Query, strict_common_ancestor=False) -> int:
+def q_lingam_admissible(g: Dag, q: Query) -> int:
     """Admissibility of a linear additive noise model on an ordered tuple.
 
     Requires (1) no confounder: no node outside the tuple is an ancestor of
     two distinct tuple members, and (2) the tuple order is consistent with
-    the graph.  With ``strict_common_ancestor`` tuple members themselves
-    also count as common ancestors of the pairs they precede.
+    the graph.
     """
     if q.kind != QueryKind.ORDERED_TUPLE:
         raise InvalidSize("admissibility predictor takes ordered tuples")
@@ -314,10 +313,7 @@ def q_lingam_admissible(g: Dag, q: Query, strict_common_ancestor=False) -> int:
     anc = {v: g.ancestors(v) for v in members}
     member_set = set(members)
     for yi, yj in combinations(members, 2):
-        shared = anc[yi] & anc[yj]
-        if not strict_common_ancestor:
-            shared -= member_set
-        if shared:
+        if (anc[yi] & anc[yj]) - member_set:
             return 0
     for i, yi in enumerate(members):
         for yj in members[i + 1 :]:

@@ -56,13 +56,20 @@ def _check_nonconstant(*cols):
 # --- Fisher-Z -----------------------------------------------------------------
 
 
-def correlation_matrix(d):
-    """Correlation matrix of a dataset's columns.  A constant column has no
-    correlations, so it is refused by name before numpy divides by zero."""
-    for col, var in zip(d.columns, np.var(d.samples, axis=0)):
+def correlation_matrix(d, variables=None):
+    """Correlation matrix of a dataset's columns, or of ``variables``' in that
+    order.  A constant column, or one whose variance overflows, has no
+    correlations numpy can compute, so it is refused by name first."""
+    ids = d.columns if variables is None else tuple(variables)
+    x = d.samples if variables is None else np.column_stack([d.column(v) for v in ids])
+    with np.errstate(over="ignore", invalid="ignore"):
+        variances = np.var(x, axis=0).tolist()
+    for col, var in zip(ids, variances):
+        if not math.isfinite(var):
+            raise DegenerateInput(f"the variance of column {col} overflows; rescale it")
         if var < VAR_EPS:
             raise DegenerateInput(f"column {col} is constant")
-    return np.corrcoef(d.samples, rowvar=False)
+    return np.corrcoef(x, rowvar=False)
 
 
 def partial_correlation(corr, target_idx, cond_idx):
@@ -111,11 +118,8 @@ def fisher_z_ci(d, q: Query, alpha) -> TestOutcome:
     """Partial-correlation conditional independence test; 1 = independence."""
     if q.kind != QueryKind.COND_INDEP:
         raise InvalidSize("fisher_z_ci takes conditional-independence queries")
-    cols = [d.column(v) for v in q.variables()]
-    _check_nonconstant(*cols)
-    mat = np.column_stack(cols)
-    corr = np.corrcoef(mat, rowvar=False)
-    return fisher_z_from_corr(corr, d.l, (0, 1), range(2, mat.shape[1]), alpha)
+    corr = correlation_matrix(d, q.variables())
+    return fisher_z_from_corr(corr, d.l, (0, 1), range(2, len(corr)), alpha)
 
 
 # --- correlation estimators ---------------------------------------------------
@@ -126,10 +130,7 @@ def corr_estimate(d, q: Query) -> TestOutcome:
         raise InvalidSize("corr_estimate takes unordered pairs")
     if d.l < 3:
         raise InvalidSize("need at least three samples")
-    x, y = (d.column(v) for v in q.members)
-    _check_nonconstant(x, y)
-    r = float(np.corrcoef(x, y)[0, 1])
-    return TestOutcome(real(r))
+    return TestOutcome(real(float(correlation_matrix(d, q.members)[0, 1])))
 
 
 def sign_estimate(d, q: Query) -> TestOutcome:

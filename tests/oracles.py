@@ -5,13 +5,30 @@ ancestral graphs instead of reachability, Floyd-Warshall closure instead
 of DFS) so that agreement is meaningful evidence of correctness.
 """
 
+import csv
+from pathlib import Path
+
 import numpy as np
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
 from causalpred.bounds import ModelClassId, gap_binary, vc_upper_bound
-from causalpred.core import QueryKind, binary, empirical_error, enumerate_queries
-from causalpred.errors import DegenerateInput, InvalidParams, InvalidSize
+from causalpred.core import (
+    Dataset,
+    QueryKind,
+    binary,
+    empirical_error,
+    enumerate_queries,
+    load_json,
+)
+from causalpred.errors import (
+    DegenerateInput,
+    DuplicateColumn,
+    InvalidParams,
+    InvalidSize,
+    NonNumericCell,
+    ParseError,
+)
 from causalpred.harness import RiskRecord
 from causalpred.learners import pc_fit, pc_oracle, polytree_from_anm
 from causalpred.models import Dag, d_separated, q_anm_polytree, random_dag_from_cpdag
@@ -320,3 +337,66 @@ def ref_run_anm_experiment(cfg):
                     )
                 )
     return records
+
+
+# --- CSV: the former per-cell load and csv.writer save ------------------------
+#
+# ``core.load_dataset`` parses a plain text with one np.loadtxt call and
+# keeps this loop for everything else; ``core.save_dataset`` joins repr
+# strings.  Both must agree with these exactly.
+
+
+def ref_load_dataset(path, names_path=None):
+    """``csv.reader`` rows, then ``float()`` per cell: the first unparseable
+    cell in row-major order is named, else the first non-finite one."""
+    path = Path(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise InvalidSize(f"{path} is empty")
+    header, body = rows[0], rows[1:]
+    if not body:
+        raise InvalidSize(f"{path} has no data rows")
+
+    name_to_id = {}
+    if names_path is not None:
+        with open(names_path, encoding="utf-8") as fh:
+            obj = load_json(fh)
+        names = obj.get("names") if isinstance(obj, dict) else None
+        if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+            raise ParseError(f'{names_path} holds no "names" list of strings')
+        name_to_id = {name: i for i, name in enumerate(names)}
+
+    columns = []
+    for cell in header:
+        cell = cell.strip()
+        if cell in name_to_id:
+            columns.append(name_to_id[cell])
+        else:
+            try:
+                columns.append(int(cell))
+            except ValueError:
+                raise NonNumericCell(0, cell) from None
+    if len(set(columns)) != len(columns):
+        raise DuplicateColumn(f"duplicate header ids in {columns}")
+
+    data = np.empty((len(body), len(columns)))
+    for i, row in enumerate(body):
+        if len(row) != len(columns):
+            raise InvalidSize(f"row {i + 1} has {len(row)} cells, expected {len(columns)}")
+        for j, cell in enumerate(row):
+            try:
+                data[i, j] = float(cell)
+            except ValueError:
+                raise NonNumericCell(i + 1, j) from None
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        raise NonNumericCell(int(bad[0][0]) + 1, int(bad[0][1]))
+    return Dataset(data, tuple(columns))
+
+
+def ref_save_dataset(d, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(d.columns)
+        w.writerows(d.samples.tolist())

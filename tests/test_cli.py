@@ -1,14 +1,16 @@
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalpred import bounds, cli, stattests
@@ -152,6 +154,27 @@ def test_overflowing_column_exit_code(tmp_path, monkeypatch, capsys, command):
 
 @pytest.mark.parametrize(
     "command",
+    [["test", "--query", "ci:0,1|"], ["fit", "pc", "--out", "m.json"], ["fit", "path", "--out", "m.json"]],
+    ids=["test-ci", "fit-pc", "fit-path"],
+)
+def test_overflowing_variance_exit_code(tmp_path, monkeypatch, capsys, command):
+    # squares of values near 1e160 overflow a double; numpy's correlation
+    # would then be 0 (p = 1, no edge removed, or a "zero correlation")
+    monkeypatch.chdir(tmp_path)
+    rows = np.random.default_rng(1).standard_normal((100, 3))
+    rows[:, 0] *= 1e160
+    _write_csv(tmp_path / "d.csv", rows)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main([*command, "--data", "d.csv"])
+    assert rc == 2
+    assert not caught
+    err = _one_json_object(capsys.readouterr().err)
+    assert err == {"error": "DegenerateInput", "message": "the variance of column 0 overflows; rescale it"}
+
+
+@pytest.mark.parametrize(
+    "command",
     [["test", "--query", "anm:0->1"], ["fit", "polytree", "--k", "1", "--out", "m.json"]],
     ids=["test", "fit-polytree"],
 )
@@ -233,7 +256,7 @@ def test_gen_and_test_roundtrip(tmp_path, capsys):
     info = json.loads(capsys.readouterr().out)
     assert info["n"] == 4 and info["l"] == 500
     d = load_dataset(out)
-    assert d.l == 500 and d.k == 4
+    assert d.l == 500 and d.samples.shape[1] == 4
     assert json.loads(truth.read_text())["type"] == "linear"
 
     rc = cli.main(["test", "--data", str(out), "--query", "ci:0,1|2", "--alpha", "0.05"])
@@ -477,3 +500,61 @@ def test_seed_env_variable(tmp_path, monkeypatch, capsys):
     cli.main(["gen", "linear", "--n", "3", "--samples", "50", "--seed", "42", "--out", str(out2)])
     capsys.readouterr()
     assert out1.read_text() == out2.read_text()
+
+
+# --- fuzz: generated files end in an exit code and at most one JSON error ------
+
+
+@st.composite
+def _fuzz_csv(draw):
+    """A small CSV whose columns may be constant, duplicated, huge or
+    non-finite, and whose text may hold ragged rows, quoted cells or blank
+    lines."""
+    rows, width = draw(st.integers(1, 12)), draw(st.integers(2, 4))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((rows, width))
+    for j in range(width):
+        kind = draw(st.sampled_from(["normal", "constant", "duplicate", "huge", "non-finite"]))
+        if kind == "constant":
+            data[:, j] = 1.5
+        elif kind == "duplicate":
+            data[:, j] = data[:, 0]
+        elif kind == "huge":
+            data[:, j] *= 1e160
+        elif kind == "non-finite":
+            data[draw(st.integers(0, rows - 1)), j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    lines = [",".join(map(str, range(width)))] + [",".join(map(repr, r)) for r in data.tolist()]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(1, len(lines) - 1))
+        fault = draw(st.sampled_from(["ragged", "quoted", "blank"]))
+        if fault == "ragged":
+            lines[i] += ",0.5"
+        elif fault == "quoted":
+            lines[i] = '"' + lines[i].replace(",", '","') + '"'
+        else:
+            lines.insert(i + draw(st.integers(0, 1)), "")
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_fuzz_csv())
+def test_cli_on_generated_files_exits_with_a_code_and_json(tmp_path_factory, text):
+    here = tmp_path_factory.getbasetemp()
+    (here / "fuzz.csv").write_text(text, newline="")
+    for command in (
+        ["test", "--query", "ci:0,1|"],
+        ["fit", "pc", "--out", str(here / "fuzz-pc.json")],
+        ["fit", "path", "--out", str(here / "fuzz-path.json")],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        # an uncaught exception would end this test with its traceback
+        with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main([*command, "--data", str(here / "fuzz.csv")])
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if rc:
+            _one_json_object(err.getvalue())
+        else:
+            assert not err.getvalue()
+            json.loads(out.getvalue())
+        assert not caught, [str(w.message) for w in caught]

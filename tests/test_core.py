@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalpred.core import (
@@ -15,7 +15,6 @@ from causalpred.core import (
     enumerate_queries,
     load_dataset,
     matrix,
-    project,
     real,
     sample_queries,
     save_dataset,
@@ -30,6 +29,7 @@ from causalpred.errors import (
     NonNumericCell,
     TagMismatch,
 )
+from oracles import ref_load_dataset, ref_save_dataset
 
 
 # --- Query canonicalization ---------------------------------------------------
@@ -185,27 +185,157 @@ def test_csv_named_columns(tmp_path):
     assert np.array_equal(d.column(0), np.array([30.0, 40.0]))
 
 
-# --- project ------------------------------------------------------------------
+# --- CSV against the former per-cell load and csv.writer save ---------------
 
 
-def test_project_pair():
-    d = _toy_dataset()
-    out = project(d, Query.unordered_pair(2, 0))
-    # unordered pairs canonicalize to sorted order
-    assert out.columns == (0, 2)
-    assert out.l == d.l
-    assert np.array_equal(out.column(2), d.column(2))
+def _load_outcome(load, path):
+    """What a loader returns, bit for bit, or the error it raises."""
+    try:
+        d = load(path)
+    except Exception as exc:  # the reference may raise anything; compare it
+        return type(exc), str(exc)
+    return d.columns, d.samples.shape, d.samples.tobytes()
 
 
-def test_project_keeps_ordered_member_order():
-    d = _toy_dataset()
-    out = project(d, Query.ordered_pair(2, 0))
-    assert out.columns == (2, 0)
+def _same_load(path):
+    assert _load_outcome(load_dataset, path) == _load_outcome(ref_load_dataset, path)
 
 
-def test_project_missing_variable():
-    with pytest.raises(MissingVariable):
-        project(_toy_dataset(), Query.ci(0, 7))
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-05, 1e15, 1e-4, 0.1, 1.7976931348623157e308]),
+)
+_GOOD_CELLS = st.one_of(
+    _FLOATS.map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    # ASCII spellings np.loadtxt shares with float()
+    st.sampled_from(["1e5", "1E-3", "+.5", ".5", "5.", "-0", " 1.5 ", "007", "1e308", "5e-324"]),
+    # spellings only float() takes
+    st.sampled_from(["1_000", "١٢", "\xa01", " 2.5", "\t3", "4\x0b", "\x0c5"]),
+)
+_BAD_CELLS = st.sampled_from(
+    [
+        "", " ", "abc", "#1", "1#", "0x10", "1d5", "1 2", "1e", "--1", "\x1c1", "1\x00",
+        "nan", "-nan", "inf", "-Infinity", "NaN", "1e999",
+        '"1.5"', '"1,5"', '" 2"', '"nan"', '"1"2', '"',
+    ]
+)
+
+
+@st.composite
+def _csv_texts(draw):
+    """A header of ids and a matrix of float spellings, then a few faults:
+    odd or non-finite cells, quotes, ragged rows, blank lines, odd line ends."""
+    width = draw(st.integers(1, 4))
+    lines = [[str(i) for i in draw(st.permutations(range(width)))]]
+    lines += draw(st.lists(st.lists(_GOOD_CELLS, min_size=width, max_size=width), min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        fault = draw(st.sampled_from(["cell", "ragged", "blank", "header"]))
+        if fault == "cell" and i > 0 and lines[i]:
+            lines[i][draw(st.integers(0, len(lines[i]) - 1))] = draw(_BAD_CELLS)
+        elif fault == "ragged" and i > 0:
+            lines[i] = lines[i][:-1] if draw(st.booleans()) else lines[i] + ["1.0"]
+        elif fault == "blank":
+            lines.insert(draw(st.integers(1, len(lines))), [])
+        elif fault == "header":
+            lines[0][0] = draw(st.sampled_from(["x", "1.5", "", " 0", lines[0][-1]]))
+    ends = draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]))
+    text = ""
+    for cells in lines:
+        text += ",".join(cells) + (draw(st.sampled_from(["\n", "\r\n", "\r"])) if ends == "mixed" else ends)
+    return text if draw(st.booleans()) else text[:-1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_csv_texts())
+def test_load_matches_per_cell_reference(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "generated.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    _same_load(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from(list("0123456789.,-+eE_ #\"naif\n\r\t\x0b\x1c\xa0١")), max_size=40))
+def test_load_matches_per_cell_reference_on_any_text(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "any-text.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    _same_load(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "0,1\n",
+        "0,1",
+        "0,1\n1,2\n\n3,4\n",  # blank line in the middle
+        "0,1\n1,2\n3,4\n\n",  # and at the end
+        "0\n1\n\n",
+        "\n\n",
+        "0,1\r1,2\r3,4\r",  # \r-only line ends
+        "0,1\r\n1,2\r3,4\n",
+        "0,1\n#1,2\n",  # np.loadtxt would drop a comment if asked to
+        "0,1\n1,2,\n",
+        "0,1\n1,\"2\"\n",
+        "0,1\n1_000,١٢\n",
+        "0,1\n\x1c1,2\n",  # loadtxt strips \x1c, float() does not
+    ],
+)
+def test_load_matches_per_cell_reference_on_edge_files(tmp_path, text):
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    _same_load(path)
+
+
+@pytest.mark.parametrize(
+    "text, row, col",
+    [
+        ("0,1\nnan,1\n2,abc\n", 2, 1),  # an unparseable cell wins over an earlier nan
+        ("0,1\n1,inf\nnan,abc\n", 2, 1),
+        ("0,1\n1,2\n3,inf\nnan,4\n", 2, 1),  # only then does the first non-finite one count
+        ("0,1\n1,nan\ninf,2\n", 1, 1),
+    ],
+)
+def test_load_error_precedence(tmp_path, text, row, col):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    for load in (load_dataset, ref_load_dataset):
+        with pytest.raises(NonNumericCell) as exc:
+            load(path)
+        assert (exc.value.row, exc.value.col) == (row, col)
+
+
+def test_load_reads_a_plain_file_in_one_call(tmp_path, monkeypatch):
+    d = Dataset(np.random.default_rng(0).standard_normal((30, 4)), (3, 0, 1, 2))
+    path = tmp_path / "d.csv"
+    save_dataset(d, path)
+
+    def no_reader(*args, **kwargs):
+        raise AssertionError("csv.reader was used on a plain file")
+
+    monkeypatch.setattr("causalpred.core.csv.reader", no_reader)
+    back = load_dataset(path)
+    assert back.columns == d.columns
+    assert back.samples.tobytes() == d.samples.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda w: st.tuples(
+            st.permutations(range(w)),
+            st.lists(st.lists(st.one_of(_FLOATS, st.floats()), min_size=w, max_size=w), min_size=1, max_size=8),
+        )
+    )
+)
+def test_save_matches_csv_writer(tmp_path_factory, columns_rows):
+    columns, rows = columns_rows
+    d = Dataset(np.array(rows), tuple(columns))
+    here = tmp_path_factory.getbasetemp()
+    save_dataset(d, here / "save-new.csv")
+    ref_save_dataset(d, here / "save-ref.csv")
+    assert (here / "save-new.csv").read_bytes() == (here / "save-ref.csv").read_bytes()
 
 
 # --- enumerate / sample -------------------------------------------------------

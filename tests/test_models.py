@@ -265,7 +265,6 @@ def test_lingam_chain_order_inconsistent():
 def test_lingam_chain_full_order_admissible():
     # under the adopted reading, tuple members do not count as confounders
     assert q_lingam_admissible(CHAIN, Query.ordered_tuple(0, 1, 2)) == 1
-    assert q_lingam_admissible(CHAIN, Query.ordered_tuple(0, 1, 2), strict_common_ancestor=True) == 0
 
 
 def test_lingam_hidden_confounder():

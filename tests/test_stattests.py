@@ -20,6 +20,7 @@ from causalpred.stattests import (
     _gamma_p_value,
     anm_test,
     corr_estimate,
+    correlation_matrix,
     fisher_z_ci,
     fisher_z_from_corr,
     hsic_independence,
@@ -338,6 +339,39 @@ def test_estimator_preconditions():
         corr_estimate(d, Query.unordered_pair(0, 1))
     with pytest.raises(DegenerateInput):
         corr_estimate(_dataset(np.ones(10), np.arange(10.0)), Query.unordered_pair(0, 1))
+
+
+@pytest.mark.parametrize("target", [0, 1, 2])
+def test_overflowing_variance_is_named(target):
+    # the squares of values near 1e160 overflow, so numpy would divide a
+    # finite cross product by an infinite deviation and report 0
+    cols = list(np.random.default_rng(4).standard_normal((3, 100)))
+    cols[target] = cols[target] * 1e160
+    d = Dataset(np.column_stack(cols), (5, 6, 7))
+    calls = [
+        lambda: correlation_matrix(d),
+        lambda: correlation_matrix(d, (7, 6, 5)),
+        lambda: fisher_z_ci(d, Query.ci(5, 6, (7,)), 0.05),
+    ]
+    if target < 2:
+        calls += [
+            lambda: fisher_z_ci(d, Query.ci(5, 6), 0.05),
+            lambda: corr_estimate(d, Query.unordered_pair(5, 6)),
+            lambda: sign_estimate(d, Query.unordered_pair(5, 6)),
+        ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(DegenerateInput, match=f"variance of column {5 + target} overflows"):
+                call()
+        if target == 2:  # a test that leaves the column out still runs
+            assert 0.0 <= fisher_z_ci(d, Query.ci(5, 6), 0.05).p_value <= 1.0
+
+
+def test_correlation_matrix_of_variables_follows_their_order():
+    d = _dataset(*np.random.default_rng(5).standard_normal((3, 50)))
+    full = correlation_matrix(d)
+    assert np.array_equal(correlation_matrix(d, (2, 0)), full[np.ix_([2, 0], [2, 0])])
 
 
 # --- HSIC ---------------------------------------------------------------------
