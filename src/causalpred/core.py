@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    DataError,
     DuplicateColumn,
     InvalidSize,
     KTooLarge,
@@ -98,7 +99,7 @@ class Query:
 
 @dataclass(frozen=True)
 class PropertyValue:
-    """Tagged property value: binary 0/1, real, sign -1/+1, or PSD matrix."""
+    """Tagged property value: binary 0/1, real, or sign -1/+1."""
 
     tag: str
     value: object = field(compare=False, default=None)
@@ -112,29 +113,15 @@ class PropertyValue:
                 raise TagMismatch(f"sign value must be -1 or +1, got {self.value}")
         elif self.tag == "real":
             object.__setattr__(self, "value", float(self.value))
-        elif self.tag == "matrix":
-            m = np.asarray(self.value, dtype=float)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise TagMismatch("matrix value must be square")
-            if not np.allclose(m, m.T, atol=1e-9):
-                raise TagMismatch("matrix value must be symmetric")
-            if np.linalg.eigvalsh(m).min() < -1e-9:
-                raise TagMismatch("matrix value must be positive semidefinite")
-            m.setflags(write=False)
-            object.__setattr__(self, "value", m)
         else:
             raise TagMismatch(f"unknown property tag {self.tag!r}")
 
     def __eq__(self, other):
         if not isinstance(other, PropertyValue) or self.tag != other.tag:
             return NotImplemented
-        if self.tag == "matrix":
-            return np.array_equal(self.value, other.value)
         return self.value == other.value
 
     def __hash__(self):
-        if self.tag == "matrix":
-            return hash((self.tag, self.value.tobytes()))
         return hash((self.tag, self.value))
 
 
@@ -148,10 +135,6 @@ def real(v) -> PropertyValue:
 
 def sign(v) -> PropertyValue:
     return PropertyValue("sign", int(v))
-
-
-def matrix(m) -> PropertyValue:
-    return PropertyValue("matrix", m)
 
 
 @dataclass(frozen=True)
@@ -211,13 +194,17 @@ def load_dataset(path, names_path=None) -> Dataset:
     ``float()`` reads, apart from non-finite values.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8: byte {exc.start} cannot be decoded") from None
     lines = _plain_lines(text)
     rows = list(csv.reader(io.StringIO(text, newline=""))) if lines is None else lines
     if not rows:
         raise InvalidSize(f"{path} is empty")
     header, body = rows[0], rows[1:]
+    if not header:
+        raise InvalidSize(f"{path} has no header ids: its first line is blank")
     if not body:
         raise InvalidSize(f"{path} has no data rows")
 
@@ -267,10 +254,11 @@ def load_dataset(path, names_path=None) -> Dataset:
 
 
 def load_json(fh):
-    """``json.load`` of an open file; text that is not JSON is a ParseError."""
+    """``json.load`` of an open file; text that is not JSON, or not UTF-8,
+    is a ParseError."""
     try:
         return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{fh.name} is not JSON: {exc}") from None
 
 
@@ -329,7 +317,5 @@ def empirical_error(predictions, test_results) -> float:
     for p, t in zip(predictions, test_results):
         if p.tag != t.tag:
             raise TagMismatch(f"cannot compare {p.tag} with {t.tag}")
-        if p.tag == "matrix":
-            raise TagMismatch("matrix-valued properties have no scalar loss")
         total += abs(p.value - t.value)
     return total / len(predictions)

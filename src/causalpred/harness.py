@@ -9,7 +9,7 @@ additive-noise tests.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -45,21 +45,44 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in ("ci", "anm"):
             raise InvalidParams(f"unknown experiment {self.experiment!r}")
+        if self.bound_class not in {c.value for c in ModelClassId}:
+            raise InvalidParams(f"unknown bound class {self.bound_class!r}")
         if self.repetitions < 1 or self.datasets < 1:
             raise InvalidParams("need at least one repetition and dataset")
+        if self.seed < 0:
+            raise InvalidParams(f"seed {self.seed} is negative")
 
     @staticmethod
     def from_json(obj):
         """Config from a parsed JSON object; a non-object, an unknown or
-        missing key, or a value of the wrong type is a ParseError."""
+        missing key, or a value not of its field's type is a ParseError.
+        An int is a float, a bool is no int, and ``k_values`` is a list of
+        ints."""
         if not isinstance(obj, dict):
             raise ParseError("experiment config must be a JSON object")
+        types = {f.name: f.type for f in fields(ExperimentConfig)}
+        for key, value in obj.items():
+            if key in types:
+                name, ok = _JSON_TYPES[types[key]]
+                if not ok(value):
+                    raise ParseError(f"bad experiment config: {key} must be {name}, not {value!r}")
         try:
             if "k_values" in obj:
                 obj = dict(obj, k_values=tuple(obj["k_values"]))
             return ExperimentConfig(**obj)
         except TypeError as exc:
             raise ParseError(f"bad experiment config: {exc}") from None
+
+
+# the JSON value each field annotation takes; Python counts a bool as an
+# int, so the checks compare exact types
+_JSON_TYPES = {
+    "str": ("a string", lambda v: type(v) is str),
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a number", lambda v: type(v) in (int, float)),
+    "bool": ("a boolean", lambda v: type(v) is bool),
+    "tuple": ("a list of integers", lambda v: type(v) is list and all(type(k) is int for k in v)),
+}
 
 
 @dataclass(frozen=True)

@@ -75,10 +75,7 @@ def pc_from_ci(n, ci_test, max_cond):
                         removed = True
                         break
     pdag = _Pdag(
-        n,
-        undirected=[
-            frozenset((a, b)) for a, b in combinations(range(n), 2) if b in adjacency[a]
-        ],
+        n, undirected=[(a, b) for a, b in combinations(range(n), 2) if b in adjacency[a]]
     )
     # v-structures from the recorded separating sets
     for a, b in combinations(range(n), 2):

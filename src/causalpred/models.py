@@ -32,6 +32,19 @@ def _check_nodes(n, *nodes):
             raise UnknownNode(v)
 
 
+def reach(starts, step):
+    """Every node reachable from ``starts`` along ``step``, a per-node table
+    of successors (parents, children); the starts themselves included."""
+    seen = set()
+    stack = list(starts)
+    while stack:
+        u = stack.pop()
+        if u not in seen:
+            seen.add(u)
+            stack.extend(step[u])
+    return seen
+
+
 @dataclass(frozen=True)
 class Dag:
     """Directed acyclic graph on nodes 0..n-1; an edge (i, j) means i -> j.
@@ -83,31 +96,14 @@ class Dag:
 
     def ancestors(self, v):
         """Proper ancestors of v (v itself excluded)."""
-        out = set()
-        stack = list(self.parents(v))
-        while stack:
-            u = stack.pop()
-            if u not in out:
-                out.add(u)
-                stack.extend(self.parents(u))
-        return out
+        return reach(self._parents[v], self._parents)
 
     def skeleton(self):
         return frozenset(frozenset(e) for e in self.edges)
 
     def has_path(self, i, j):
         """True iff a directed path i -> ... -> j exists."""
-        stack = [i]
-        seen = set()
-        while stack:
-            u = stack.pop()
-            if u == j:
-                return True
-            if u in seen:
-                continue
-            seen.add(u)
-            stack.extend(self.children(u))
-        return False
+        return j in reach([i], self._children)
 
 
 class Polytree(Dag):
@@ -270,14 +266,14 @@ def d_separated_many(g: Dag, queries) -> np.ndarray:
     scalar call raises.  One pass per (first member, conditioning set)
     answers every query that shares it.
     """
-    reach = {}
+    connected = {}
     out = []
     for q in queries:
         x, y = _ci_query_nodes(g, q)
         key = (x, q.cond)
-        if key not in reach:
-            reach[key] = d_connected(g, x, q.cond)
-        out.append(y not in reach[key])
+        if key not in connected:
+            connected[key] = d_connected(g, x, q.cond)
+        out.append(y not in connected[key])
     return np.array(out, dtype=np.int64)
 
 
@@ -362,103 +358,76 @@ def markov_equivalent(g1: Dag, g2: Dag) -> int:
 
 
 class _Pdag:
-    """Mutable partially directed graph used during orientation."""
+    """Mutable partially directed graph used during orientation.
+
+    Each edge is stored once per end: ``parents`` and ``children`` hold the
+    directed edges, ``links[v]`` the nodes joined to v by an undirected one.
+    """
 
     def __init__(self, n, directed=(), undirected=()):
         self.n = n
-        self.directed = set(directed)
-        self.undirected = {frozenset(e) for e in undirected}
+        self.parents = [set() for _ in range(n)]
+        self.children = [set() for _ in range(n)]
+        self.links = [set() for _ in range(n)]
+        for a, b in directed:
+            self.parents[b].add(a)
+            self.children[a].add(b)
+        for a, b in undirected:
+            self.links[a].add(b)
+            self.links[b].add(a)
+
+    def directed_edges(self):
+        return [(a, b) for a in range(self.n) for b in self.children[a]]
+
+    def undirected_edges(self):
+        """Undirected edges as pairs a < b, in lexicographic order."""
+        return [(a, b) for a in range(self.n) for b in sorted(self.links[a]) if a < b]
 
     def adjacent(self, a, b):
-        return (
-            (a, b) in self.directed
-            or (b, a) in self.directed
-            or frozenset((a, b)) in self.undirected
-        )
-
-    def neighbors(self, v):
-        out = set()
-        for a, b in self.directed:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        for e in self.undirected:
-            if v in e:
-                out |= e - {v}
-        return out
-
-    def creates_cycle(self, a, b):
-        """Would directing a -> b close a directed cycle?"""
-        stack, seen = [b], set()
-        while stack:
-            u = stack.pop()
-            if u == a:
-                return True
-            if u in seen:
-                continue
-            seen.add(u)
-            stack.extend(c for (p, c) in self.directed if p == u)
-        return False
+        return b in self.parents[a] or b in self.children[a] or b in self.links[a]
 
     def orient(self, a, b):
-        """Direct the undirected edge a-b as a -> b if safely possible."""
-        e = frozenset((a, b))
-        if e not in self.undirected or (b, a) in self.directed or self.creates_cycle(a, b):
+        """Direct the undirected edge a-b as a -> b unless that closes a
+        directed cycle."""
+        if b not in self.links[a] or a in reach([b], self.children):
             return False
-        self.undirected.discard(e)
-        self.directed.add((a, b))
+        self.links[a].discard(b)
+        self.links[b].discard(a)
+        self.children[a].add(b)
+        self.parents[b].add(a)
         return True
 
     def apply_meek_rules(self):
-        """Close the orientation under Meek rules R1-R4."""
-        changed = True
-        while changed:
-            changed = False
-            for e in sorted(self.undirected, key=sorted):
-                a, b = sorted(e)
-                for x, y in ((a, b), (b, a)):
-                    if self._meek_applies(x, y) and self.orient(x, y):
-                        changed = True
-                        break
-                if changed:
-                    break
+        """Close the orientation under Meek rules R1-R4, restarting from the
+        smallest undirected edge after each orientation."""
+        while any(
+            self._meek_applies(x, y) and self.orient(x, y)
+            for a, b in self.undirected_edges()
+            for x, y in ((a, b), (b, a))
+        ):
+            pass
 
     def _meek_applies(self, x, y):
+        """Does a Meek rule direct the undirected edge x - y as x -> y?"""
+        parents, links, adjacent = self.parents, self.links, self.adjacent
         # R1: w -> x - y with w, y nonadjacent
-        for w, v in self.directed:
-            if v == x and w != y and not self.adjacent(w, y):
-                return True
-        # R2: x -> v -> y and x - y
-        for v in range(self.n):
-            if (x, v) in self.directed and (v, y) in self.directed:
-                return True
-        # R3: x - v, x - w, v -> y, w -> y, v, w nonadjacent
-        into_y = [v for (v, u) in self.directed if u == y]
-        for v, w in combinations(sorted(into_y), 2):
-            if (
-                frozenset((x, v)) in self.undirected
-                and frozenset((x, w)) in self.undirected
-                and not self.adjacent(v, w)
-            ):
-                return True
-        # R4: x - w, w -> v, v -> y, x - v or x adjacent v, w, y nonadjacent
-        for v, u in self.directed:
-            if u != y:
-                continue
-            for w, vv in self.directed:
-                if vv != v:
-                    continue
-                if (
-                    frozenset((x, w)) in self.undirected
-                    and self.adjacent(x, v)
-                    and not self.adjacent(w, y)
-                ):
-                    return True
-        return False
+        if any(not adjacent(w, y) for w in parents[x]):
+            return True
+        # R2: x -> v -> y
+        if self.children[x] & parents[y]:
+            return True
+        # R3: x - v -> y and x - w -> y with v, w nonadjacent
+        if any(not adjacent(v, w) for v, w in combinations(parents[y] & links[x], 2)):
+            return True
+        # R4: x - w -> v -> y with x adjacent to v and w, y nonadjacent
+        return any(
+            adjacent(x, v) and not adjacent(w, y)
+            for v in parents[y]
+            for w in parents[v] & links[x]
+        )
 
     def to_cpdag(self):
-        return Cpdag(self.n, self.directed, self.undirected)
+        return Cpdag(self.n, self.directed_edges(), self.undirected_edges())
 
 
 def random_dag_from_cpdag(c: Cpdag, seed) -> Dag:
@@ -471,22 +440,21 @@ def random_dag_from_cpdag(c: Cpdag, seed) -> Dag:
     """
     rng = np.random.default_rng(seed)
     pdag = _Pdag(c.n, c.directed, c.undirected)
-    while pdag.undirected:
+    while True:
         pdag.apply_meek_rules()
-        if not pdag.undirected:
-            break
-        e = sorted(pdag.undirected, key=sorted)[rng.integers(len(pdag.undirected))]
-        a, b = sorted(e)
+        edges = pdag.undirected_edges()
+        if not edges:
+            return Dag(c.n, pdag.directed_edges())
+        a, b = edges[rng.integers(len(edges))]
         if rng.random() < 0.5:
             a, b = b, a
         if not pdag.orient(a, b):
             pdag.orient(b, a)
-    return Dag(c.n, pdag.directed)
 
 
 def cpdag_from_dag(g: Dag) -> Cpdag:
     """CPDAG of g's Markov equivalence class (v-structures plus Meek closure)."""
-    pdag = _Pdag(g.n, undirected=g.skeleton())
+    pdag = _Pdag(g.n, undirected=g.edges)
     for a, c, b in v_structures(g):
         pdag.orient(a, c)
         pdag.orient(b, c)
@@ -550,16 +518,31 @@ def model_to_json(model) -> dict:
     raise InvalidSize(f"cannot serialize {type(model).__name__}")
 
 
+def _json_int(v, what):
+    if type(v) is not int:  # a bool, or a float such as 0.5 or 1e400
+        raise ParseError(f"{what} {v!r} is not a JSON integer")
+    return v
+
+
 def model_from_json(obj):
+    """A model from its JSON object.  An unknown ``type``, or an ``n`` or
+    node id that is not a JSON integer, is a ParseError; a negative ``n`` is
+    an InvalidSize."""
     kind = obj.get("type", "dag")
+    if kind not in ("path", "cpdag", "polytree", "dag"):
+        raise ParseError(f"unknown model type {kind!r}")
     if kind == "path":
-        return PathModel(obj["order"], obj["r"])
+        return PathModel([_json_int(v, "node id") for v in obj["order"]], obj["r"])
+    n = _json_int(obj["n"], "n")
+    if n < 0:
+        raise InvalidSize(f"negative node count {n}")
+
+    def edges(key):
+        return [tuple(_json_int(v, "node id") for v in e) for e in obj[key]]
+
     if kind == "cpdag":
-        return Cpdag(obj["n"], [tuple(e) for e in obj["directed"]], [tuple(e) for e in obj["undirected"]])
-    edges = [tuple(e) for e in obj["directed"]]
-    if kind == "polytree":
-        return Polytree(obj["n"], edges)
-    return Dag(obj["n"], edges)
+        return Cpdag(n, edges("directed"), edges("undirected"))
+    return (Polytree if kind == "polytree" else Dag)(n, edges("directed"))
 
 
 def save_model(model, path):

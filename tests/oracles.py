@@ -6,6 +6,7 @@ of DFS) so that agreement is meaningful evidence of correctness.
 """
 
 import csv
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,14 @@ from causalpred.errors import (
 )
 from causalpred.harness import RiskRecord
 from causalpred.learners import pc_fit, pc_oracle, polytree_from_anm
-from causalpred.models import Dag, d_separated, q_anm_polytree, random_dag_from_cpdag
+from causalpred.models import (
+    Cpdag,
+    Dag,
+    d_separated,
+    q_anm_polytree,
+    random_dag_from_cpdag,
+    v_structures,
+)
 from causalpred.stattests import (
     DEFAULT_RIDGE_SCALE,
     VAR_EPS,
@@ -355,6 +363,8 @@ def ref_load_dataset(path, names_path=None):
     if not rows:
         raise InvalidSize(f"{path} is empty")
     header, body = rows[0], rows[1:]
+    if not header:
+        raise InvalidSize(f"{path} has no header ids: its first line is blank")
     if not body:
         raise InvalidSize(f"{path} has no data rows")
 
@@ -400,3 +410,142 @@ def ref_save_dataset(d, path):
         w = csv.writer(fh)
         w.writerow(d.columns)
         w.writerows(d.samples.tolist())
+
+
+# --- orientation: the former edge-set PDAG ------------------------------------
+#
+# ``models._Pdag`` stores each node's parents, children and undirected
+# neighbours, and ``Dag`` walks its own adjacency; these are the edge-set
+# scans and hand-written walks they replaced.
+
+
+class RefPdag:
+    """Partially directed graph as one set of directed and one set of
+    undirected edges; every rule scans them."""
+
+    def __init__(self, n, directed=(), undirected=()):
+        self.n = n
+        self.directed = set(directed)
+        self.undirected = {frozenset(e) for e in undirected}
+
+    def adjacent(self, a, b):
+        return (
+            (a, b) in self.directed
+            or (b, a) in self.directed
+            or frozenset((a, b)) in self.undirected
+        )
+
+    def creates_cycle(self, a, b):
+        stack, seen = [b], set()
+        while stack:
+            u = stack.pop()
+            if u == a:
+                return True
+            if u in seen:
+                continue
+            seen.add(u)
+            stack.extend(c for (p, c) in self.directed if p == u)
+        return False
+
+    def orient(self, a, b):
+        e = frozenset((a, b))
+        if e not in self.undirected or (b, a) in self.directed or self.creates_cycle(a, b):
+            return False
+        self.undirected.discard(e)
+        self.directed.add((a, b))
+        return True
+
+    def apply_meek_rules(self):
+        changed = True
+        while changed:
+            changed = False
+            for e in sorted(self.undirected, key=sorted):
+                a, b = sorted(e)
+                for x, y in ((a, b), (b, a)):
+                    if self._meek_applies(x, y) and self.orient(x, y):
+                        changed = True
+                        break
+                if changed:
+                    break
+
+    def _meek_applies(self, x, y):
+        for w, v in self.directed:
+            if v == x and w != y and not self.adjacent(w, y):
+                return True
+        for v in range(self.n):
+            if (x, v) in self.directed and (v, y) in self.directed:
+                return True
+        into_y = [v for (v, u) in self.directed if u == y]
+        for v, w in combinations(sorted(into_y), 2):
+            if (
+                frozenset((x, v)) in self.undirected
+                and frozenset((x, w)) in self.undirected
+                and not self.adjacent(v, w)
+            ):
+                return True
+        for v, u in self.directed:
+            if u != y:
+                continue
+            for w, vv in self.directed:
+                if vv != v:
+                    continue
+                if (
+                    frozenset((x, w)) in self.undirected
+                    and self.adjacent(x, v)
+                    and not self.adjacent(w, y)
+                ):
+                    return True
+        return False
+
+    def to_cpdag(self):
+        return Cpdag(self.n, self.directed, self.undirected)
+
+
+def ref_random_dag_from_cpdag(c, seed):
+    rng = np.random.default_rng(seed)
+    pdag = RefPdag(c.n, c.directed, c.undirected)
+    while pdag.undirected:
+        pdag.apply_meek_rules()
+        if not pdag.undirected:
+            break
+        e = sorted(pdag.undirected, key=sorted)[rng.integers(len(pdag.undirected))]
+        a, b = sorted(e)
+        if rng.random() < 0.5:
+            a, b = b, a
+        if not pdag.orient(a, b):
+            pdag.orient(b, a)
+    return Dag(c.n, pdag.directed)
+
+
+def ref_cpdag_from_dag(g):
+    pdag = RefPdag(g.n, undirected=g.skeleton())
+    for a, c, b in v_structures(g):
+        pdag.orient(a, c)
+        pdag.orient(b, c)
+    pdag.apply_meek_rules()
+    return pdag.to_cpdag()
+
+
+def ref_ancestors(g, v):
+    """Proper ancestors of v by a parent-scan DFS."""
+    out = set()
+    stack = list(scan_parents(g, v))
+    while stack:
+        u = stack.pop()
+        if u not in out:
+            out.add(u)
+            stack.extend(scan_parents(g, u))
+    return out
+
+
+def ref_has_path(g, i, j):
+    stack, seen = [i], set()
+    while stack:
+        u = stack.pop()
+        if u == j:
+            return True
+        if u in seen:
+            continue
+        seen.add(u)
+        stack.extend(scan_children(g, u))
+    return False

@@ -208,8 +208,22 @@ def test_unknown_class_is_a_usage_error(capsys, command):
 
 @pytest.mark.parametrize(
     "text",
-    ['{"type": "dag", "n": 3}', '{"type": "dag", "n": 3, "directed": [[0]]}', "[1, 2]", "{not json"],
-    ids=["no-directed", "short-edge", "not-an-object", "not-json"],
+    [
+        '{"type": "dag", "n": 3}',
+        '{"type": "dag", "n": 3, "directed": [[0]]}',
+        "[1, 2]",
+        "{not json",
+        '{"type": "dag", "n": 1e400, "directed": []}',
+        '{"type": "dag", "n": 3, "directed": [[0, 1e400]]}',
+        '{"type": "dag", "n": 3.5, "directed": []}',
+        '{"type": "dag", "n": 3, "directed": [[0.5, 1]]}',
+        '{"type": "polytree", "n": 3, "directed": [["1", 0]]}',
+        '{"type": "cpdag", "n": 3, "directed": [], "undirected": [[0, true]]}',
+        '{"type": "path", "order": [1, 0.0], "r": [0.5]}',
+        '{"type": "zzz", "n": 3, "directed": []}',
+    ],
+    ids=["no-directed", "short-edge", "not-an-object", "not-json", "n-1e400", "id-1e400", "n-3.5",
+         "id-0.5", "id-string", "id-bool", "path-id-float", "unknown-type"],
 )
 def test_predict_on_a_malformed_model_file(tmp_path, capsys, text):
     # a ParseError, which the CLI reports with exit code 1
@@ -468,8 +482,20 @@ def test_experiment_command(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ['{"experiment": "ci", "bogus": 1}', '{"n": 5}', "[1]", '{"experiment": "anm", "k_values": 3}'],
-    ids=["unknown-key", "missing-key", "not-an-object", "k-values-not-a-list"],
+    [
+        '{"experiment": "ci", "bogus": 1}',
+        '{"n": 5}',
+        "[1]",
+        '{"experiment": "anm", "k_values": 3}',
+        '{"experiment": "ci", "n": "20"}',
+        '{"experiment": "ci", "repetitions": 1.5}',
+        '{"experiment": "ci", "expected_degree": "x"}',
+        '{"experiment": "anm", "k_values": "12"}',
+        '{"experiment": "ci", "n": true}',
+        '{"experiment": "ci", "oracle": 1}',
+    ],
+    ids=["unknown-key", "missing-key", "not-an-object", "k-values-not-a-list", "n-string",
+         "repetitions-float", "degree-string", "k-values-string", "n-bool", "oracle-int"],
 )
 def test_experiment_on_a_malformed_config(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
@@ -490,6 +516,45 @@ def test_malformed_names_file(tmp_path, capsys, text):
     assert rc == 1
     err = _one_json_object(capsys.readouterr().err)
     assert err["error"] == "ParseError" and str(names) in err["message"]
+
+
+@pytest.mark.parametrize(
+    "command", [["test", "--query", "ci:0,1|"], ["fit", "path", "--out", "m.json"]], ids=["test", "fit-path"]
+)
+def test_data_file_that_is_not_utf8_exits_2(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    data = tmp_path / "d.csv"
+    data.write_bytes(b"0,1\n1.0,\xff\n")
+    assert cli.main([*command, "--data", str(data)]) == 2
+    err = _one_json_object(capsys.readouterr().err)
+    assert err["error"] == "DataError"
+    assert str(data) in err["message"] and "byte 8 " in err["message"]
+
+
+def test_data_file_of_blank_lines_names_the_missing_header(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("\n\n")
+    assert cli.main(["fit", "path", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 2
+    err = _one_json_object(capsys.readouterr().err)
+    assert err["error"] == "InvalidSize" and "no header ids" in err["message"]
+
+
+def test_predict_on_a_model_with_negative_n_exits_2(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text('{"type": "dag", "n": -1, "directed": []}')
+    assert cli.main(["predict", "--model", str(path), "--query", "ci:0,1|"]) == 2
+    assert _one_json_object(capsys.readouterr().err)["error"] == "InvalidSize"
+
+
+@pytest.mark.parametrize(
+    "update", [{"experiment": "anm", "k_values": [2], "bound_class": "foo"}, {"seed": -1}],
+    ids=["unknown-bound-class", "negative-seed"],
+)
+def test_experiment_on_invalid_config_params_exits_2(tmp_path, capsys, update):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "ci", "n": 3, "l": 40, "repetitions": 1, **update}))
+    assert cli.main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+    assert _one_json_object(capsys.readouterr().err)["error"] == "InvalidParams"
 
 
 def test_seed_env_variable(tmp_path, monkeypatch, capsys):
@@ -532,29 +597,123 @@ def _fuzz_csv(draw):
             lines[i] = '"' + lines[i].replace(",", '","') + '"'
         else:
             lines.insert(i + draw(st.integers(0, 1)), "")
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+    raw = ("\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))).encode()
+    if draw(st.integers(0, 3)) == 0:  # a byte that is not UTF-8 here
+        i = draw(st.integers(0, len(raw)))
+        raw = raw[:i] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"])) + raw[i:]
+    return raw
+
+
+def _run_cli(argv):
+    """``cli.main(argv)`` under the fuzz tests' three requirements: an exit
+    code of 0, 1 or 2, exactly one JSON object on stderr when it is not 0
+    (else JSON on stdout), and neither a traceback nor a warning."""
+    out, err = io.StringIO(), io.StringIO()
+    # an uncaught exception would end the test with its traceback
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(argv)
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc:
+        _one_json_object(err.getvalue())
+    else:
+        assert not err.getvalue()
+        json.loads(out.getvalue())
+    assert not caught, [str(w.message) for w in caught]
 
 
 @settings(max_examples=80, deadline=None)
 @given(_fuzz_csv())
-def test_cli_on_generated_files_exits_with_a_code_and_json(tmp_path_factory, text):
+def test_cli_on_generated_files_exits_with_a_code_and_json(tmp_path_factory, raw):
     here = tmp_path_factory.getbasetemp()
-    (here / "fuzz.csv").write_text(text, newline="")
+    (here / "fuzz.csv").write_bytes(raw)
     for command in (
         ["test", "--query", "ci:0,1|"],
         ["fit", "pc", "--out", str(here / "fuzz-pc.json")],
         ["fit", "path", "--out", str(here / "fuzz-path.json")],
     ):
-        out, err = io.StringIO(), io.StringIO()
-        # an uncaught exception would end this test with its traceback
-        with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = cli.main([*command, "--data", str(here / "fuzz.csv")])
-        assert rc in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
-        if rc:
-            _one_json_object(err.getvalue())
-        else:
-            assert not err.getvalue()
-            json.loads(out.getvalue())
-        assert not caught, [str(w.message) for w in caught]
+        _run_cli([*command, "--data", str(here / "fuzz.csv")])
+
+
+# a JSON value of a wrong type for most fields; "1e400" is written as the
+# JSON number, which Python reads as inf
+_JUNK = st.sampled_from(["x", "1", "12", 1.5, 0.5, True, None, [], {}, [1], [0, 1, 2], -1, "1e400"])
+
+
+def _fuzz_object(draw, fields, required=()):
+    """Each field valid, junk or (unless required) missing, plus at times an
+    unknown key; serialised as JSON text, or at times as bytes that are not
+    UTF-8."""
+    obj = {}
+    for key, valid in fields.items():
+        how = draw(st.sampled_from(["valid"] * 4 + ["junk"] + ([] if key in required else ["missing"])))
+        if how != "missing":
+            obj[key] = draw(valid if how == "valid" else _JUNK)
+    if draw(st.integers(0, 9)) == 0:
+        obj["bogus"] = 1
+    raw = json.dumps(obj).replace('"1e400"', "1e400").encode()
+    return raw if draw(st.integers(0, 9)) else b"\xff" + raw
+
+
+_node_ids = st.integers(-1, 4)
+_edges = st.lists(st.lists(_node_ids | _JUNK, min_size=2, max_size=2) | _JUNK, max_size=4)
+
+
+@st.composite
+def _fuzz_model(draw):
+    return _fuzz_object(
+        draw,
+        {
+            "type": st.sampled_from(["path", "cpdag", "polytree", "dag", "zzz"]),
+            "n": st.integers(-2, 4),
+            "directed": _edges,
+            "undirected": _edges,
+            "order": st.permutations(range(draw(st.integers(0, 4)))) | st.lists(_node_ids, max_size=4),
+            "r": st.lists(st.floats(-1.5, 1.5, allow_nan=False) | st.just(0.0), max_size=4),
+        },
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _fuzz_model(),
+    st.sampled_from(["ci:0,1|", "ci:0,2|1", "dir:0->1", "anm:1->0", "corr:0,1", "sign:0,2", "lingam:0,1"]),
+)
+def test_predict_on_generated_models_exits_with_a_code_and_json(tmp_path_factory, raw, query):
+    path = tmp_path_factory.getbasetemp() / "fuzz-model.json"
+    path.write_bytes(raw)
+    _run_cli(["predict", "--model", str(path), "--query", query])
+
+
+@st.composite
+def _fuzz_config(draw):
+    """A config that is tiny when valid: n <= 4, l <= 60, one repetition and
+    one dataset, which are never left to their large defaults."""
+    return _fuzz_object(
+        draw,
+        {
+            "experiment": st.sampled_from(["ci", "anm", "zzz"]),
+            "n": st.integers(-1, 4),
+            "l": st.integers(-1, 60),
+            "alpha": st.sampled_from([0.05, 0.2, 0, 1, -0.5]),
+            "eta": st.sampled_from([0.1, 0, 1, 1.5]),
+            "repetitions": st.sampled_from([1, 0, -1]),
+            "seed": st.integers(-2, 5),
+            "max_cond": st.integers(-1, 3),
+            "k_values": st.lists(st.integers(-1, 14), max_size=2),
+            "datasets": st.sampled_from([1, 0]),
+            "expected_degree": st.sampled_from([1.5, 1, 0, -1, 5]),
+            "oracle": st.booleans(),
+            "bound_class": st.sampled_from(["polytrees", "directionality", "alldags", "foo"]),
+        },
+        required=("n", "l", "repetitions", "datasets"),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fuzz_config())
+def test_experiment_on_generated_configs_exits_with_a_code_and_json(tmp_path_factory, raw):
+    here = tmp_path_factory.getbasetemp()
+    (here / "fuzz-cfg.json").write_bytes(raw)
+    _run_cli(["experiment", "--config", str(here / "fuzz-cfg.json"), "--out", str(here / "fuzz-records.csv")])

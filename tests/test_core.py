@@ -14,13 +14,13 @@ from causalpred.core import (
     empirical_error,
     enumerate_queries,
     load_dataset,
-    matrix,
     real,
     sample_queries,
     save_dataset,
     sign,
 )
 from causalpred.errors import (
+    DataError,
     DuplicateColumn,
     InvalidSize,
     KTooLarge,
@@ -101,15 +101,6 @@ def test_binary_and_sign_domains():
 def test_real_coerces_to_float():
     assert real(1).value == 1.0
     assert isinstance(real(1).value, float)
-
-
-def test_matrix_must_be_symmetric_psd():
-    m = matrix([[1.0, 0.5], [0.5, 1.0]])
-    assert m.tag == "matrix"
-    with pytest.raises(TagMismatch):
-        matrix([[1.0, 0.5], [0.4, 1.0]])
-    with pytest.raises(TagMismatch):
-        matrix([[1.0, 2.0], [2.0, 1.0]])  # eigenvalue -1
 
 
 def test_unknown_tag_rejected():
@@ -306,6 +297,26 @@ def test_load_error_precedence(tmp_path, text, row, col):
         assert (exc.value.row, exc.value.col) == (row, col)
 
 
+@pytest.mark.parametrize("text", ["\n\n", "\n1,2\n", "\r\n0\r\n1\r\n", "\n\n\n"])
+def test_load_refuses_a_file_with_no_header_ids(tmp_path, text):
+    path = tmp_path / "d.csv"
+    path.write_text(text, newline="")
+    for load in (load_dataset, ref_load_dataset):
+        with pytest.raises(InvalidSize, match="no header ids"):
+            load(path)
+
+
+@pytest.mark.parametrize(
+    "raw, offset", [(b"0,1\n1.0,\xff\n", 8), (b"\xc3,1\n1,2\n", 0), (b"0,1\n1,2\xe2\x82", 7)]
+)
+def test_load_refuses_a_file_that_is_not_utf8(tmp_path, raw, offset):
+    path = tmp_path / "d.csv"
+    path.write_bytes(raw)
+    with pytest.raises(DataError) as exc:
+        load_dataset(path)
+    assert str(path) in str(exc.value) and f"byte {offset} " in str(exc.value)
+
+
 def test_load_reads_a_plain_file_in_one_call(tmp_path, monkeypatch):
     d = Dataset(np.random.default_rng(0).standard_normal((30, 4)), (3, 0, 1, 2))
     path = tmp_path / "d.csv"
@@ -420,8 +431,6 @@ def test_empirical_error_errors():
         empirical_error([], [])
     with pytest.raises(TagMismatch):
         empirical_error([binary(1)], [real(1.0)])
-    with pytest.raises(TagMismatch):
-        empirical_error([matrix(np.eye(2))], [matrix(np.eye(2))])
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=30))

@@ -51,6 +51,21 @@ def test_config_from_json_parse_errors(obj):
         ExperimentConfig.from_json(obj)
 
 
+def test_config_from_json_takes_an_int_for_a_float_and_no_bool_for_an_int():
+    cfg = ExperimentConfig.from_json({"experiment": "ci", "alpha": 0, "expected_degree": 2})
+    assert (cfg.alpha, cfg.expected_degree) == (0, 2)
+    for key in ("n", "seed", "max_cond"):
+        with pytest.raises(ParseError, match=f"{key} must be an integer"):
+            ExperimentConfig.from_json({"experiment": "ci", key: False})
+    with pytest.raises(ParseError, match="k_values must be a list of integers"):
+        ExperimentConfig.from_json({"experiment": "anm", "k_values": [2, True]})
+
+
+def test_unknown_bound_class_is_invalid_params():
+    with pytest.raises(InvalidParams, match="unknown bound class 'foo'"):
+        ExperimentConfig("anm", k_values=(2,), bound_class="foo")
+
+
 def test_experiment_type_mismatch():
     with pytest.raises(InvalidParams):
         run_ci_experiment(ExperimentConfig("anm", k_values=(5,)))

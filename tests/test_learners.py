@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causalpred import learners
 from causalpred.core import Dataset, Query, binary
 from causalpred.errors import DegenerateInput, InvalidSize, KTooLarge, ZeroCorrelation
 from causalpred.learners import (
@@ -17,7 +20,7 @@ from causalpred.learners import (
 from causalpred.models import Dag, PathModel, is_polytree_edges, path_corr
 from causalpred.stattests import TestOutcome
 from causalpred.synthgen import gen_linear_scm, sample
-from oracles import ref_fisher_z_from_corr
+from oracles import RefPdag, random_dag, ref_fisher_z_from_corr
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
 COLLIDER = Dag(3, [(0, 2), (1, 2)])
@@ -106,6 +109,38 @@ def test_pc_fit_and_fit_path_name_a_constant_column():
     for fit in (lambda: pc_fit(d, 0.01, 1), lambda: fit_path_model(d)):
         with pytest.raises(DegenerateInput, match="column 7 is constant"):
             fit()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 9),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2),
+    st.sampled_from(["oracle", "random"]),
+)
+def test_pc_orientation_matches_edge_set_reference(n, seed, max_cond, kind):
+    """Equal CPDAGs and logs with the former edge-set PDAG.  Random outcomes
+    leave separating sets no DAG has, so v-structures conflict and some
+    orientations would close a cycle."""
+    if kind == "oracle":
+        g = random_dag(n, seed, p=0.4)
+
+        def run():
+            return pc_oracle(g, max_cond)
+
+    else:
+
+        def run():
+            rng = np.random.default_rng(seed)
+            return pc_from_ci(
+                n, lambda a, b, cond: TestOutcome(binary(rng.random() < 0.4), None, None), max_cond
+            )
+
+    cpdag, labels = run()
+    with mock.patch.object(learners, "_Pdag", RefPdag):
+        ref_cpdag, ref_labels = run()
+    assert cpdag == ref_cpdag
+    assert labels == ref_labels
 
 
 def test_pc_negative_max_cond():

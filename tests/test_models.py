@@ -43,6 +43,10 @@ from oracles import (
     closure_has_path,
     moral_d_separated,
     random_dag,
+    ref_ancestors,
+    ref_cpdag_from_dag,
+    ref_has_path,
+    ref_random_dag_from_cpdag,
     scan_children,
     scan_parents,
 )
@@ -411,6 +415,46 @@ def test_random_extension_stays_in_markov_class():
         c = cpdag_from_dag(g)
         ext = random_dag_from_cpdag(c, seed + 1000)
         assert markov_equivalent(g, ext) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dag_edges())
+def test_cpdag_from_dag_matches_edge_set_reference(case):
+    g = Dag(*case)
+    assert cpdag_from_dag(g) == ref_cpdag_from_dag(g)
+
+
+@st.composite
+def _mixed_pdags(draw, max_n=9):
+    """A CPDAG-shaped graph whose directed part is acyclic and whose pairs
+    are each directed along a random order, undirected or absent: most are
+    not the CPDAG of any DAG, and some have no consistent extension."""
+    n = draw(st.integers(1, max_n))
+    order = draw(st.permutations(range(n)))
+    directed, undirected = [], []
+    for i, j in itertools.combinations(range(n), 2):
+        kind = draw(st.sampled_from(["directed", "undirected", "absent"]))
+        if kind == "directed":
+            directed.append((order[i], order[j]))
+        elif kind == "undirected":
+            undirected.append((order[i], order[j]))
+    return Cpdag(n, directed, undirected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mixed_pdags(), st.integers(0, 2**32 - 1))
+def test_random_extension_matches_edge_set_reference(c, seed):
+    for s in (seed, seed + 1, seed + 2):
+        assert random_dag_from_cpdag(c, s) == ref_random_dag_from_cpdag(c, s)
+
+
+@given(_dag_edges())
+def test_ancestors_and_has_path_match_reference_walks(case):
+    g = Dag(*case)
+    for v in range(g.n):
+        assert g.ancestors(v) == ref_ancestors(g, v)
+        for w in range(g.n):
+            assert g.has_path(v, w) == ref_has_path(g, v, w)
 
 
 # --- Gaussian chain gluing ----------------------------------------------------
