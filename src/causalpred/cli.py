@@ -270,12 +270,26 @@ class _Parser(argparse.ArgumentParser):
 MODEL_CLASSES = [c.value for c in bounds.ModelClassId]
 
 
+def _seed(text):
+    """A --seed value; argparse also runs this on the string default taken
+    from the environment, so a bad value there is a usage error too."""
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"seed {text!r} (from --seed or {DEFAULT_SEED_ENV}) is not a nonnegative integer"
+    )
+
+
 def build_parser():
     p = _Parser(
         prog="causalpred",
         description="Causal models as predictors of statistical-test outcomes",
     )
-    default_seed = int(os.environ.get(DEFAULT_SEED_ENV, "0"))
+    default_seed = os.environ.get(DEFAULT_SEED_ENV, "0")
     sub = p.add_subparsers(dest="command")
 
     g = sub.add_parser("gen", help="generate a synthetic dataset")
@@ -283,7 +297,7 @@ def build_parser():
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--degree", type=float, default=1.5)
     g.add_argument("--samples", type=int, required=True)
-    g.add_argument("--seed", type=int, default=default_seed)
+    g.add_argument("--seed", type=_seed, default=default_seed)
     g.add_argument("--out", required=True)
     g.add_argument("--truth")
     g.set_defaults(func=cmd_gen)
@@ -302,7 +316,7 @@ def build_parser():
     f.add_argument("--alpha", type=float, default=0.05)
     f.add_argument("--max-cond", type=int, default=1)
     f.add_argument("--k", type=int)
-    f.add_argument("--seed", type=int, default=default_seed)
+    f.add_argument("--seed", type=_seed, default=default_seed)
     f.add_argument("--out", required=True)
     f.add_argument("--labels")
     f.set_defaults(func=cmd_fit)

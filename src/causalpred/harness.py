@@ -14,13 +14,14 @@ from functools import partial
 
 import numpy as np
 
-# d_separated and empirical_error stay bound here for the benchmark's tracer
+# d_separated, empirical_error and fisher_z_from_corr stay bound here for
+# the benchmark's tracer
 from .bounds import ModelClassId, gap_binary, vc_upper_bound
 from .core import QueryKind, empirical_error, enumerate_queries
 from .errors import InvalidParams, LengthMismatch, ParseError, TagMismatch
 from .learners import pc_fit, pc_oracle, polytree_from_anm
 from .models import d_separated, d_separated_many, q_anm_polytree, random_dag_from_cpdag
-from .stattests import anm_test, correlation_matrix, fisher_z_from_corr
+from .stattests import anm_test, correlation_matrix, fisher_z_from_corr, fisher_z_many
 from .synthgen import gen_gam_scm, gen_linear_scm, sample
 
 
@@ -166,13 +167,10 @@ def run_ci_experiment(cfg: ExperimentConfig):
         else:
             data = sample(scm, cfg.l, seed + 1).dataset
             corr = correlation_matrix(data)
-            cpdag, labels = pc_fit(data, cfg.alpha, cfg.max_cond)
+            cpdag, labels = pc_fit(data, cfg.alpha, cfg.max_cond, corr=corr)
 
             def tester(queries):
-                return [
-                    fisher_z_from_corr(corr, cfg.l, q.members, q.cond, cfg.alpha).value.value
-                    for q in queries
-                ]
+                return fisher_z_many(corr, cfg.l, queries, cfg.alpha)[0]
 
         g = random_dag_from_cpdag(cpdag, seed + 2)
         empirical = _disagreement(

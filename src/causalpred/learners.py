@@ -18,9 +18,11 @@ from .models import PathModel, Polytree, _Pdag, d_separated, d_separated_many, f
 from .stattests import (
     VAR_EPS,
     TestOutcome,
+    _require_alpha,
     anm_test,
     correlation_matrix,
     fisher_z_from_corr,
+    fisher_z_many,
 )
 from .synthgen import sample
 
@@ -92,9 +94,11 @@ def pc_from_ci(n, ci_test, max_cond):
     return pdag.to_cpdag(), list(log.values())
 
 
-def pc_fit(d, alpha, max_cond):
-    """PC with Fisher-Z tests on the dataset's correlation matrix."""
-    corr = correlation_matrix(d)
+def pc_fit(d, alpha, max_cond, *, corr=None):
+    """PC with Fisher-Z tests on the dataset's correlation matrix, or on
+    ``corr`` when the caller has already built it."""
+    if corr is None:
+        corr = correlation_matrix(d)
     index = {v: i for i, v in enumerate(d.columns)}
 
     def ci_test(a, b, cond):
@@ -136,19 +140,14 @@ def select_alpha(candidates, scms, l, seed=0):
         queries = enumerate_queries(g.n, QueryKind.COND_INDEP, 0) + enumerate_queries(
             g.n, QueryKind.COND_INDEP, 1
         )
-        truth = d_separated_many(g, queries)
+        true_dep = d_separated_many(g, queries) == 0
+        p = fisher_z_many(corr, l, queries, candidates[0])[1]
         for alpha in candidates:
-            tp = fp = fn = 0
-            for q, separated in zip(queries, truth):
-                out = fisher_z_from_corr(corr, l, q.members, q.cond, alpha)
-                predicted_dep = out.value.value == 0
-                true_dep = separated == 0
-                if predicted_dep and true_dep:
-                    tp += 1
-                elif predicted_dep:
-                    fp += 1
-                elif true_dep:
-                    fn += 1
+            _require_alpha(alpha)
+            predicted_dep = p <= alpha  # label 0: p is never NaN here
+            tp = int(np.count_nonzero(predicted_dep & true_dep))
+            fp = int(np.count_nonzero(predicted_dep & ~true_dep))
+            fn = int(np.count_nonzero(~predicted_dep & true_dep))
             scores[alpha].append(_f1(tp, fp, fn))
     means = {a: float(np.mean(s)) if s else 0.0 for a, s in scores.items()}
     best = max(means.values())

@@ -159,10 +159,13 @@ class Cpdag:
 
     def __init__(self, n, directed, undirected):
         directed = frozenset((int(a), int(b)) for a, b in directed)
-        undirected = frozenset(frozenset((int(a), int(b))) for a, b in undirected)
+        undirected_pairs = [(int(a), int(b)) for a, b in undirected]
+        for kind, edges in (("directed", directed), ("undirected", undirected_pairs)):
+            for a, b in edges:
+                if a == b or not (0 <= a < n and 0 <= b < n):
+                    raise GraphError(f"bad {kind} edge ({a}, {b})")
+        undirected = frozenset(map(frozenset, undirected_pairs))
         for a, b in directed:
-            if a == b or not (0 <= a < n and 0 <= b < n):
-                raise GraphError(f"bad directed edge ({a}, {b})")
             if frozenset((a, b)) in undirected:
                 raise GraphError(f"edge {a}-{b} both directed and undirected")
         Dag(n, directed)  # directed part must be acyclic

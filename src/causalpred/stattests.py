@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import pdist
-from scipy.special import gammaincc
+from scipy.special import erfc, gammaincc
 
 from .core import PropertyValue, Query, QueryKind, binary, real, sign
 from .errors import DegenerateInput, InvalidParams, InvalidSize, ZeroCorrelation
@@ -112,6 +112,37 @@ def fisher_z_from_corr(corr, l, target_idx, cond_idx, alpha) -> TestOutcome:
     stat = math.sqrt(l - n_cond - 3) * math.atanh(r)
     p = math.erfc(abs(stat) / math.sqrt(2.0))
     return TestOutcome(binary(1 if p > alpha else 0), p, alpha)
+
+
+def fisher_z_many(corr, l, queries, alpha):
+    """``fisher_z_from_corr`` on every query at once: the 0/1 labels and the
+    p-values as two arrays.  A query's members and conditioning variable
+    index ``corr``; at most one conditioning variable is taken.
+
+    The partial correlations use the scalar's arithmetic, so the batch
+    fails its guards exactly where the scalar does; on a failure the scalar
+    is run on the first failing query, which raises what a loop over the
+    queries would have raised."""
+    _require_alpha(alpha)
+    if any(len(q.cond) > 1 for q in queries):
+        raise InvalidSize("fisher_z_many takes at most one conditioning variable")
+    ab = np.array([q.members for q in queries], dtype=np.intp).reshape(-1, 2)
+    c = np.array([q.cond[0] if q.cond else -1 for q in queries], dtype=np.intp)
+    has_c = c >= 0
+    r_ab = corr[ab[:, 0], ab[:, 1]]
+    r_ac, r_bc = corr[ab[:, 0], c], corr[ab[:, 1], c]  # c = -1 reads an unused entry
+    bound = 1.0 - VAR_EPS
+    with np.errstate(invalid="ignore", divide="ignore"):
+        collinear = has_c & ~((np.abs(r_ac) < bound) & (np.abs(r_bc) < bound))
+        partial = (r_ab - r_ac * r_bc) / np.sqrt((1.0 - r_ac * r_ac) * (1.0 - r_bc * r_bc))
+    r = np.where(has_c, partial, r_ab)
+    bad = (l <= has_c + 3) | collinear | ~(np.abs(r) < bound)
+    if bad.any():
+        q = queries[int(np.argmax(bad))]
+        fisher_z_from_corr(corr, l, q.members, q.cond, alpha)  # raises the scalar's error
+    stat = np.sqrt(l - 3 - has_c) * np.arctanh(r)
+    p = erfc(np.abs(stat) / math.sqrt(2.0))
+    return (p > alpha).astype(np.int64), p
 
 
 def fisher_z_ci(d, q: Query, alpha) -> TestOutcome:

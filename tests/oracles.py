@@ -314,6 +314,34 @@ def ref_run_ci_experiment(cfg):
     return records
 
 
+def ref_select_alpha(candidates, scms, l, seed=0):
+    """``learners.select_alpha`` with one scalar Fisher-Z test and one
+    scalar d-separation per candidate alpha and query."""
+    if not candidates:
+        raise InvalidSize("need at least one candidate alpha")
+    scores = {a: [] for a in candidates}
+    for idx, scm in enumerate(scms):
+        data = sample(scm, l, seed + idx).dataset
+        g = scm.dag()
+        corr = np.corrcoef(data.samples, rowvar=False)
+        queries = enumerate_queries(g.n, QueryKind.COND_INDEP, 0) + enumerate_queries(
+            g.n, QueryKind.COND_INDEP, 1
+        )
+        for alpha in candidates:
+            tp = fp = fn = 0
+            for q in queries:
+                predicted_dep = fisher_z_from_corr(corr, l, q.members, q.cond, alpha).value.value == 0
+                true_dep = d_separated(g, q) == 0
+                tp += predicted_dep and true_dep
+                fp += predicted_dep and not true_dep
+                fn += true_dep and not predicted_dep
+            denom = 2 * tp + fp + fn
+            scores[alpha].append(2 * tp / denom if denom else 0.0)
+    means = {a: float(np.mean(s)) if s else 0.0 for a, s in scores.items()}
+    best = max(means.values())
+    return min(a for a in candidates if means[a] == best)
+
+
 def ref_run_anm_experiment(cfg):
     """``harness.run_anm_experiment`` scored query by query with the scalar
     ``q_anm_polytree`` and ``empirical_error``."""

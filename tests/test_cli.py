@@ -207,8 +207,8 @@ def test_unknown_class_is_a_usage_error(capsys, command):
 
 
 @pytest.mark.parametrize(
-    "text",
-    [
+    "text, error",
+    [(text, "ParseError") for text in [
         '{"type": "dag", "n": 3}',
         '{"type": "dag", "n": 3, "directed": [[0]]}',
         "[1, 2]",
@@ -221,16 +221,20 @@ def test_unknown_class_is_a_usage_error(capsys, command):
         '{"type": "cpdag", "n": 3, "directed": [], "undirected": [[0, true]]}',
         '{"type": "path", "order": [1, 0.0], "r": [0.5]}',
         '{"type": "zzz", "n": 3, "directed": []}',
+    ]] + [
+        ('{"type": "cpdag", "n": 3, "directed": [], "undirected": [[0, 0], [5, 7]]}', "GraphError"),
     ],
     ids=["no-directed", "short-edge", "not-an-object", "not-json", "n-1e400", "id-1e400", "n-3.5",
-         "id-0.5", "id-string", "id-bool", "path-id-float", "unknown-type"],
+         "id-0.5", "id-string", "id-bool", "path-id-float", "unknown-type", "cpdag-bad-undirected"],
 )
-def test_predict_on_a_malformed_model_file(tmp_path, capsys, text):
-    # a ParseError, which the CLI reports with exit code 1
+def test_predict_on_a_malformed_model_file(tmp_path, capsys, text, error):
+    # a ParseError, which the CLI reports with exit code 1; a graph that
+    # parses but breaks the rules of its type is a GraphError, exit code 2
     path = tmp_path / "m.json"
     path.write_text(text)
-    assert cli.main(["predict", "--model", str(path), "--query", "ci:0,2|1"]) == 1
-    assert _one_json_object(capsys.readouterr().err)["error"] == "ParseError"
+    rc = cli.main(["predict", "--model", str(path), "--query", "ci:0,2|1"])
+    assert rc == (1 if error == "ParseError" else 2)
+    assert _one_json_object(capsys.readouterr().err)["error"] == error
 
 
 def test_merge_on_a_malformed_file(tmp_path, capsys):
@@ -555,6 +559,37 @@ def test_experiment_on_invalid_config_params_exits_2(tmp_path, capsys, update):
     cfg.write_text(json.dumps({"experiment": "ci", "n": 3, "l": 40, "repetitions": 1, **update}))
     assert cli.main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
     assert _one_json_object(capsys.readouterr().err)["error"] == "InvalidParams"
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    # numpy refuses a negative seed; argparse refuses it first
+    out = tmp_path / "d.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gen", "linear", "--n", "3", "--samples", "10", "--seed", "-1", "--out", str(out)])
+    assert exc.value.code == 2
+    err = _one_json_object(capsys.readouterr().err)
+    assert err["error"] == "UsageError" and "'-1'" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["gen", "linear", "--n", "3", "--samples", "10", "--out", "d.csv"],
+        ["fit", "polytree", "--k", "2", "--data", "d.csv", "--out", "m.json"],
+    ],
+    ids=["gen", "fit"],
+)
+def test_bad_seed_env_variable_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(cli.DEFAULT_SEED_ENV, "abc")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command)
+    assert exc.value.code == 2
+    err = _one_json_object(capsys.readouterr().err)
+    assert err["error"] == "UsageError" and cli.DEFAULT_SEED_ENV in err["message"]
+    # a command without --seed does not read the variable
+    assert cli.main(["bound", "--class", "alldags", "--n", "5", "--k", "10"]) == 0
 
 
 def test_seed_env_variable(tmp_path, monkeypatch, capsys):

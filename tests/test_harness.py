@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from causalpred import harness
+from causalpred import harness, learners
 from causalpred.core import Dataset, Query, binary
 from causalpred.errors import InvalidParams, LengthMismatch, ParseError, TagMismatch
 from causalpred.harness import (
@@ -206,9 +206,29 @@ def test_anm_experiment_calls_module_anm_test_once_per_pair(monkeypatch):
 
 @pytest.mark.parametrize("oracle", [False, True], ids=["fisher-z", "oracle"])
 def test_ci_records_equal_the_per_query_reference(oracle):
-    for seed in (0, 7):
-        cfg = ExperimentConfig("ci", n=8, l=2000, alpha=0.01, repetitions=3, seed=seed, oracle=oracle)
+    cfgs = [
+        ExperimentConfig("ci", n=8, l=2000, alpha=0.01, repetitions=3, seed=seed, oracle=oracle)
+        for seed in (0, 7)
+    ]
+    # the size of the benchmark's ci workloads
+    cfgs.append(ExperimentConfig("ci", n=20, l=10_000, alpha=0.001, repetitions=2, seed=3, oracle=oracle))
+    for cfg in cfgs:
         assert run_ci_experiment(cfg) == ref_run_ci_experiment(cfg)
+
+
+def test_ci_replicate_builds_one_correlation_matrix(monkeypatch):
+    # PC tests on the matrix the harness builds to score the universe
+    built = []
+    original = harness.correlation_matrix
+
+    def counting(d):
+        built.append(d)
+        return original(d)
+
+    monkeypatch.setattr(harness, "correlation_matrix", counting)
+    monkeypatch.setattr(learners, "correlation_matrix", lambda d: pytest.fail("a second matrix"))
+    run_ci_experiment(ExperimentConfig("ci", n=6, l=500, repetitions=3, seed=2))
+    assert len(built) == 3
 
 
 def test_anm_records_equal_the_per_query_reference():

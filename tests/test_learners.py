@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from causalpred import learners
 from causalpred.core import Dataset, Query, binary
-from causalpred.errors import DegenerateInput, InvalidSize, KTooLarge, ZeroCorrelation
+from causalpred.errors import DegenerateInput, InvalidParams, InvalidSize, KTooLarge, ZeroCorrelation
 from causalpred.learners import (
     LabeledQuery,
     fit_path_model,
@@ -18,9 +18,9 @@ from causalpred.learners import (
     select_alpha,
 )
 from causalpred.models import Dag, PathModel, is_polytree_edges, path_corr
-from causalpred.stattests import TestOutcome
+from causalpred.stattests import TestOutcome, correlation_matrix
 from causalpred.synthgen import gen_linear_scm, sample
-from oracles import RefPdag, random_dag, ref_fisher_z_from_corr
+from oracles import RefPdag, random_dag, ref_fisher_z_from_corr, ref_select_alpha
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
 COLLIDER = Dag(3, [(0, 2), (1, 2)])
@@ -101,6 +101,18 @@ def test_pc_fit_log_matches_reference_tester(seed, max_cond):
     assert max(abs(x.outcome.p_value - y.outcome.p_value) for x, y in zip(log, ref_log)) <= 1e-12
 
 
+@pytest.mark.parametrize("seed, max_cond", [(3, 1), (21, 2)])
+def test_pc_fit_on_a_given_correlation_matrix(seed, max_cond):
+    # the CI experiment hands PC the matrix it scores the universe with
+    d = sample(gen_linear_scm(15, 1.5, seed), 5000, seed + 1).dataset
+    cpdag, log = pc_fit(d, 0.001, max_cond, corr=correlation_matrix(d))
+    ref_cpdag, ref_log = pc_fit(d, 0.001, max_cond)
+    assert cpdag == ref_cpdag
+    assert [(lq.query, lq.outcome.value.value, lq.outcome.p_value) for lq in log] == [
+        (lq.query, lq.outcome.value.value, lq.outcome.p_value) for lq in ref_log
+    ]
+
+
 def test_pc_fit_and_fit_path_name_a_constant_column():
     rng = np.random.default_rng(0)
     samples = rng.standard_normal((100, 3))
@@ -163,6 +175,19 @@ def test_select_alpha_prefers_calibrated_level():
 def test_select_alpha_empty():
     with pytest.raises(InvalidSize):
         select_alpha([], [], l=100)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_select_alpha_matches_the_scalar_loop(seed):
+    scms = [gen_linear_scm(7, 1.5, 10 * seed + i) for i in range(3)]
+    candidates = [0.3, 0.05, 0.01, 1e-3, 1e-5]
+    for l in (60, 400, 3000):
+        assert select_alpha(candidates, scms, l, seed) == ref_select_alpha(candidates, scms, l, seed)
+
+
+def test_select_alpha_refuses_a_bad_candidate():
+    with pytest.raises(InvalidParams):
+        select_alpha([0.05, 1.0], [gen_linear_scm(5, 1.5, 0)], l=500)
 
 
 # --- polytree from additive-noise outcomes ------------------------------------

@@ -121,6 +121,14 @@ def test_cpdag_rejects_conflicts():
         Cpdag(3, [(0, 1), (1, 0)], [])
 
 
+@pytest.mark.parametrize("undirected", [[(0, 0)], [(5, 7)], [(0, 1), (2, 3)], [(-1, 2)]])
+def test_cpdag_rejects_bad_undirected_edges(undirected):
+    # refused like a bad directed edge, before random_dag_from_cpdag could
+    # reach the pair
+    with pytest.raises(GraphError, match="bad undirected edge"):
+        Cpdag(3, [], undirected)
+
+
 def test_path_model_validation():
     m = PathModel((2, 0, 1), (0.5, -0.4))
     assert m.n == 3

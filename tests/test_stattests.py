@@ -23,6 +23,7 @@ from causalpred.stattests import (
     correlation_matrix,
     fisher_z_ci,
     fisher_z_from_corr,
+    fisher_z_many,
     hsic_independence,
     hsic_statistic,
     kernel_regress,
@@ -96,6 +97,8 @@ def test_fisher_ties_count_as_rejection():
     out = fisher_z_from_corr(corr, 100, (0, 1), (), alpha=0.05)
     tied = fisher_z_from_corr(corr, 100, (0, 1), (), alpha=out.p_value)
     assert tied.value.value == 0
+    _, p = fisher_z_many(corr, 100, [Query.ci(0, 1)], 0.05)
+    assert fisher_z_many(corr, 100, [Query.ci(0, 1)], p[0])[0].tolist() == [0]
 
 
 def test_fisher_preconditions():
@@ -270,6 +273,107 @@ def test_fisher_z_guard_refuses_only_what_the_former_guard_refused():
         assert old or not new
         assert old == new or 1e-12 < delta < 2e-12
     assert refused > 0 and differ > 0
+
+
+# --- batch Fisher-Z against the scalar loop -----------------------------------
+
+
+def _universe01(k):
+    order1 = enumerate_queries(k, QueryKind.COND_INDEP, 1) if k > 2 else []
+    return enumerate_queries(k, QueryKind.COND_INDEP, 0) + order1
+
+
+def _scalar_loop(corr, l, queries, alpha):
+    """What ``fisher_z_many`` replaces: labels and p-values query by query,
+    or the (class, message) of the first error."""
+    try:
+        outs = [fisher_z_from_corr(corr, l, q.members, q.cond, alpha) for q in queries]
+    except CausalPredError as exc:
+        return type(exc), str(exc)
+    return [o.value.value for o in outs], [o.p_value for o in outs]
+
+
+def _batch(corr, l, queries, alpha):
+    try:
+        labels, p = fisher_z_many(corr, l, queries, alpha)
+    except CausalPredError as exc:
+        return type(exc), str(exc)
+    assert labels.shape == p.shape == (len(queries),)
+    return labels.tolist(), p.tolist()
+
+
+def _assert_batch_matches_scalar(corr, l, queries, alpha):
+    want, got = _scalar_loop(corr, l, queries, alpha), _batch(corr, l, queries, alpha)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    assert got[0] == want[0]
+    assert max((abs(g - w) for g, w in zip(got[1], want[1])), default=0.0) <= 1e-14
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 8),
+    st.sampled_from([4, 5, 20, 1000, 10_000]),
+    st.floats(0.0, 3.0),
+    st.sampled_from([0.001, 0.05, 0.5]),
+)
+def test_fisher_z_many_matches_the_scalar_loop(seed, k, l, mixing, alpha):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((200, k)) @ (np.eye(k) + mixing * rng.standard_normal((k, k)))
+    corr = np.corrcoef(x, rowvar=False)
+    queries = _universe01(k)
+    rng.shuffle(queries)
+    _assert_batch_matches_scalar(corr, l, queries, alpha)
+
+
+@pytest.mark.parametrize("seed", [5, 17])
+def test_fisher_z_many_matches_the_scalar_loop_on_the_ci_universe(seed):
+    d = sample(gen_linear_scm(20, 1.5, seed), 10_000, seed + 1).dataset
+    _assert_batch_matches_scalar(correlation_matrix(d), d.l, _universe01(20), 0.001)
+
+
+@pytest.mark.parametrize(
+    "case", sorted(c for c, (_, cond) in _collinear_cases().items() if len(cond) <= 1)
+)
+@pytest.mark.parametrize("l", [4, 500])
+def test_fisher_z_many_raises_the_first_error_of_the_scalar_loop(case, l):
+    # the case's own query comes last, after the order-0/1 universe of its
+    # columns; at l = 4 every order-1 query has too few samples
+    cols, cond = _collinear_cases()[case]
+    corr = np.corrcoef(np.column_stack(cols), rowvar=False)
+    queries = _universe01(len(cols)) + [Query.ci(0, 1, cond)]
+    _assert_batch_matches_scalar(corr, l, queries, 0.05)
+    refused = isinstance(_batch(corr, l, queries, 0.05)[0], type)
+    assert refused == (not case.startswith("independent") or (l == 4 and len(cols) > 2))
+
+
+def test_fisher_z_many_guards_at_the_boundary():
+    # where the scalar's guards just pass or just refuse, the batch agrees
+    rng = np.random.default_rng(11)
+    for vecs in _near_singular_triples(rng, 300):
+        v = np.array(vecs)
+        corr = v @ v.T
+        np.fill_diagonal(corr, 1.0)
+        _assert_batch_matches_scalar(corr, 1000, [Query.ci(0, 1, (2,))], 0.05)
+    for delta in np.logspace(-14, -10, 100):
+        r = 1.0 - delta
+        corr = np.array([[1.0, r], [r, 1.0]])
+        _assert_batch_matches_scalar(corr, 1000, [Query.ci(0, 1)], 0.05)
+    corr = np.eye(4)
+    corr[0, 2] = corr[2, 0] = corr[0, 1] = corr[1, 0] = np.nan
+    _assert_batch_matches_scalar(corr, 100, _universe01(4), 0.05)
+
+
+def test_fisher_z_many_preconditions():
+    corr = np.eye(4)
+    with pytest.raises(InvalidSize):
+        fisher_z_many(corr, 100, [Query.ci(0, 1), Query.ci(0, 1, (2, 3))], 0.05)
+    with pytest.raises(InvalidParams):
+        fisher_z_many(corr, 100, [Query.ci(0, 1)], 1.0)
+    labels, p = fisher_z_many(corr, 100, [], 0.05)
+    assert labels.shape == p.shape == (0,)
 
 
 def test_gamma_tail_equals_scipy_stats():
