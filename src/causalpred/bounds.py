@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, permutations, product
 
-from .core import Query, QueryKind, enumerate_queries
-from .errors import InvalidN, InvalidParams, InvalidSize, NTooLarge, UnsupportedClass
+from .core import QueryKind, ci_query_array, enumerate_queries
+from .errors import GraphError, InvalidN, InvalidParams, InvalidSize, NTooLarge, UnsupportedClass
 from .models import (
     Dag,
     PathModel,
@@ -174,15 +174,8 @@ def all_dags(n):
                 edges.append((b, a))
         try:
             out.append(Dag(n, edges))
-        except Exception:
+        except GraphError:  # a directed cycle
             continue
-    return out
-
-
-def _ci_universe(n):
-    out = []
-    for cond_size in range(n - 1):
-        out.extend(enumerate_queries(n, QueryKind.COND_INDEP, cond_size))
     return out
 
 
@@ -194,11 +187,11 @@ def brute_force_vc_check(c: ModelClassId, n) -> int:
     if n < 2:
         raise InvalidN("need at least two nodes")
     if c in (ModelClassId.ALL_DAGS, ModelClassId.POLYTREES):
-        queries = _ci_universe(n)
+        queries = ci_query_array(n, range(n - 1))
         dags = all_dags(n)
         if c == ModelClassId.POLYTREES:
             dags = [g for g in dags if is_polytree_edges(n, g.edges)]
-        functions = {tuple(d_separated_many(g, queries)) for g in dags}
+        functions = {d_separated_many(g, queries).tobytes() for g in dags}
         return len(functions)
     if c == ModelClassId.DIRECTIONALITY:
         queries = enumerate_queries(n, QueryKind.ORDERED_PAIR)

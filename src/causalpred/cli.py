@@ -248,12 +248,25 @@ def cmd_experiment(args):
     return 0
 
 
+def _load_matrix(path):
+    """A JSON file holding a list of equally long lists of finite numbers,
+    as a float matrix; any other JSON value is a ParseError."""
+    with open(path, encoding="utf-8") as fh:
+        obj = load_json(fh)
+    numbers = isinstance(obj, list) and all(
+        isinstance(row, list) and all(type(v) in (int, float) for v in row) for row in obj
+    )
+    try:  # a ragged list, or an integer past the float range, fails here
+        m = np.array(obj, dtype=float) if numbers else None
+    except (ValueError, OverflowError):
+        m = None
+    if m is None or m.ndim != 2 or not np.isfinite(m).all():
+        raise ParseError(f"{path} holds no matrix of finite numbers")
+    return m
+
+
 def cmd_merge(args):
-    with open(args.cov_xy, encoding="utf-8") as fh:
-        cov_xy = np.asarray(load_json(fh), dtype=float)
-    with open(args.cov_yz, encoding="utf-8") as fh:
-        cov_yz = np.asarray(load_json(fh), dtype=float)
-    glued = models.glue_gaussian_chain(cov_xy, cov_yz)
+    glued = models.glue_gaussian_chain(_load_matrix(args.cov_xy), _load_matrix(args.cov_yz))
     _emit({"covariance": glued.tolist()})
     return 0
 
@@ -290,7 +303,7 @@ def build_parser():
         description="Causal models as predictors of statistical-test outcomes",
     )
     default_seed = os.environ.get(DEFAULT_SEED_ENV, "0")
-    sub = p.add_subparsers(dest="command")
+    sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a synthetic dataset")
     g.add_argument("kind", choices=("linear", "gam"))
@@ -358,9 +371,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not getattr(args, "func", None):
-        parser.print_usage(sys.stderr)
-        return 1
     try:
         return args.func(args)
     except (ParseError, UnsupportedQueryForModel) as exc:

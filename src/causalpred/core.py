@@ -269,13 +269,19 @@ def save_dataset(d: Dataset, path):
         fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in d.samples.tolist()]))
 
 
+def _check_ci_universe(n, cond_size):
+    if n < 2:
+        raise InvalidSize("need at least two variables")
+    if cond_size < 0 or cond_size > n - 2:
+        raise InvalidSize(f"conditioning size {cond_size} infeasible for n={n}")
+
+
 def enumerate_queries(n, kind, cond_size=0):
     """Exhaustive duplicate-free query universe in canonical order."""
     if n < 2:
         raise InvalidSize("need at least two variables")
     if kind == QueryKind.COND_INDEP:
-        if cond_size < 0 or cond_size > n - 2:
-            raise InvalidSize(f"conditioning size {cond_size} infeasible for n={n}")
+        _check_ci_universe(n, cond_size)
         out = []
         for a, b in combinations(range(n), 2):
             rest = [v for v in range(n) if v not in (a, b)]
@@ -294,6 +300,62 @@ def enumerate_queries(n, kind, cond_size=0):
             if a != b
         ]
     raise InvalidSize(f"cannot enumerate query kind {kind}")
+
+
+# --- CI queries as index arrays -----------------------------------------------
+#
+# A batch of conditional-independence queries travels as an int array with
+# one row (a, b, c1, ..., cs) per query: the pair, then the conditioning
+# set padded with -1 to the width of the largest one.
+
+
+def ci_query_array(n, cond_sizes) -> np.ndarray:
+    """The rows of ``enumerate_queries(n, COND_INDEP, s)`` for each s in
+    ``cond_sizes``, in that order, without building a Query each.
+
+    For a < b, the i-th smallest node other than a and b is
+    i + (i >= a) + (i >= b - 1), which maps the s-subsets of range(n - 2)
+    in lexicographic order onto the conditioning sets in theirs."""
+    cond_sizes = list(cond_sizes)
+    for s in cond_sizes:
+        _check_ci_universe(n, s)
+    width = 2 + max(cond_sizes, default=0)
+    a, b = np.triu_indices(n, 1)
+    a, b = a[:, None, None], b[:, None, None]
+    blocks = [np.empty((0, width), dtype=np.intp)]
+    for s in cond_sizes:
+        subsets = list(combinations(range(n - 2), s))
+        ranks = np.array(subsets, dtype=np.intp).reshape(1, len(subsets), s)
+        block = np.full((len(a), len(subsets), width), -1, dtype=np.intp)
+        block[:, :, 0:1] = a
+        block[:, :, 1:2] = b
+        block[:, :, 2 : 2 + s] = ranks + (ranks >= a) + (ranks >= b - 1)
+        blocks.append(block.reshape(-1, width))
+    return np.concatenate(blocks)
+
+
+def ci_rows(queries) -> np.ndarray:
+    """Conditional-independence queries as an index array, row by row."""
+    if any(q.kind != QueryKind.COND_INDEP for q in queries):
+        raise InvalidSize("only conditional-independence queries have CI rows")
+    width = 2 + max((len(q.cond) for q in queries), default=0)
+    out = np.full((len(queries), width), -1, dtype=np.intp)
+    for row, q in zip(out, queries):
+        row[: 2 + len(q.cond)] = q.members + q.cond
+    return out
+
+
+def cond_groups(rows):
+    """The distinct conditioning sets among CI rows, each sorted with its
+    padding first, and for each row the index of its set among them."""
+    cond = np.sort(rows[:, 2:], axis=1)
+    order = np.lexsort(cond.T[::-1]) if cond.shape[1] else np.arange(len(cond))
+    cond = cond[order]
+    first = np.ones(len(cond), dtype=bool)
+    first[1:] = (cond[1:] != cond[:-1]).any(axis=1)
+    group = np.empty(len(cond), dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    return cond[first], group
 
 
 def sample_queries(universe, k, seed):

@@ -10,17 +10,22 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
-from functools import partial
 
 import numpy as np
 
 # d_separated, empirical_error and fisher_z_from_corr stay bound here for
 # the benchmark's tracer
 from .bounds import ModelClassId, gap_binary, vc_upper_bound
-from .core import QueryKind, empirical_error, enumerate_queries
+from .core import QueryKind, ci_query_array, ci_rows, cond_groups, empirical_error, enumerate_queries
 from .errors import InvalidParams, LengthMismatch, ParseError, TagMismatch
 from .learners import pc_fit, pc_oracle, polytree_from_anm
-from .models import d_separated, d_separated_many, q_anm_polytree, random_dag_from_cpdag
+from .models import (
+    d_connection_tables,
+    d_separated,
+    d_separated_many,
+    q_anm_polytree,
+    random_dag_from_cpdag,
+)
 from .stattests import anm_test, correlation_matrix, fisher_z_from_corr, fisher_z_many
 from .synthgen import gen_gam_scm, gen_linear_scm, sample
 
@@ -142,7 +147,8 @@ def _disagreement(predictions, results) -> float:
 
 def expected_risk(predict, queries, tester) -> float:
     """Disagreement of a predictor against a tester on a query universe;
-    ``predict`` and ``tester`` take the query list and return 0/1 arrays."""
+    ``predict`` and ``tester`` take the queries, a list or an array of
+    rows, and return 0/1 arrays."""
     return _disagreement(predict(queries), tester(queries))
 
 
@@ -153,9 +159,14 @@ def run_ci_experiment(cfg: ExperimentConfig):
     if cfg.experiment != "ci":
         raise InvalidParams("config is not a ci experiment")
     records = []
-    universe = enumerate_queries(cfg.n, QueryKind.COND_INDEP, 0) + enumerate_queries(
-        cfg.n, QueryKind.COND_INDEP, 1
-    )
+    universe = ci_query_array(cfg.n, (0, 1))
+    conds, group = cond_groups(universe)
+
+    def separated_in(g):
+        """Labels of the universe's rows, gathered from g's tables."""
+        tables = d_connection_tables(g, conds)
+        return lambda rows: ~tables[group, rows[:, 0], rows[:, 1]]
+
     h = vc_upper_bound(ModelClassId.ALL_DAGS, cfg.n)
     for rep in range(cfg.repetitions):
         seed = cfg.seed + 1000 * rep
@@ -163,21 +174,21 @@ def run_ci_experiment(cfg: ExperimentConfig):
         truth = scm.dag()
         if cfg.oracle:
             cpdag, labels = pc_oracle(truth, cfg.max_cond)
-            tester = partial(d_separated_many, truth)
+            tester = separated_in(truth)
         else:
             data = sample(scm, cfg.l, seed + 1).dataset
             corr = correlation_matrix(data)
             cpdag, labels = pc_fit(data, cfg.alpha, cfg.max_cond, corr=corr)
 
-            def tester(queries):
-                return fisher_z_many(corr, cfg.l, queries, cfg.alpha)[0]
+            def tester(rows):
+                return fisher_z_many(corr, cfg.l, rows, cfg.alpha)[0]
 
         g = random_dag_from_cpdag(cpdag, seed + 2)
         empirical = _disagreement(
-            d_separated_many(g, [lq.query for lq in labels]),
+            d_separated_many(g, ci_rows([lq.query for lq in labels])),
             [lq.outcome.value.value for lq in labels],
         )
-        expected = expected_risk(partial(d_separated_many, g), universe, tester)
+        expected = expected_risk(separated_in(g), universe, tester)
         k_used = len(labels)
         records.append(
             RiskRecord(

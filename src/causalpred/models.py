@@ -14,8 +14,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Query, QueryKind, load_json
+from .core import Query, QueryKind, cond_groups, load_json
 from .errors import (
+    DegenerateInput,
     GraphError,
     InvalidSize,
     MarginalMismatch,
@@ -210,74 +211,101 @@ class PathModel:
 # --- predictors ---------------------------------------------------------------
 
 
-def d_connected(g: Dag, x, z) -> set:
-    """Every node d-connected to x given z: one reachability pass (Koller &
-    Friedman, algorithm 3.1), in its Bayes-ball form (Shachter, 1998).
+# Each table answers every query with one conditioning set: at most this
+# many (conditioning set, source, node) entries are held at once.
+_TABLE_ENTRIES = 1 << 20
 
-    The walk tracks the direction a trail enters each node.  Entered from a
-    child, a node outside z passes the trail on to its parents and
-    children.  Entered from a parent, a node outside z passes it on to its
-    children, and a node in z (an observed collider) back to its parents.
-    A collider outside z with a descendant in z needs no rule of its own:
-    the trail runs down to that descendant and back up through it.  The
-    result holds x itself unless x is in z.
+
+def d_connection_tables(g: Dag, conds) -> np.ndarray:
+    """``connected[z, x, y]``: is y d-connected to x given the conditioning
+    set ``conds[z]``?  ``conds`` holds one set per row, padded with -1.
+
+    The Bayes-ball walk (Shachter, 1998) for every source at once: a node
+    is entered from a child ("up") or from a parent ("down").  Entered up,
+    a node outside z passes the trail to its parents (up) and children
+    (down); entered down, a node outside z passes it to its children, and
+    a node in z, an observed collider, back up to its parents.  A collider
+    outside z with a descendant in z needs no rule of its own: the trail
+    runs down to that descendant and back up through it.  Both states are
+    boolean (set, source, node) arrays, stepped by a product with the
+    adjacency until nothing changes.  A node in z is connected to nothing;
+    a source outside z is connected to itself.
     """
-    z = frozenset(z)
-    parents, children = g._parents, g._children
-    reached, seen_up, seen_down = set(), set(), set()
-    up, down = [x], []  # entered from a child, from a parent
-    while up or down:
-        while up:
-            v = up.pop()
-            if v in seen_up:
-                continue
-            seen_up.add(v)
-            if v not in z:
-                reached.add(v)
-                up.extend(parents[v])
-                down.extend(children[v])
-        while down:
-            v = down.pop()
-            if v in seen_down:
-                continue
-            seen_down.add(v)
-            if v in z:
-                up.extend(parents[v])
-            else:
-                reached.add(v)
-                down.extend(children[v])
-    return reached
+    conds = np.asarray(conds, dtype=np.intp)
+    n = g.n
+    if conds.ndim != 2:
+        raise InvalidSize("conditioning sets must be the rows of a 2-d array")
+    if conds.size and not (-1 <= conds.min() and conds.max() < n):
+        raise UnknownNode(int(conds.max() if conds.max() >= n else conds.min()))
+    step = max(1, _TABLE_ENTRIES // max(1, n * n))
+    if len(conds) > step:
+        return np.concatenate(
+            [d_connection_tables(g, conds[i : i + step]) for i in range(0, len(conds), step)]
+        )
+    k = len(conds)
+    in_z = np.zeros((k, n + 1), dtype=bool)
+    in_z[np.arange(k)[:, None], conds] = True  # padding marks column n
+    in_z = in_z[:, None, :n]
+    out_z = ~in_z
+    # float32 products count paths exactly (at most n), where uint8 wraps
+    down_step = np.zeros((n, n), dtype=np.float32)  # down_step[p, c]: edge p -> c
+    for a, b in g.edges:
+        down_step[a, b] = 1.0
+    up_step = down_step.T
+    up = np.broadcast_to(np.eye(n, dtype=bool), (k, n, n)).copy()
+    down = np.zeros((k, n, n), dtype=bool)
+    reached = k * n
+    while True:  # both states only grow, so a step that adds none is the last
+        send_up = ((up & out_z) | (down & in_z)).reshape(k * n, n).astype(np.float32)
+        send_down = ((up | down) & out_z).reshape(k * n, n).astype(np.float32)
+        up |= (send_up @ up_step > 0).reshape(k, n, n)
+        down |= (send_down @ down_step > 0).reshape(k, n, n)
+        now = np.count_nonzero(up) + np.count_nonzero(down)
+        if now == reached:
+            return (up | down) & out_z
+        reached = now
 
 
-def _ci_query_nodes(g: Dag, q: Query):
-    if q.kind != QueryKind.COND_INDEP:
-        raise InvalidSize("d-separation takes conditional-independence queries")
-    _check_nodes(g.n, *q.members, *q.cond)
-    return q.members
+def _raise_first_bad_row(g: Dag, rows):
+    """Raise what ``d_separated`` raises on the first row that names a node
+    outside the graph or the same node twice; return if there is none."""
+    n = g.n
+    members, cond = rows[:, :2], rows[:, 2:]
+    outside = ((members < 0) | (members >= n)).any(axis=1) | ((cond < -1) | (cond >= n)).any(axis=1)
+    ranked = np.sort(rows, axis=1)
+    twice = ((ranked[:, 1:] == ranked[:, :-1]) & (ranked[:, 1:] != -1)).any(axis=1)
+    bad = outside | twice
+    if bad.any():
+        a, b, *cond = rows[int(np.argmax(bad))].tolist()
+        q = Query.ci(a, b, [c for c in cond if c != -1])  # a node twice: InvalidSize
+        _check_nodes(n, *q.members, *q.cond)
+
+
+def d_separated_many(g: Dag, rows) -> np.ndarray:
+    """d-separation of each CI query row (a, b, c1, ..., cs), padded with
+    -1, as a 0/1 array in row order.
+
+    A bad row raises what ``d_separated`` raises on its query, for the
+    first bad row.  One table per distinct conditioning set answers every
+    row that shares it.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.ndim != 2 or rows.shape[1] < 2:
+        raise InvalidSize("CI query rows must be a 2-d array of width at least 2")
+    _raise_first_bad_row(g, rows)
+    conds, group = cond_groups(rows)
+    connected = d_connection_tables(g, conds)[group, rows[:, 0], rows[:, 1]]
+    return (~connected).astype(np.int64)
 
 
 def d_separated(g: Dag, q: Query) -> int:
-    """1 iff the query pair is d-separated given the conditioning set."""
-    x, y = _ci_query_nodes(g, q)
-    return int(y not in d_connected(g, x, q.cond))
-
-
-def d_separated_many(g: Dag, queries) -> np.ndarray:
-    """``d_separated`` of each query, as a 0/1 array in query order.
-
-    Queries are checked in order, so the first bad one raises what the
-    scalar call raises.  One pass per (first member, conditioning set)
-    answers every query that shares it.
-    """
-    connected = {}
-    out = []
-    for q in queries:
-        x, y = _ci_query_nodes(g, q)
-        key = (x, q.cond)
-        if key not in connected:
-            connected[key] = d_connected(g, x, q.cond)
-        out.append(y not in connected[key])
-    return np.array(out, dtype=np.int64)
+    """1 iff the query pair is d-separated given the conditioning set, read
+    from the table of that one set."""
+    if q.kind != QueryKind.COND_INDEP:
+        raise InvalidSize("d-separation takes conditional-independence queries")
+    _check_nodes(g.n, *q.members, *q.cond)
+    a, b = q.members
+    return int(not d_connection_tables(g, [q.cond])[0, a, b])
 
 
 def q_dirpath(g: Dag, q: Query) -> int:
@@ -488,7 +516,10 @@ def glue_gaussian_chain(cov_xy, cov_yz) -> np.ndarray:
         )
     if var_y < 1e-12:
         raise NonPsdInput("var(Y) is numerically zero")
-    cov_xz = cov_xy[0, 1] * cov_yz[0, 1] / var_y
+    with np.errstate(over="ignore"):
+        cov_xz = cov_xy[0, 1] * cov_yz[0, 1] / var_y
+    if not np.isfinite(cov_xz):
+        raise DegenerateInput("the glued covariance overflows a double; rescale the inputs")
     out = np.array(
         [
             [cov_xy[0, 0], cov_xy[0, 1], cov_xz],

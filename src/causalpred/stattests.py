@@ -114,23 +114,27 @@ def fisher_z_from_corr(corr, l, target_idx, cond_idx, alpha) -> TestOutcome:
     return TestOutcome(binary(1 if p > alpha else 0), p, alpha)
 
 
-def fisher_z_many(corr, l, queries, alpha):
-    """``fisher_z_from_corr`` on every query at once: the 0/1 labels and the
-    p-values as two arrays.  A query's members and conditioning variable
-    index ``corr``; at most one conditioning variable is taken.
+def fisher_z_many(corr, l, rows, alpha):
+    """``fisher_z_from_corr`` on every CI query row (a, b) or (a, b, c) at
+    once, c = -1 for none: the 0/1 labels and the p-values as two arrays.
+    The row entries index ``corr``; a row of ``core.ci_rows`` or
+    ``core.ci_query_array`` may be wider only by padding.
 
     The partial correlations use the scalar's arithmetic, so the batch
     fails its guards exactly where the scalar does; on a failure the scalar
-    is run on the first failing query, which raises what a loop over the
-    queries would have raised."""
+    is run on the first failing row, which raises what a loop over the
+    rows would have raised."""
     _require_alpha(alpha)
-    if any(len(q.cond) > 1 for q in queries):
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.ndim != 2 or rows.shape[1] < 2:
+        raise InvalidSize("CI query rows must be a 2-d array of width at least 2")
+    if np.count_nonzero(rows[:, 3:] != -1):
         raise InvalidSize("fisher_z_many takes at most one conditioning variable")
-    ab = np.array([q.members for q in queries], dtype=np.intp).reshape(-1, 2)
-    c = np.array([q.cond[0] if q.cond else -1 for q in queries], dtype=np.intp)
+    a, b = rows[:, 0], rows[:, 1]
+    c = rows[:, 2] if rows.shape[1] > 2 else np.full(len(rows), -1)
     has_c = c >= 0
-    r_ab = corr[ab[:, 0], ab[:, 1]]
-    r_ac, r_bc = corr[ab[:, 0], c], corr[ab[:, 1], c]  # c = -1 reads an unused entry
+    r_ab = corr[a, b]
+    r_ac, r_bc = corr[a, c], corr[b, c]  # c = -1 reads an unused entry
     bound = 1.0 - VAR_EPS
     with np.errstate(invalid="ignore", divide="ignore"):
         collinear = has_c & ~((np.abs(r_ac) < bound) & (np.abs(r_bc) < bound))
@@ -138,8 +142,9 @@ def fisher_z_many(corr, l, queries, alpha):
     r = np.where(has_c, partial, r_ab)
     bad = (l <= has_c + 3) | collinear | ~(np.abs(r) < bound)
     if bad.any():
-        q = queries[int(np.argmax(bad))]
-        fisher_z_from_corr(corr, l, q.members, q.cond, alpha)  # raises the scalar's error
+        i = int(np.argmax(bad))
+        cond = [int(c[i])] if has_c[i] else []
+        fisher_z_from_corr(corr, l, (int(a[i]), int(b[i])), cond, alpha)  # raises the scalar's error
     stat = np.sqrt(l - 3 - has_c) * np.arctanh(r)
     p = erfc(np.abs(stat) / math.sqrt(2.0))
     return (p > alpha).astype(np.int64), p

@@ -19,6 +19,10 @@ from .models import Dag, Polytree, forest_union
 
 HIDDEN_UNITS = 20
 DEFAULT_NOISE_WIDTH = 1.0  # uniform noise on [-0.5, 0.5]
+# a random SCM draws from all n(n-1)/2 forward pairs, built as a list, and
+# a linear one fills an n x n coefficient matrix: about 0.1 GB at this
+# many nodes, growing as n^2
+MAX_SCM_NODES = 1000
 
 
 @dataclass(frozen=True)
@@ -95,12 +99,19 @@ class ScmSample:
             raise InvalidSize("sample must cover all variables in id order")
 
 
-def _random_order_and_pairs(n, expected_degree, rng):
+def _edge_probability(n, expected_degree):
+    """The forward-pair edge probability of the expected degree, after the
+    checks on n and the degree, which allocate nothing."""
     if n < 2:
         raise InvalidSize("need at least two nodes")
+    if n > MAX_SCM_NODES:
+        raise InvalidSize(f"{n} nodes requested; the limit is {MAX_SCM_NODES} nodes")
     if not 0 < expected_degree <= n - 1:
         raise InvalidDegree(f"expected degree {expected_degree} outside (0, {n - 1}]")
-    p = expected_degree / (n - 1)
+    return expected_degree / (n - 1)
+
+
+def _random_order_and_pairs(n, rng):
     perm = rng.permutation(n)  # perm[rank] = node
     order = np.empty(n, dtype=int)
     order[perm] = np.arange(n)
@@ -110,12 +121,13 @@ def _random_order_and_pairs(n, expected_degree, rng):
         for a in range(n)
         for b in range(a + 1, n)
     ]
-    return tuple(int(r) for r in order), pairs, p
+    return tuple(int(r) for r in order), pairs
 
 
 def gen_linear_scm(n, expected_degree, seed) -> LinearScm:
+    p = _edge_probability(n, expected_degree)
     rng = np.random.default_rng(seed)
-    order, pairs, p = _random_order_and_pairs(n, expected_degree, rng)
+    order, pairs = _random_order_and_pairs(n, rng)
     coeffs = np.zeros((n, n))
     for j, i in pairs:  # j precedes i in the order
         if rng.random() < p:
@@ -132,8 +144,9 @@ def _random_mechanism(rng) -> Mechanism:
 
 def gen_gam_scm(n, expected_degree, seed, noise_width=DEFAULT_NOISE_WIDTH) -> GamScm:
     """Like gen_linear_scm, but edges closing an undirected cycle are rejected."""
+    p = _edge_probability(n, expected_degree)
     rng = np.random.default_rng(seed)
-    order, pairs, p = _random_order_and_pairs(n, expected_degree, rng)
+    order, pairs = _random_order_and_pairs(n, rng)
     union = forest_union(n)
     edges = []
     mechanisms = {}

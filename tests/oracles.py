@@ -35,7 +35,6 @@ from causalpred.learners import pc_fit, pc_oracle, polytree_from_anm
 from causalpred.models import (
     Cpdag,
     Dag,
-    d_separated,
     q_anm_polytree,
     random_dag_from_cpdag,
     v_structures,
@@ -100,6 +99,48 @@ def moral_d_separated(g: Dag, x, y, z):
                 seen.add(w)
                 stack.append(w)
     return 1
+
+
+def d_connected(g: Dag, x, z) -> set:
+    """Every node d-connected to x given z: one Bayes-ball pass (Shachter,
+    1998) over per-node sets, the walk ``models.d_connection_tables`` runs
+    for every source and conditioning set at once.
+
+    Entered from a child, a node outside z passes the trail on to its
+    parents and children.  Entered from a parent, a node outside z passes
+    it on to its children, and a node in z (an observed collider) back to
+    its parents.  The result holds x itself unless x is in z.
+    """
+    z = frozenset(z)
+    reached, seen_up, seen_down = set(), set(), set()
+    up, down = [x], []  # entered from a child, from a parent
+    while up or down:
+        while up:
+            v = up.pop()
+            if v in seen_up:
+                continue
+            seen_up.add(v)
+            if v not in z:
+                reached.add(v)
+                up.extend(scan_parents(g, v))
+                down.extend(scan_children(g, v))
+        while down:
+            v = down.pop()
+            if v in seen_down:
+                continue
+            seen_down.add(v)
+            if v in z:
+                up.extend(scan_parents(g, v))
+            else:
+                reached.add(v)
+                down.extend(scan_children(g, v))
+    return reached
+
+
+def ref_d_separated(g: Dag, q):
+    """1 iff the CI query's pair is d-separated: one ``d_connected`` pass."""
+    x, y = q.members
+    return int(y not in d_connected(g, x, q.cond))
 
 
 def closure_has_path(g: Dag, i, j):
@@ -275,7 +316,7 @@ def ref_expected_risk(predict, queries, tester):
 
 def ref_run_ci_experiment(cfg):
     """``harness.run_ci_experiment`` scored query by query with the scalar
-    ``d_separated`` and ``empirical_error``."""
+    ``ref_d_separated`` and ``empirical_error``."""
     universe = enumerate_queries(cfg.n, QueryKind.COND_INDEP, 0) + enumerate_queries(
         cfg.n, QueryKind.COND_INDEP, 1
     )
@@ -289,7 +330,7 @@ def ref_run_ci_experiment(cfg):
             cpdag, labels = pc_oracle(truth, cfg.max_cond)
 
             def tester(q):
-                return TestOutcome(binary(d_separated(truth, q)), None, None)
+                return TestOutcome(binary(ref_d_separated(truth, q)), None, None)
 
         else:
             data = sample(scm, cfg.l, seed + 1).dataset
@@ -301,10 +342,10 @@ def ref_run_ci_experiment(cfg):
 
         g = random_dag_from_cpdag(cpdag, seed + 2)
         empirical = empirical_error(
-            [binary(d_separated(g, lq.query)) for lq in labels],
+            [binary(ref_d_separated(g, lq.query)) for lq in labels],
             [lq.outcome.value for lq in labels],
         )
-        expected = ref_expected_risk(lambda q: d_separated(g, q), universe, tester)
+        expected = ref_expected_risk(lambda q: ref_d_separated(g, q), universe, tester)
         records.append(
             RiskRecord(
                 "ci", cfg.n, cfg.l, cfg.alpha, len(labels), rep, empirical, expected,
@@ -316,7 +357,7 @@ def ref_run_ci_experiment(cfg):
 
 def ref_select_alpha(candidates, scms, l, seed=0):
     """``learners.select_alpha`` with one scalar Fisher-Z test and one
-    scalar d-separation per candidate alpha and query."""
+    reference d-separation per candidate alpha and query."""
     if not candidates:
         raise InvalidSize("need at least one candidate alpha")
     scores = {a: [] for a in candidates}
@@ -331,7 +372,7 @@ def ref_select_alpha(candidates, scms, l, seed=0):
             tp = fp = fn = 0
             for q in queries:
                 predicted_dep = fisher_z_from_corr(corr, l, q.members, q.cond, alpha).value.value == 0
-                true_dep = d_separated(g, q) == 0
+                true_dep = ref_d_separated(g, q) == 0
                 tp += predicted_dep and true_dep
                 fp += predicted_dep and not true_dep
                 fn += true_dep and not predicted_dep

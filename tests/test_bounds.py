@@ -241,6 +241,29 @@ def test_directionality_shatters_sources_times_sinks():
         assert vc_upper_bound(ModelClassId.DIRECTIONALITY, n) >= (n // 2) * ((n + 1) // 2)
 
 
+def test_all_dags_skips_only_cyclic_graphs(monkeypatch):
+    # a directed cycle is a GraphError and is skipped; any other error of
+    # the graph constructor is a fault and propagates
+    from causalpred import bounds
+
+    def broken(n, edges):
+        raise ValueError("not a graph error")
+
+    monkeypatch.setattr(bounds, "Dag", broken)
+    with pytest.raises(ValueError, match="not a graph error"):
+        all_dags(2)
+
+
+def test_brute_force_counts_equal_the_scalar_d_separation_loop():
+    # the batch rows give the functions one scalar call per query gives
+    for c, n in itertools.product((ModelClassId.ALL_DAGS, ModelClassId.POLYTREES), (2, 3, 4)):
+        if (c, n) != (ModelClassId.ALL_DAGS, 4):  # 543 DAGs: criterion 2 counts them
+            queries = [q for s in range(n - 1) for q in enumerate_queries(n, QueryKind.COND_INDEP, s)]
+            dags = [g for g in all_dags(n) if c == ModelClassId.ALL_DAGS or is_polytree_edges(n, g.edges)]
+            functions = {tuple(d_separated(g, q) for q in queries) for g in dags}
+            assert brute_force_vc_check(c, n) == len(functions)
+
+
 def test_brute_force_limits():
     with pytest.raises(NTooLarge):
         brute_force_vc_check(ModelClassId.ALL_DAGS, 5)

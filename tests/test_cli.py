@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalpred import bounds, cli, stattests
+from causalpred import bounds, cli, stattests, synthgen
 from causalpred.core import Query, QueryKind, load_dataset
 from causalpred.learners import pc_fit
 from causalpred.errors import ParseError
@@ -84,8 +84,14 @@ def test_format_query_rejects_kind_mismatch():
 
 
 def test_no_arguments_usage(capsys):
-    assert cli.main([]) == 1
-    assert "usage" in capsys.readouterr().err
+    # a missing subcommand is a usage error like any other: one JSON
+    # object on stderr and argparse's exit code 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main([])
+    assert exc.value.code == 2
+    err = _one_json_object(capsys.readouterr().err)
+    assert err["error"] == "UsageError"
+    assert "required: command" in err["message"]
 
 
 def test_parse_error_exit_code(capsys):
@@ -245,6 +251,46 @@ def test_merge_on_a_malformed_file(tmp_path, capsys):
     assert cli.main(["merge", str(a), str(b)]) == 1
     err = _one_json_object(capsys.readouterr().err)
     assert err["error"] == "ParseError" and str(b) in err["message"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[[1, 2], [3]]", '"abc"', "{}", "[1, 2]", "[[[1, 0], [0, 1]]]", '[[1, "0.5"], [0.5, 1]]',
+     "[[true, 0], [0, 1]]", "[[1, null], [0, 1]]", "[[1e400, 0], [0, 1]]", "[[NaN, 0], [0, 1]]",
+     f"[[1{'0' * 400}, 0], [0, 1]]", "[]"],
+    ids=["ragged", "string", "object", "vector", "3-d", "string-entry", "bool-entry", "null-entry",
+         "inf-entry", "nan-entry", "int-past-double", "empty"],
+)
+def test_merge_on_json_that_is_not_a_numeric_matrix(tmp_path, capsys, text):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    a.write_text(json.dumps([[1, 0.5], [0.5, 1]]))
+    b.write_text(text)
+    assert cli.main(["merge", str(a), str(b)]) == 1
+    err = _one_json_object(capsys.readouterr().err)
+    assert err["error"] == "ParseError" and str(b) in err["message"]
+
+
+def test_merge_refuses_a_glued_covariance_that_overflows(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps([[1e300, 0.5e300], [0.5e300, 1e300]]))
+    assert cli.main(["merge", str(a), str(a)]) == 2
+    assert _one_json_object(capsys.readouterr().err)["error"] == "DegenerateInput"
+
+
+@pytest.mark.parametrize("kind", ["linear", "gam"])
+def test_gen_size_guard_refuses_before_allocating(tmp_path, monkeypatch, capsys, kind):
+    def no_rng(*args, **kwargs):
+        raise AssertionError("an SCM was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    n = synthgen.MAX_SCM_NODES + 1
+    out = tmp_path / "d.csv"
+    assert cli.main(["gen", kind, "--n", str(n), "--samples", "10", "--out", str(out)]) == 2
+    err = _one_json_object(capsys.readouterr().err)
+    assert err["error"] == "InvalidSize"
+    assert str(n) in err["message"] and f"limit is {synthgen.MAX_SCM_NODES} nodes" in err["message"]
+    assert not out.exists()
 
 
 def test_cli_import_leaves_out_scipy_stats():
@@ -752,3 +798,35 @@ def test_experiment_on_generated_configs_exits_with_a_code_and_json(tmp_path_fac
     here = tmp_path_factory.getbasetemp()
     (here / "fuzz-cfg.json").write_bytes(raw)
     _run_cli(["experiment", "--config", str(here / "fuzz-cfg.json"), "--out", str(here / "fuzz-records.csv")])
+
+
+@st.composite
+def _fuzz_matrix(draw):
+    """A covariance file: a valid, non-PSD or huge 2 x 2 matrix, or one
+    whose rows or entries are junk, ragged or missing."""
+    matrix = draw(st.sampled_from([
+        [[1, 0.5], [0.5, 1]], [[1, 0.4], [0.4, 1]], [[2, 0.4], [0.4, 2]], [[1, 2], [2, 1]],
+        [[1e300, 0.5e300], [0.5e300, 1e300]], [[1e-300, 0], [0, 1e-300]], [[1, 0.5], [0.4, 1]],
+    ]))
+    how = draw(st.sampled_from(["valid"] * 3 + ["entry", "row", "ragged", "whole", "shape"]))
+    if how == "entry":
+        matrix[draw(st.integers(0, 1))][draw(st.integers(0, 1))] = draw(_JUNK)
+    elif how == "row":
+        matrix[draw(st.integers(0, 1))] = draw(_JUNK)
+    elif how == "ragged":
+        matrix[draw(st.integers(0, 1))].pop()
+    elif how == "whole":
+        matrix = draw(_JUNK)
+    elif how == "shape":
+        matrix = np.eye(draw(st.integers(0, 3))).tolist()
+    raw = json.dumps(matrix).replace('"1e400"', "1e400").encode()
+    return raw if draw(st.integers(0, 9)) else b"\xff" + raw
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fuzz_matrix(), _fuzz_matrix())
+def test_merge_on_generated_files_exits_with_a_code_and_json(tmp_path_factory, raw_xy, raw_yz):
+    here = tmp_path_factory.getbasetemp()
+    (here / "fuzz-xy.json").write_bytes(raw_xy)
+    (here / "fuzz-yz.json").write_bytes(raw_yz)
+    _run_cli(["merge", str(here / "fuzz-xy.json"), str(here / "fuzz-yz.json")])

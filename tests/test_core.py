@@ -11,6 +11,9 @@ from causalpred.core import (
     Query,
     QueryKind,
     binary,
+    ci_query_array,
+    ci_rows,
+    cond_groups,
     empirical_error,
     enumerate_queries,
     load_dataset,
@@ -372,6 +375,53 @@ def test_enumerate_ci_n4_cond1():
 def test_enumerate_ordered_tuple_unsupported():
     with pytest.raises(InvalidSize):
         enumerate_queries(4, QueryKind.ORDERED_TUPLE)
+
+
+def _padded(queries, width):
+    return [list(q.members + q.cond) + [-1] * (width - 2 - len(q.cond)) for q in queries]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_ci_query_array_is_enumerate_queries_in_its_order(n):
+    for s in range(n - 1):
+        want = enumerate_queries(n, QueryKind.COND_INDEP, s)
+        got = ci_query_array(n, [s])
+        assert got.shape == (len(want), 2 + s) and got.dtype == np.intp
+        assert got.tolist() == _padded(want, 2 + s)
+        assert ci_rows(want).tolist() == got.tolist()
+    # several sizes: their blocks in the order given, padded to the widest
+    sizes = list(range(n - 1))[::-1]
+    want = [q for s in sizes for q in enumerate_queries(n, QueryKind.COND_INDEP, s)]
+    assert ci_query_array(n, sizes).tolist() == _padded(want, n)
+
+
+def test_ci_query_array_refuses_what_enumerate_queries_refuses():
+    for n, sizes in ((1, [0]), (2, [0, 1]), (5, [-1]), (5, [4])):
+        with pytest.raises(InvalidSize) as want:
+            enumerate_queries(n, QueryKind.COND_INDEP, sizes[-1])
+        with pytest.raises(InvalidSize) as got:
+            ci_query_array(n, sizes)
+        assert str(got.value) == str(want.value)
+    assert ci_query_array(4, []).shape == (0, 2)
+
+
+def test_ci_rows_pad_and_refuse_other_kinds():
+    rows = ci_rows([Query.ci(3, 1, (2, 0)), Query.ci(0, 1)])
+    assert rows.tolist() == [[1, 3, 0, 2], [0, 1, -1, -1]]
+    assert ci_rows([]).shape == (0, 2)
+    with pytest.raises(InvalidSize):
+        ci_rows([Query.ci(0, 1), Query.ordered_pair(0, 1)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(-1, 5), min_size=4, max_size=4), max_size=30))
+def test_cond_groups_index_the_distinct_sorted_sets(rows):
+    rows = np.array(rows, dtype=np.intp).reshape(len(rows), 4)
+    conds, group = cond_groups(rows)
+    keys = [tuple(sorted(r[2:].tolist())) for r in rows]
+    assert [tuple(c) for c in conds.tolist()] == sorted(set(keys))
+    assert [tuple(conds[i].tolist()) for i in group] == keys
+    assert cond_groups(rows[:, :2])[0].shape == ((1, 0) if len(rows) else (0, 0))
 
 
 def test_sample_full_universe_is_permutation():

@@ -20,7 +20,7 @@ from causalpred.learners import (
 from causalpred.models import Dag, PathModel, is_polytree_edges, path_corr
 from causalpred.stattests import TestOutcome, correlation_matrix
 from causalpred.synthgen import gen_linear_scm, sample
-from oracles import RefPdag, random_dag, ref_fisher_z_from_corr, ref_select_alpha
+from oracles import RefPdag, moral_d_separated, random_dag, ref_fisher_z_from_corr, ref_select_alpha
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
 COLLIDER = Dag(3, [(0, 2), (1, 2)])
@@ -50,6 +50,18 @@ def test_pc_oracle_labels_match_d_separation():
     _, labels = pc_oracle(g, max_cond=2)
     for lq in labels:
         assert lq.outcome.value.value == d_separated(g, lq.query)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 10), st.integers(0, 2**32 - 1), st.sampled_from([0.2, 0.4, 0.7]), st.integers(0, 3))
+def test_pc_oracle_equals_pc_on_the_moral_oracle(n, seed, p, max_cond):
+    # its per-conditioning-set tables give PC the CPDAG and log that one
+    # moral-graph d-separation per test gives
+    g = random_dag(n, seed, p)
+    want = pc_from_ci(
+        n, lambda a, b, cond: TestOutcome(binary(moral_d_separated(g, a, b, set(cond))), None, None), max_cond
+    )
+    assert pc_oracle(g, max_cond) == want
 
 
 def test_pc_fit_all_independent():

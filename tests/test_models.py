@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalpred.core import Query
+from causalpred.core import Query, ci_rows
 from causalpred.errors import (
     GraphError,
     InvalidSize,
@@ -20,7 +20,7 @@ from causalpred.models import (
     PathModel,
     Polytree,
     cpdag_from_dag,
-    d_connected,
+    d_connection_tables,
     d_separated,
     d_separated_many,
     forest_union,
@@ -41,6 +41,7 @@ from causalpred.models import (
 )
 from oracles import (
     closure_has_path,
+    d_connected,
     moral_d_separated,
     random_dag,
     ref_ancestors,
@@ -198,15 +199,61 @@ def _graph_and_ci_queries(draw):
 @given(_graph_and_ci_queries())
 def test_d_separated_many_matches_scalar_and_moral_oracle(case):
     g, queries = case
-    got = d_separated_many(g, queries)
+    got = d_separated_many(g, ci_rows(queries))
     assert got.shape == (len(queries),)
     assert got.tolist() == [d_separated(g, q) for q in queries]
     assert got.tolist() == [moral_d_separated(g, *q.members, set(q.cond)) for q in queries]
 
 
+@st.composite
+def _graph_and_conditioning_sets(draw):
+    """A random DAG on at most 10 nodes and a few conditioning sets of size
+    0 to 3, each row in random order and padded with -1 at random places."""
+    n = draw(st.integers(1, 10))
+    g = random_dag(n, draw(st.integers(0, 2**32 - 1)), p=draw(st.sampled_from([0.15, 0.3, 0.6])))
+    sets = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=3, unique=True), min_size=1, max_size=6))
+    width = max(map(len, sets)) + draw(st.integers(0, 2))
+    rows = [draw(st.permutations(z + [-1] * (width - len(z)))) for z in sets]
+    return g, sets, np.array(rows, dtype=np.intp).reshape(len(sets), width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_and_conditioning_sets())
+def test_d_connection_tables_match_bayes_ball_and_moral_oracle(case):
+    g, sets, rows = case
+    tables = d_connection_tables(g, rows)
+    assert tables.shape == (len(sets), g.n, g.n) and tables.dtype == bool
+    for table, z in zip(tables, sets):
+        for x in range(g.n):
+            assert set(np.flatnonzero(table[x]).tolist()) == (d_connected(g, x, z) - set(z))
+            for y in range(g.n):
+                if x != y and x not in z and y not in z:
+                    assert table[x, y] != moral_d_separated(g, x, y, set(z)), (sorted(g.edges), x, y, z)
+
+
+def test_d_connection_tables_refuse_nodes_outside_the_graph():
+    with pytest.raises(UnknownNode):
+        d_connection_tables(CHAIN, [[3]])
+    with pytest.raises(UnknownNode):
+        d_connection_tables(CHAIN, [[0, -2]])
+    with pytest.raises(InvalidSize):
+        d_connection_tables(CHAIN, [0, 1])
+
+
+def test_d_connection_tables_split_a_large_batch(monkeypatch):
+    from causalpred import models
+
+    g = random_dag(7, 3)
+    rows = np.array([[-1, -1]] + [[v, -1] for v in range(7)] + [[0, 5], [2, 6]])
+    whole = d_connection_tables(g, rows)
+    monkeypatch.setattr(models, "_TABLE_ENTRIES", 2 * 7 * 7)
+    assert np.array_equal(d_connection_tables(g, rows), whole)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_graph_and_ci_queries())
 def test_d_connected_is_the_set_the_moral_oracle_connects(case):
+    # the reference Bayes ball that pins the kernel, against the moral graph
     g, queries = case
     for q in queries[:5]:
         x, z = q.members[0], set(q.cond)
@@ -214,23 +261,35 @@ def test_d_connected_is_the_set_the_moral_oracle_connects(case):
         assert d_connected(g, x, z) == want
 
 
+def _scalar_row(g, row):
+    """``d_separated`` on the query of one row; a bad row raises there or
+    when its Query is built."""
+    a, b, *cond = row
+    return d_separated(g, Query.ci(a, b, [c for c in cond if c != -1]))
+
+
 @given(_graph_and_ci_queries(), st.data())
 def test_d_separated_many_raises_the_scalar_error_of_the_first_bad_query(case, data):
     g, queries = case
     n = g.n
-    bad = [Query.ordered_pair(0, 1), Query.ci(0, n), Query.ci(0, 1, (n + 1,)), Query.ci(n + 2, 0)]
-    for q in data.draw(st.lists(st.sampled_from(bad), min_size=1, max_size=3)):
-        queries.insert(data.draw(st.integers(0, len(queries))), q)
-    first = next(q for q in queries if q in bad)
+    rows = [list(q.members) + list(q.cond) + [-1] * (3 - len(q.cond)) for q in queries]
+    bad = [[0, n, -1, -1, -1], [0, 1, n + 1, -1, -1], [n + 2, 0, -1, -1, -1], [0, 0, -1, -1, -1],
+           [0, 1, 1, -1, -1], [1, 0, -1, 2, 2], [0, 1, -2, -1, -1], [-1, 0, -1, -1, -1]]
+    for row in data.draw(st.lists(st.sampled_from(bad), min_size=1, max_size=3)):
+        rows.insert(data.draw(st.integers(0, len(rows))), row)
+    first = next(row for row in rows if row in bad)
     with pytest.raises((InvalidSize, UnknownNode)) as want:
-        d_separated(g, first)
+        _scalar_row(g, first)
     with pytest.raises(type(want.value)) as got:
-        d_separated_many(g, queries)
+        d_separated_many(g, np.array(rows))
     assert str(got.value) == str(want.value)
 
 
 def test_d_separated_many_of_no_queries():
-    assert d_separated_many(CHAIN, []).shape == (0,)
+    assert d_separated_many(CHAIN, ci_rows([])).shape == (0,)
+    assert d_separated_many(CHAIN, np.empty((0, 3), dtype=int)).shape == (0,)
+    with pytest.raises(InvalidSize):
+        d_separated_many(CHAIN, [0, 2])
 
 
 # --- directed paths -----------------------------------------------------------

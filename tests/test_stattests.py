@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import gamma as gamma_dist
 
-from causalpred.core import Dataset, Query, QueryKind, enumerate_queries
+from causalpred.core import Dataset, Query, QueryKind, ci_query_array, ci_rows, enumerate_queries
 from causalpred.errors import (
     CausalPredError,
     DegenerateInput,
@@ -97,8 +97,8 @@ def test_fisher_ties_count_as_rejection():
     out = fisher_z_from_corr(corr, 100, (0, 1), (), alpha=0.05)
     tied = fisher_z_from_corr(corr, 100, (0, 1), (), alpha=out.p_value)
     assert tied.value.value == 0
-    _, p = fisher_z_many(corr, 100, [Query.ci(0, 1)], 0.05)
-    assert fisher_z_many(corr, 100, [Query.ci(0, 1)], p[0])[0].tolist() == [0]
+    _, p = fisher_z_many(corr, 100, [[0, 1]], 0.05)
+    assert fisher_z_many(corr, 100, [[0, 1]], p[0])[0].tolist() == [0]
 
 
 def test_fisher_preconditions():
@@ -295,7 +295,7 @@ def _scalar_loop(corr, l, queries, alpha):
 
 def _batch(corr, l, queries, alpha):
     try:
-        labels, p = fisher_z_many(corr, l, queries, alpha)
+        labels, p = fisher_z_many(corr, l, ci_rows(queries), alpha)
     except CausalPredError as exc:
         return type(exc), str(exc)
     assert labels.shape == p.shape == (len(queries),)
@@ -369,11 +369,25 @@ def test_fisher_z_many_guards_at_the_boundary():
 def test_fisher_z_many_preconditions():
     corr = np.eye(4)
     with pytest.raises(InvalidSize):
-        fisher_z_many(corr, 100, [Query.ci(0, 1), Query.ci(0, 1, (2, 3))], 0.05)
+        fisher_z_many(corr, 100, ci_rows([Query.ci(0, 1), Query.ci(0, 1, (2, 3))]), 0.05)
+    with pytest.raises(InvalidSize):
+        fisher_z_many(corr, 100, [[0, 1, -1, 3]], 0.05)
+    with pytest.raises(InvalidSize):
+        fisher_z_many(corr, 100, [0, 1], 0.05)
     with pytest.raises(InvalidParams):
-        fisher_z_many(corr, 100, [Query.ci(0, 1)], 1.0)
-    labels, p = fisher_z_many(corr, 100, [], 0.05)
+        fisher_z_many(corr, 100, [[0, 1]], 1.0)
+    labels, p = fisher_z_many(corr, 100, ci_rows([]), 0.05)
     assert labels.shape == p.shape == (0,)
+
+
+def test_fisher_z_many_reads_padded_rows_as_the_narrow_ones():
+    corr = correlation_matrix(sample(gen_linear_scm(6, 1.5, 3), 500, 4).dataset)
+    rows = ci_query_array(6, (0, 1))
+    wide = np.concatenate([rows, np.full((len(rows), 2), -1)], axis=1)
+    want = fisher_z_many(corr, 500, rows, 0.05)
+    assert all(np.array_equal(g, w) for g, w in zip(fisher_z_many(corr, 500, wide, 0.05), want))
+    marginal = fisher_z_many(corr, 500, ci_query_array(6, [0]), 0.05)
+    assert np.array_equal(marginal[1], want[1][:15])
 
 
 def test_gamma_tail_equals_scipy_stats():
