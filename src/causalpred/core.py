@@ -345,19 +345,6 @@ def ci_rows(queries) -> np.ndarray:
     return out
 
 
-def cond_groups(rows):
-    """The distinct conditioning sets among CI rows, each sorted with its
-    padding first, and for each row the index of its set among them."""
-    cond = np.sort(rows[:, 2:], axis=1)
-    order = np.lexsort(cond.T[::-1]) if cond.shape[1] else np.arange(len(cond))
-    cond = cond[order]
-    first = np.ones(len(cond), dtype=bool)
-    first[1:] = (cond[1:] != cond[:-1]).any(axis=1)
-    group = np.empty(len(cond), dtype=np.intp)
-    group[order] = np.cumsum(first) - 1
-    return cond[first], group
-
-
 def sample_queries(universe, k, seed):
     """Draw k distinct queries uniformly without replacement."""
     if not 1 <= k <= len(universe):

@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
 # d_separated, empirical_error and fisher_z_from_corr stay bound here for
 # the benchmark's tracer
 from .bounds import ModelClassId, gap_binary, vc_upper_bound
-from .core import QueryKind, ci_query_array, ci_rows, cond_groups, empirical_error, enumerate_queries
+from .core import QueryKind, ci_query_array, ci_rows, empirical_error, enumerate_queries
 from .errors import InvalidParams, LengthMismatch, ParseError, TagMismatch
 from .learners import pc_fit, pc_oracle, polytree_from_anm
 from .models import (
-    d_connection_tables,
     d_separated,
     d_separated_many,
     q_anm_polytree,
@@ -160,13 +160,6 @@ def run_ci_experiment(cfg: ExperimentConfig):
         raise InvalidParams("config is not a ci experiment")
     records = []
     universe = ci_query_array(cfg.n, (0, 1))
-    conds, group = cond_groups(universe)
-
-    def separated_in(g):
-        """Labels of the universe's rows, gathered from g's tables."""
-        tables = d_connection_tables(g, conds)
-        return lambda rows: ~tables[group, rows[:, 0], rows[:, 1]]
-
     h = vc_upper_bound(ModelClassId.ALL_DAGS, cfg.n)
     for rep in range(cfg.repetitions):
         seed = cfg.seed + 1000 * rep
@@ -174,7 +167,7 @@ def run_ci_experiment(cfg: ExperimentConfig):
         truth = scm.dag()
         if cfg.oracle:
             cpdag, labels = pc_oracle(truth, cfg.max_cond)
-            tester = separated_in(truth)
+            tester = partial(d_separated_many, truth)
         else:
             data = sample(scm, cfg.l, seed + 1).dataset
             corr = correlation_matrix(data)
@@ -188,7 +181,7 @@ def run_ci_experiment(cfg: ExperimentConfig):
             d_separated_many(g, ci_rows([lq.query for lq in labels])),
             [lq.outcome.value.value for lq in labels],
         )
-        expected = expected_risk(separated_in(g), universe, tester)
+        expected = expected_risk(partial(d_separated_many, g), universe, tester)
         k_used = len(labels)
         records.append(
             RiskRecord(

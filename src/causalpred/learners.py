@@ -20,7 +20,7 @@ from .models import (
     PathModel,
     Polytree,
     _Pdag,
-    d_connection_tables,
+    d_connection_rows,
     d_separated,
     d_separated_many,
     forest_union,
@@ -120,14 +120,15 @@ def pc_fit(d, alpha, max_cond, *, corr=None):
 
 
 def pc_oracle(g, max_cond):
-    """PC driven by exact d-separation in a known graph (no data): one
-    d-connection table per conditioning set, built when PC first tests
-    given that set."""
+    """PC driven by exact d-separation in a known graph (no data): the
+    d-connection rows of every source given a conditioning set, built when
+    PC first tests given that set."""
+    sources = np.arange(g.n)
     tables = {}
 
     def ci_test(a, b, cond):
         if cond not in tables:
-            tables[cond] = d_connection_tables(g, [cond])[0]
+            tables[cond] = d_connection_rows(g, sources, [cond])
         return TestOutcome(binary(int(not tables[cond][a, b])), None, None)
 
     return pc_from_ci(g.n, ci_test, max_cond)

@@ -10,11 +10,11 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
-from .core import Query, QueryKind, cond_groups, load_json
+from .core import Query, QueryKind, ci_rows, load_json
 from .errors import (
     DegenerateInput,
     GraphError,
@@ -211,70 +211,68 @@ class PathModel:
 # --- predictors ---------------------------------------------------------------
 
 
-# Each table answers every query with one conditioning set: at most this
-# many (conditioning set, source, node) entries are held at once.
-_TABLE_ENTRIES = 1 << 20
+def d_connection_rows(g: Dag, sources, conds) -> np.ndarray:
+    """``connected[r, y]``: is y d-connected to ``sources[r]`` given the
+    conditioning set ``conds[r]``?  ``conds`` holds one set per source, or
+    one set for every source, padded with -1.
 
-
-def d_connection_tables(g: Dag, conds) -> np.ndarray:
-    """``connected[z, x, y]``: is y d-connected to x given the conditioning
-    set ``conds[z]``?  ``conds`` holds one set per row, padded with -1.
-
-    The Bayes-ball walk (Shachter, 1998) for every source at once: a node
-    is entered from a child ("up") or from a parent ("down").  Entered up,
-    a node outside z passes the trail to its parents (up) and children
+    The Bayes-ball walk (Shachter, 1998) as reachability among states: a
+    node is entered from a child ("up") or from a parent ("down").  Entered
+    up, a node outside z passes the trail to its parents (up) and children
     (down); entered down, a node outside z passes it to its children, and
     a node in z, an observed collider, back up to its parents.  A collider
     outside z with a descendant in z needs no rule of its own: the trail
-    runs down to that descendant and back up through it.  Both states are
-    boolean (set, source, node) arrays, stepped by a product with the
-    adjacency until nothing changes.  A node in z is connected to nothing;
-    a source outside z is connected to itself.
+    runs down to that descendant and back up through it.  Each row has its
+    own 2n states, and one breadth-first search runs from every row's
+    source, entered up, at once: a step takes the moves out of the states
+    the last step reached, costs O(rows * (n + e)), and there are as many
+    steps as the longest trail has.  A node in z is connected to nothing; a
+    source outside z is connected to itself.
     """
-    conds = np.asarray(conds, dtype=np.intp)
     n = g.n
-    if conds.ndim != 2:
-        raise InvalidSize("conditioning sets must be the rows of a 2-d array")
-    if conds.size and not (-1 <= conds.min() and conds.max() < n):
-        raise UnknownNode(int(conds.max() if conds.max() >= n else conds.min()))
-    step = max(1, _TABLE_ENTRIES // max(1, n * n))
-    if len(conds) > step:
-        return np.concatenate(
-            [d_connection_tables(g, conds[i : i + step]) for i in range(0, len(conds), step)]
-        )
-    k = len(conds)
-    in_z = np.zeros((k, n + 1), dtype=bool)
-    in_z[np.arange(k)[:, None], conds] = True  # padding marks column n
-    in_z = in_z[:, None, :n]
-    out_z = ~in_z
-    # float32 products count paths exactly (at most n), where uint8 wraps
-    down_step = np.zeros((n, n), dtype=np.float32)  # down_step[p, c]: edge p -> c
-    for a, b in g.edges:
-        down_step[a, b] = 1.0
-    up_step = down_step.T
-    up = np.broadcast_to(np.eye(n, dtype=bool), (k, n, n)).copy()
-    down = np.zeros((k, n, n), dtype=bool)
-    reached = k * n
-    while True:  # both states only grow, so a step that adds none is the last
-        send_up = ((up & out_z) | (down & in_z)).reshape(k * n, n).astype(np.float32)
-        send_down = ((up | down) & out_z).reshape(k * n, n).astype(np.float32)
-        up |= (send_up @ up_step > 0).reshape(k, n, n)
-        down |= (send_down @ down_step > 0).reshape(k, n, n)
-        now = np.count_nonzero(up) + np.count_nonzero(down)
-        if now == reached:
-            return (up | down) & out_z
-        reached = now
+    sources = np.asarray(sources, dtype=np.intp)
+    conds = np.asarray(conds, dtype=np.intp)
+    if sources.ndim != 1 or conds.ndim != 2 or len(conds) not in (1, len(sources)):
+        raise InvalidSize("need one source per row and one conditioning set per row or for all")
+    for nodes, low in ((sources, 0), (conds, -1)):
+        if nodes.size and not (low <= nodes.min() and nodes.max() < n):
+            raise UnknownNode(int(nodes.max() if nodes.max() >= n else nodes.min()))
+    m = len(sources)
+    in_z = np.zeros((m, n + 1), dtype=bool)
+    in_z[np.arange(m)[:, None], conds] = True  # padding marks column n
+    in_z = in_z[:, :n]
+    # Node v is state v entered up and n + v entered down.  Edge p -> c
+    # gives four moves: up c -> up p, up p -> down c and down p -> down c,
+    # taken while their gate node (c, p, p) is outside z, and down c -> up
+    # p, taken while c is in z.  Row r's states are 2nr ... 2nr + 2n - 1.
+    p, c = np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * len(g.edges)).reshape(-1, 2).T
+    gate = np.concatenate([c, p, p, c])
+    taken = in_z[:, gate] == np.repeat([False, False, False, True], len(p))
+    first = 2 * n * np.arange(m)[:, None]
+    tails = (first + np.concatenate([c, p, n + p, n + c]))[taken]
+    heads = (first + np.concatenate([p, n + c, n + c, p]))[taken]
+    reached = np.zeros(2 * n * m, dtype=bool)
+    fresh = reached.copy()
+    fresh[first[:, 0] + sources] = True
+    while fresh.any():  # a step takes the moves out of the last step's states
+        reached |= fresh
+        step = heads[fresh[tails]]
+        fresh = np.zeros_like(reached)
+        fresh[step] = True
+        fresh &= ~reached
+    reached = reached.reshape(m, 2, n)
+    return (reached[:, 0] | reached[:, 1]) & ~in_z
 
 
 def _raise_first_bad_row(g: Dag, rows):
     """Raise what ``d_separated`` raises on the first row that names a node
     outside the graph or the same node twice; return if there is none."""
     n = g.n
-    members, cond = rows[:, :2], rows[:, 2:]
-    outside = ((members < 0) | (members >= n)).any(axis=1) | ((cond < -1) | (cond >= n)).any(axis=1)
-    ranked = np.sort(rows, axis=1)
-    twice = ((ranked[:, 1:] == ranked[:, :-1]) & (ranked[:, 1:] != -1)).any(axis=1)
-    bad = outside | twice
+    bad = np.zeros(len(rows), dtype=bool)
+    for j, node in enumerate(rows.T):  # column by column: rows are short
+        bad |= (node < (0 if j < 2 else -1)) | (node >= n)
+        for earlier in rows.T[:j]:
+            bad |= (earlier == node) & (node != -1)
     if bad.any():
         a, b, *cond = rows[int(np.argmax(bad))].tolist()
         q = Query.ci(a, b, [c for c in cond if c != -1])  # a node twice: InvalidSize
@@ -286,26 +284,31 @@ def d_separated_many(g: Dag, rows) -> np.ndarray:
     -1, as a 0/1 array in row order.
 
     A bad row raises what ``d_separated`` raises on its query, for the
-    first bad row.  One table per distinct conditioning set answers every
-    row that shares it.
+    first bad row.  Rows that agree but for b share one row of
+    ``d_connection_rows``.
     """
     rows = np.asarray(rows, dtype=np.intp)
     if rows.ndim != 2 or rows.shape[1] < 2:
         raise InvalidSize("CI query rows must be a 2-d array of width at least 2")
     _raise_first_bad_row(g, rows)
-    conds, group = cond_groups(rows)
-    connected = d_connection_tables(g, conds)[group, rows[:, 0], rows[:, 1]]
-    return (~connected).astype(np.int64)
+    walks = np.delete(rows, 1, axis=1)  # a, c1, ..., cs
+    order = np.lexsort(walks.T)
+    walks = walks[order]
+    new = np.ones(len(walks), dtype=bool)
+    new[1:] = (walks[1:] != walks[:-1]).any(axis=1)
+    walk = np.empty(len(walks), dtype=np.intp)
+    walk[order] = np.cumsum(new) - 1
+    walks = walks[new]
+    connected = d_connection_rows(g, walks[:, 0], walks[:, 1:])
+    return (~connected[walk, rows[:, 1]]).astype(np.int64)
 
 
 def d_separated(g: Dag, q: Query) -> int:
-    """1 iff the query pair is d-separated given the conditioning set, read
-    from the table of that one set."""
+    """1 iff the query pair is d-separated given the conditioning set: the
+    one-row ``d_separated_many``."""
     if q.kind != QueryKind.COND_INDEP:
         raise InvalidSize("d-separation takes conditional-independence queries")
-    _check_nodes(g.n, *q.members, *q.cond)
-    a, b = q.members
-    return int(not d_connection_tables(g, [q.cond])[0, a, b])
+    return int(d_separated_many(g, ci_rows([q]))[0])
 
 
 def q_dirpath(g: Dag, q: Query) -> int:

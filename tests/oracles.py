@@ -103,8 +103,8 @@ def moral_d_separated(g: Dag, x, y, z):
 
 def d_connected(g: Dag, x, z) -> set:
     """Every node d-connected to x given z: one Bayes-ball pass (Shachter,
-    1998) over per-node sets, the walk ``models.d_connection_tables`` runs
-    for every source and conditioning set at once.
+    1998) over per-node sets, the walk that ``models.d_connection_rows``
+    runs as one breadth-first search over the states of many rows.
 
     Entered from a child, a node outside z passes the trail on to its
     parents and children.  Entered from a parent, a node outside z passes

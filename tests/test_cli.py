@@ -358,6 +358,16 @@ def test_predict_path_model(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["value"] == 1
 
 
+def test_predict_ci_on_a_long_path_model(tmp_path, capsys):
+    # the implied chain's trail crosses every node
+    n = 3000
+    path = tmp_path / "p.json"
+    save_model(PathModel(range(n), [0.5] * (n - 1)), path)
+    for query, separated in ((f"ci:0,{n - 1}", 0), (f"ci:0,{n - 1}|{n // 2}", 1)):
+        assert cli.main(["predict", "--model", str(path), "--query", query]) == 0
+        assert json.loads(capsys.readouterr().out) == {"value": separated, "tag": "binary"}
+
+
 def test_predict_unsupported_query_exit_code(tmp_path, capsys):
     path = tmp_path / "p.json"
     save_model(PathModel((0, 1), (0.5,)), path)

@@ -13,7 +13,6 @@ from causalpred.core import (
     binary,
     ci_query_array,
     ci_rows,
-    cond_groups,
     empirical_error,
     enumerate_queries,
     load_dataset,
@@ -411,17 +410,6 @@ def test_ci_rows_pad_and_refuse_other_kinds():
     assert ci_rows([]).shape == (0, 2)
     with pytest.raises(InvalidSize):
         ci_rows([Query.ci(0, 1), Query.ordered_pair(0, 1)])
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.lists(st.integers(-1, 5), min_size=4, max_size=4), max_size=30))
-def test_cond_groups_index_the_distinct_sorted_sets(rows):
-    rows = np.array(rows, dtype=np.intp).reshape(len(rows), 4)
-    conds, group = cond_groups(rows)
-    keys = [tuple(sorted(r[2:].tolist())) for r in rows]
-    assert [tuple(c) for c in conds.tolist()] == sorted(set(keys))
-    assert [tuple(conds[i].tolist()) for i in group] == keys
-    assert cond_groups(rows[:, :2])[0].shape == ((1, 0) if len(rows) else (0, 0))
 
 
 def test_sample_full_universe_is_permutation():

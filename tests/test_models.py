@@ -20,7 +20,7 @@ from causalpred.models import (
     PathModel,
     Polytree,
     cpdag_from_dag,
-    d_connection_tables,
+    d_connection_rows,
     d_separated,
     d_separated_many,
     forest_union,
@@ -203,6 +203,12 @@ def test_d_separated_many_matches_scalar_and_moral_oracle(case):
     assert got.shape == (len(queries),)
     assert got.tolist() == [d_separated(g, q) for q in queries]
     assert got.tolist() == [moral_d_separated(g, *q.members, set(q.cond)) for q in queries]
+    # the same sets in any order, padded anywhere
+    rows = np.pad(ci_rows(queries), ((0, 0), (0, 1)), constant_values=-1)
+    rng = np.random.default_rng(len(queries))
+    for row in rows:
+        row[2:] = rng.permutation(row[2:])
+    assert np.array_equal(d_separated_many(g, rows), got)
 
 
 @st.composite
@@ -219,11 +225,14 @@ def _graph_and_conditioning_sets(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_graph_and_conditioning_sets())
-def test_d_connection_tables_match_bayes_ball_and_moral_oracle(case):
+def test_d_connection_rows_match_bayes_ball_and_moral_oracle(case):
     g, sets, rows = case
-    tables = d_connection_tables(g, rows)
-    assert tables.shape == (len(sets), g.n, g.n) and tables.dtype == bool
-    for table, z in zip(tables, sets):
+    sources = np.tile(np.arange(g.n), len(sets))
+    connected = d_connection_rows(g, sources, np.repeat(rows, g.n, axis=0))
+    assert connected.shape == (len(sets) * g.n, g.n) and connected.dtype == bool
+    for i, z in enumerate(sets):
+        table = connected[i * g.n : (i + 1) * g.n]
+        assert np.array_equal(d_connection_rows(g, np.arange(g.n), rows[i : i + 1]), table)
         for x in range(g.n):
             assert set(np.flatnonzero(table[x]).tolist()) == (d_connected(g, x, z) - set(z))
             for y in range(g.n):
@@ -231,23 +240,39 @@ def test_d_connection_tables_match_bayes_ball_and_moral_oracle(case):
                     assert table[x, y] != moral_d_separated(g, x, y, set(z)), (sorted(g.edges), x, y, z)
 
 
-def test_d_connection_tables_refuse_nodes_outside_the_graph():
+def test_d_connection_rows_refuse_bad_shapes_and_nodes():
     with pytest.raises(UnknownNode):
-        d_connection_tables(CHAIN, [[3]])
+        d_connection_rows(CHAIN, [0], [[3]])
     with pytest.raises(UnknownNode):
-        d_connection_tables(CHAIN, [[0, -2]])
+        d_connection_rows(CHAIN, [0], [[0, -2]])
+    with pytest.raises(UnknownNode):
+        d_connection_rows(CHAIN, [3], [[-1]])
+    with pytest.raises(UnknownNode):
+        d_connection_rows(CHAIN, [-1], [[]])
     with pytest.raises(InvalidSize):
-        d_connection_tables(CHAIN, [0, 1])
+        d_connection_rows(CHAIN, [0, 1], [0, 1])
+    with pytest.raises(InvalidSize):
+        d_connection_rows(CHAIN, [0, 1, 2], [[0], [1]])
+    assert d_connection_rows(CHAIN, [], [[]]).shape == (0, 3)
+    assert d_connection_rows(Dag(0, []), [], np.empty((0, 2), dtype=int)).shape == (0, 0)
 
 
-def test_d_connection_tables_split_a_large_batch(monkeypatch):
-    from causalpred import models
-
-    g = random_dag(7, 3)
-    rows = np.array([[-1, -1]] + [[v, -1] for v in range(7)] + [[0, 5], [2, 6]])
-    whole = d_connection_tables(g, rows)
-    monkeypatch.setattr(models, "_TABLE_ENTRIES", 2 * 7 * 7)
-    assert np.array_equal(d_connection_tables(g, rows), whole)
+def test_d_separation_on_long_chains_and_wide_graphs():
+    # a trail that crosses thousands of nodes, as `predict ci:` asks of the
+    # chain a path model implies; the work grows with nodes plus edges
+    n = 4000
+    chain = Dag(n, [(v, v + 1) for v in range(n - 1)])
+    assert d_separated(chain, Query.ci(0, n - 1, ())) == 0
+    assert d_separated(chain, Query.ci(0, n - 1, (n // 2,))) == 1
+    assert d_separated(chain, Query.ci(n - 1, 0, (1, n - 2))) == 1
+    collider = Dag(n, [(0, 1), (n - 1, 1)] + [(v, v + 1) for v in range(1, n - 2)])
+    assert d_separated(collider, Query.ci(0, n - 1, ())) == 1
+    assert d_separated(collider, Query.ci(0, n - 1, (n - 2,))) == 0  # a descendant opens it
+    g = random_dag(300, 5, p=0.01)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        x, y, *z = rng.choice(300, 4, replace=False).tolist()
+        assert d_separated(g, Query.ci(x, y, z)) == moral_d_separated(g, x, y, set(z))
 
 
 @settings(max_examples=100, deadline=None)
