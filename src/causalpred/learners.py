@@ -63,11 +63,14 @@ def pc_from_ci(n, ci_test, max_cond):
     sepset = {}
     log = {}
 
+    # keyed by (a, b, cond): PC passes a < b and cond drawn from sorted
+    # candidates, the canonical order of Query.ci, so no Query is built
+    # for a test that was already run
     def run_test(a, b, cond):
-        q = Query.ci(a, b, cond)
-        if q not in log:
-            log[q] = LabeledQuery(q, ci_test(a, b, tuple(cond)))
-        return log[q].outcome.value.value
+        key = (a, b, cond)
+        if key not in log:
+            log[key] = LabeledQuery(Query.ci(a, b, cond), ci_test(a, b, cond))
+        return log[key].outcome.value.value
 
     for level in range(max_cond + 1):
         removed = True

@@ -146,10 +146,6 @@ def is_polytree_edges(n, edges) -> bool:
     return all(union(a, b) for a, b in edges)
 
 
-def is_polytree(g: Dag) -> int:
-    return int(is_polytree_edges(g.n, g.edges))
-
-
 @dataclass(frozen=True)
 class Cpdag:
     """Partially directed graph as produced by the PC algorithm."""

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import pdist
 from scipy.special import erfc, gammaincc
 
@@ -19,8 +20,10 @@ from .errors import DegenerateInput, InvalidParams, InvalidSize, ZeroCorrelation
 
 VAR_EPS = 1e-12
 DEFAULT_RIDGE_SCALE = 1e-3  # ridge = scale * sample count
-# anm_test holds about four dense m x m float arrays at once (8 bytes per
-# entry): 0.8 GB at this many rows
+# anm_test holds at most four dense m x m float arrays at once (8 bytes per
+# entry): the last source's centred Gram and ridge factor, which serve all
+# of its consecutive tests, the target's centred Gram and one product;
+# 0.8 GB at this many rows
 MAX_ANM_ROWS = 5000
 
 
@@ -179,10 +182,11 @@ def sign_estimate(d, q: Query) -> TestOutcome:
 
 # --- kernel machinery ---------------------------------------------------------
 #
-# Every step below is O(m^2) in the sample count m apart from the ridge
-# solve: a test builds each column's bandwidth and Gram once and hands the
-# Grams to the private helpers, and centring subtracts row and column
-# means, so no m x m centring matrix is built or multiplied.
+# Every step below is O(m^2) in the sample count m apart from the
+# Cholesky factorisation of the ridge system: a test builds each column's
+# bandwidth and Gram once and hands the Grams to the private helpers, and
+# centring subtracts row and column means, so no m x m centring matrix is
+# built or multiplied.
 
 
 def median_bandwidth(x) -> float:
@@ -214,13 +218,13 @@ def _median(a):
     return (a[:mid].max() + a[mid]) / 2
 
 
-def _gram(x, out=None):
-    """Gaussian Gram matrix of a column at its median-heuristic bandwidth,
-    written into ``out`` when one is given."""
+def _gram(x):
+    """Gaussian Gram matrix of a column at its median-heuristic bandwidth;
+    the bandwidth's distances are freed before the Gram is allocated."""
     x = np.asarray(x, dtype=float).reshape(-1)
     bandwidth = median_bandwidth(x)
     with np.errstate(over="ignore"):  # a distance that overflows has kernel value 0
-        k = np.subtract.outer(x, x, out=out)
+        k = np.subtract.outer(x, x)
         np.square(k, out=k)
     np.divide(k, -(2.0 * bandwidth**2), out=k)
     return np.exp(k, out=k)
@@ -242,9 +246,9 @@ def _centre(k):
     return k
 
 
-def _centred_gram(x, out=None):
+def _centred_gram(x):
     """Centred Gram of a column and the off-diagonal mean of its Gram."""
-    k = _gram(x, out)
+    k = _gram(x)
     mu = _off_diagonal_mean(k)
     return _centre(k), mu
 
@@ -292,15 +296,37 @@ def _permutation_p_value(stat, kc, lc, n_permutations, seed) -> float:
     return (count + 1.0) / (n_permutations + 1.0)
 
 
-def _ridge_residuals(k, y, ridge_scale, out=None):
-    """Residuals of y after kernel ridge regression on the Gram ``k``;
-    the regularised Gram is written into ``out`` when one is given."""
+def _ridge_factor(x, k, ridge_scale):
+    """The system of a kernel ridge regression on the column ``x`` with
+    Gram ``k``: the Cholesky factor of K + lam I, lam = ``ridge_scale * m``,
+    written over ``k``, then lam and the groups of equal x values.
+
+    ``k.T`` is passed because a C-ordered array would be copied before an
+    in-place factorisation; K is symmetric."""
+    if not ridge_scale > 0:
+        raise InvalidParams(f"ridge_scale {ridge_scale} must be positive")
     m = k.shape[0]
+    lam = ridge_scale * m
+    k.flat[:: m + 1] += lam
+    factor = cho_factor(k.T, lower=True, overwrite_a=True, check_finite=False)
+    _, ties, sizes = np.unique(x, return_inverse=True, return_counts=True)
+    return factor, lam, ties, sizes
+
+
+def _fit_residuals(ridge, y):
+    """Residuals of y after the kernel ridge regression whose system is
+    ``ridge``.
+
+    Since (K + lam I) a = y_c, the fitted values K a are y_c - lam * a, so
+    no K is kept.  Rows of K with equal x are equal, and so are their
+    fitted values; each group's are averaged, since rounding would
+    otherwise split the residuals of equal (x, y) points, and a tiny
+    squared distance where there was 0 moves the residual's median
+    bandwidth."""
+    factor, lam, ties, sizes = ridge
     yc = y - y.mean()
-    a = np.empty_like(k) if out is None else out
-    np.copyto(a, k)
-    a.flat[:: m + 1] += ridge_scale * m
-    return yc - k @ np.linalg.solve(a, yc)
+    fitted = yc - lam * cho_solve(factor, yc, check_finite=False)
+    return yc - (np.bincount(ties, fitted) / sizes)[ties]
 
 
 def _column_pair(x, y):
@@ -349,7 +375,33 @@ def kernel_regress(x, y, ridge_scale=DEFAULT_RIDGE_SCALE):
     """
     x, y = _column_pair(x, y)
     _check_nonconstant(x)
-    return _ridge_residuals(_gram(x), y, ridge_scale)
+    return _fit_residuals(_ridge_factor(x, _gram(x), ridge_scale), y)
+
+
+# the last source anm_test saw: (its column, ridge_scale, _anm_source state)
+_last_source = None
+
+
+def _anm_source(x, ridge_scale):
+    """A source column's centred Gram, the off-diagonal mean of its Gram
+    and its ``_ridge_factor``.
+
+    Only the last source is remembered, keyed by the column's values and
+    ``ridge_scale``, so a universe enumerated source by source builds each
+    source's state once, and only one source's two m x m arrays are live.
+    The previous entry is dropped before the next is built, also when
+    building it fails."""
+    global _last_source
+    last = _last_source
+    if last is not None and last[1] == ridge_scale and np.array_equal(last[0], x):
+        return last[2]
+    _last_source = last = None
+    k = _gram(x)
+    mu = _off_diagonal_mean(k)
+    kc = _centre(k.copy())
+    state = kc, mu, _ridge_factor(x, k, ridge_scale)
+    _last_source = (x.copy(), ridge_scale, state)
+    return state
 
 
 def anm_test(d, q: Query, alpha, ridge_scale=DEFAULT_RIDGE_SCALE) -> TestOutcome:
@@ -357,10 +409,14 @@ def anm_test(d, q: Query, alpha, ridge_scale=DEFAULT_RIDGE_SCALE) -> TestOutcome
 
     Value 1 iff the pair is marginally dependent and the residual of the
     target after regressing on the source is independent of the source.
-    The reported p-value is the residual-independence p-value.  The
-    source's Gram serves the marginal test, the regression and the
-    residual test; the target's, the regularised and the residual's Gram
-    share one buffer.
+    The reported p-value is the residual-independence p-value.
+
+    The source's centred Gram serves the marginal test and the residual
+    test, and the Cholesky factor of its regularised Gram the regression;
+    both are built once for consecutive tests from the same source (see
+    ``_anm_source``).  At most four m x m arrays are live: the source's
+    two, the target's or the residual's centred Gram and the product
+    inside the HSIC moments.
     """
     if q.kind != QueryKind.ORDERED_PAIR:
         raise InvalidSize("anm_test takes ordered pairs")
@@ -375,13 +431,10 @@ def anm_test(d, q: Query, alpha, ridge_scale=DEFAULT_RIDGE_SCALE) -> TestOutcome
             f"({4 * 8 * m * m / 1e9:.1f} GB); the limit is {MAX_ANM_ROWS} rows"
         )
     _check_nonconstant(x, y)
-    k = _gram(x)
-    mu_x = _off_diagonal_mean(k)
-    kc = _centre(k.copy())
-    buf = np.empty_like(k)
-    marginal_p = _gamma_p_value(*_hsic_moments(kc, mu_x, *_centred_gram(y, buf)), m)
-    residuals = _ridge_residuals(k, y, ridge_scale, buf)
+    kc, mu_x, ridge = _anm_source(x, ridge_scale)
+    marginal_p = _gamma_p_value(*_hsic_moments(kc, mu_x, *_centred_gram(y)), m)
+    residuals = _fit_residuals(ridge, y)
     _check_nonconstant(residuals)
-    resid_p = _gamma_p_value(*_hsic_moments(kc, mu_x, *_centred_gram(residuals, buf)), m)
+    resid_p = _gamma_p_value(*_hsic_moments(kc, mu_x, *_centred_gram(residuals)), m)
     accepted = marginal_p <= alpha and resid_p > alpha
     return TestOutcome(binary(1 if accepted else 0), resid_p, alpha)

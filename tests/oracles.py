@@ -35,6 +35,7 @@ from causalpred.learners import pc_fit, pc_oracle, polytree_from_anm
 from causalpred.models import (
     Cpdag,
     Dag,
+    is_polytree_edges,
     q_anm_polytree,
     random_dag_from_cpdag,
     v_structures,
@@ -56,6 +57,10 @@ def scan_parents(g: Dag, v):
 
 def scan_children(g: Dag, v):
     return {b for a, b in g.edges if a == v}
+
+
+def is_polytree(g: Dag) -> int:
+    return int(is_polytree_edges(g.n, g.edges))
 
 
 def moral_d_separated(g: Dag, x, y, z):
@@ -255,7 +260,13 @@ def ref_kernel_regress(x, y, ridge_scale=DEFAULT_RIDGE_SCALE):
     lam = ridge_scale * x.size
     yc = y - y.mean()
     alpha_vec = np.linalg.solve(k + lam * np.eye(x.size), yc)
-    return yc - k @ alpha_vec
+    # the fitted function is evaluated once at each distinct x, so points
+    # with equal (x, y) have equal residuals: in k @ alpha_vec, BLAS may
+    # round two equal rows of k apart, and a residual squared distance
+    # of about 3e-27 where there was 0 moves the median bandwidth of the
+    # residual test in ref_anm_test
+    _, first, inverse = np.unique(x, return_index=True, return_inverse=True)
+    return yc - (k[first] @ alpha_vec)[inverse]
 
 
 def ref_anm_test(x, y, alpha, ridge_scale=DEFAULT_RIDGE_SCALE):

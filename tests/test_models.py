@@ -25,7 +25,6 @@ from causalpred.models import (
     d_separated_many,
     forest_union,
     glue_gaussian_chain,
-    is_polytree,
     load_model,
     markov_equivalent,
     model_from_json,
@@ -42,6 +41,7 @@ from causalpred.models import (
 from oracles import (
     closure_has_path,
     d_connected,
+    is_polytree,
     moral_d_separated,
     random_dag,
     ref_ancestors,

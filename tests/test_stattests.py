@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from itertools import combinations
 
@@ -15,6 +16,7 @@ from causalpred.errors import (
     InvalidSize,
     ZeroCorrelation,
 )
+from causalpred import stattests
 from causalpred.stattests import (
     TestOutcome,
     _gamma_p_value,
@@ -31,7 +33,7 @@ from causalpred.stattests import (
     partial_correlation,
     sign_estimate,
 )
-from causalpred.synthgen import gen_gam_chain, gen_linear_scm, sample
+from causalpred.synthgen import gen_gam_chain, gen_gam_scm, gen_linear_scm, sample
 from oracles import (
     ref_anm_test,
     ref_fisher_z_from_corr,
@@ -577,6 +579,18 @@ def test_kernel_regress_null_fit_keeps_variance():
     assert abs(np.var(resid) / np.var(y) - 1.0) < 0.1
 
 
+def test_ridge_scale_must_be_positive():
+    # the ridge system is solved by a Cholesky factorisation, which needs
+    # K + lam I positive definite
+    rng = np.random.default_rng(20)
+    x, y = rng.standard_normal(30), rng.standard_normal(30)
+    for ridge in (0.0, -1e-3, float("nan")):
+        with pytest.raises(InvalidParams):
+            kernel_regress(x, y, ridge)
+        with pytest.raises(InvalidParams):
+            anm_test(_dataset(x, y), Query.ordered_pair(0, 1), 0.05, ridge)
+
+
 # --- additive-noise test ------------------------------------------------------
 
 
@@ -695,6 +709,29 @@ def test_anm_matches_reference_on_gam_chain():
         assert abs(out.p_value - p) <= 1e-10
 
 
+def test_anm_source_state_follows_the_column_values_and_the_ridge():
+    # anm_test remembers the last source's Gram and ridge factor: sources
+    # interleave, two datasets share column ids and two ridges differ, and
+    # every outcome must still be the reference's
+    first = sample(gen_gam_chain(3, seed=5), 200, seed=105).dataset
+    second = sample(gen_gam_chain(3, seed=6), 200, seed=106).dataset
+    calls = [
+        (first, 0, 1, 1e-3),
+        (first, 1, 0, 1e-3),
+        (first, 0, 2, 1e-3),
+        (first, 0, 2, 0.1),
+        (first, 0, 1, 1e-3),
+        (second, 0, 1, 1e-3),
+        (second, 0, 1, 0.1),
+        (first, 0, 1, 0.1),
+    ]
+    for d, s, t, ridge in calls:
+        out = anm_test(d, Query.ordered_pair(s, t), 0.05, ridge)
+        value, p = ref_anm_test(d.column(s), d.column(t), 0.05, ridge)
+        assert out.value.value == value
+        assert abs(out.p_value - p) <= 1e-10
+
+
 def _error(fn, *args):
     with pytest.raises(CausalPredError) as info:
         fn(*args)
@@ -767,3 +804,41 @@ def test_anm_errors_unchanged_and_in_order():
         DegenerateInput,
         "constant column",
     )
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_a_refused_source_leaves_no_remembered_state():
+    rng = np.random.default_rng(19)
+    x = rng.uniform(-1, 1, 20)
+    y = np.sin(3 * x) + 0.1 * rng.standard_normal(20)
+    d = _dataset(x, y, OVERFLOW)
+    anm_test(d, Query.ordered_pair(0, 1), 0.05)
+    for _ in range(2):
+        assert _error(anm_test, d, Query.ordered_pair(2, 1), 0.05) == OVERFLOW_ERROR
+        assert stattests._last_source is None
+    for s, t in ((0, 1), (1, 0), (0, 1)):
+        out = anm_test(d, Query.ordered_pair(s, t), 0.05)
+        value, p = ref_anm_test(d.column(s), d.column(t), 0.05)
+        assert out.value.value == value
+        assert abs(out.p_value - p) <= 1e-10
+
+
+def test_anm_universe_holds_at_most_four_grams():
+    # the source's centred Gram and ridge factor, the target's centred Gram
+    # and one product, plus a few m-vectors; a fifth m x m array would add
+    # 3.5 % to the peak RSS of the anm_polytree benchmark, and taking a
+    # bandwidth (about 1.06 arrays of distances and mask) while three
+    # arrays are live adds about 40 m-vectors
+    m = 600
+    d = sample(gen_gam_scm(10, 1.5, 3), m, seed=4).dataset
+    universe = enumerate_queries(10, QueryKind.ORDERED_PAIR)
+    # one small test first, so that no first-call set-up is traced
+    anm_test(sample(gen_gam_chain(2, seed=1), 40, seed=2).dataset, Query.ordered_pair(0, 1), 0.05)
+    tracemalloc.start()
+    try:
+        for q in universe:
+            anm_test(d, q, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * m * m + 16 * 8 * m
