@@ -380,13 +380,6 @@ def v_structures(g: Dag):
     return out
 
 
-def markov_equivalent(g1: Dag, g2: Dag) -> int:
-    """Same skeleton and same unshielded colliders."""
-    if g1.n != g2.n:
-        raise InvalidSize("graphs must share the node set")
-    return int(g1.skeleton() == g2.skeleton() and v_structures(g1) == v_structures(g2))
-
-
 class _Pdag:
     """Mutable partially directed graph used during orientation.
 
@@ -560,9 +553,12 @@ def _json_int(v, what):
 def model_from_json(obj):
     """A model from its JSON object.  An unknown ``type``, or an ``n`` or
     node id that is not a JSON integer, is a ParseError; a negative ``n`` is
-    an InvalidSize."""
+    an InvalidSize.
+
+    A truth file of ``synthgen.save_truth`` reads as its graph: a ``linear``
+    SCM as a Dag and a ``gam`` SCM, whose graph is a forest, as a Polytree."""
     kind = obj.get("type", "dag")
-    if kind not in ("path", "cpdag", "polytree", "dag"):
+    if kind not in ("path", "cpdag", "polytree", "dag", "linear", "gam"):
         raise ParseError(f"unknown model type {kind!r}")
     if kind == "path":
         return PathModel([_json_int(v, "node id") for v in obj["order"]], obj["r"])
@@ -575,7 +571,8 @@ def model_from_json(obj):
 
     if kind == "cpdag":
         return Cpdag(n, edges("directed"), edges("undirected"))
-    return (Polytree if kind == "polytree" else Dag)(n, edges("directed"))
+    key = "edges" if kind in ("linear", "gam") else "directed"
+    return (Polytree if kind in ("polytree", "gam") else Dag)(n, edges(key))
 
 
 def save_model(model, path):

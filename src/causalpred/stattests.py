@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dger
 from scipy.spatial.distance import pdist
 from scipy.special import erfc, gammaincc
 
@@ -20,10 +21,11 @@ from .errors import DegenerateInput, InvalidParams, InvalidSize, ZeroCorrelation
 
 VAR_EPS = 1e-12
 DEFAULT_RIDGE_SCALE = 1e-3  # ridge = scale * sample count
-# anm_test holds at most four dense m x m float arrays at once (8 bytes per
-# entry): the last source's centred Gram and ridge factor, which serve all
-# of its consecutive tests, the target's centred Gram and one product;
-# 0.8 GB at this many rows
+# anm_test computes in a workspace of three dense m x m float arrays (8
+# bytes per entry), which stay allocated after it returns until m changes:
+# the last source's centred Gram and ridge factor, which serve all of its
+# consecutive tests, and the target's centred Gram, which the HSIC product
+# overwrites; 8.6 MB at m = 600 and 0.6 GB at this many rows
 MAX_ANM_ROWS = 5000
 
 
@@ -186,45 +188,68 @@ def sign_estimate(d, q: Query) -> TestOutcome:
 # Cholesky factorisation of the ridge system: a test builds each column's
 # bandwidth and Gram once and hands the Grams to the private helpers, and
 # centring subtracts row and column means, so no m x m centring matrix is
-# built or multiplied.
+# built or multiplied.  Each m x m step writes into a given array: a fresh
+# one for the HSIC functions, the workspace of ``anm_test``.  No step
+# broadcasts a vector over a matrix, since numpy allocates a ufunc buffer
+# of about 64 KB for that; ``_add_outer`` does those steps instead.
 
 
-def median_bandwidth(x) -> float:
+def _add_outer(k, alpha, a, b):
+    """k[i, j] += alpha * a[i] * b[j], in place, by one BLAS rank-one update
+    of ``k.T``, which is in column order for a C-ordered ``k``.  With
+    alpha = +-1 and ``a`` or ``b`` all ones every product is exact, so each
+    entry is rounded as in the broadcast ``k + alpha * a[:, None]`` (or
+    ``b[None, :]``)."""
+    return dger(alpha, b, a, a=k.T, overwrite_a=True).T
+
+
+def median_bandwidth(x, out=None) -> float:
     """Median heuristic: sqrt(median of positive squared distances / 2).
 
-    Only the pairs i < j are read: the full distance matrix holds each
+    Only the pairs i < j are read, written into the front of ``out``, an
+    m x m array, when one is given: the full distance matrix holds each
     positive distance twice and zeros elsewhere, so the median of its
     positive entries is the same number, unless averaging two equal middle
     values above half the largest double overflows there."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    d2 = pdist(x[:, None], "sqeuclidean")
-    pos = d2[d2 > 0]
-    if pos.size == 0:
+    size = x.size * (x.size - 1) // 2
+    d2 = pdist(x[:, None], "sqeuclidean", out=None if out is None else out.reshape(-1)[:size])
+    positives = np.count_nonzero(d2)
+    if positives == 0:
         raise DegenerateInput("all points identical")
-    median = _median(pos)
+    median = _median(d2, size - positives)
     if not np.isfinite(median):
         raise DegenerateInput("squared distances between points overflow; rescale the column")
     return float(np.sqrt(0.5 * median))
 
 
-def _median(a):
-    """``np.median(a)``, reordering ``a``: one partition around the upper
-    middle, where numpy partitions around both middles of an even count,
-    which takes several times longer."""
-    mid = a.size // 2
+def _median(a, zeros):
+    """The median of the entries of ``a`` above its ``zeros`` smallest,
+    which are 0, reordering ``a`` in place: the zeros order first, so the
+    order statistics of the rest are those of ``a[a > 0]``.  One partition
+    around the upper middle, where numpy partitions around both middles of
+    an even count, which takes several times longer."""
+    count = a.size - zeros
+    mid = zeros + count // 2
     a.partition(mid)
-    if a.size % 2:
+    if count % 2:
         return a[mid]
     return (a[:mid].max() + a[mid]) / 2
 
 
-def _gram(x):
-    """Gaussian Gram matrix of a column at its median-heuristic bandwidth;
-    the bandwidth's distances are freed before the Gram is allocated."""
+def _gram(x, out=None):
+    """Gaussian Gram matrix of a column at its median-heuristic bandwidth,
+    written into ``out`` (a fresh array without one), which holds the
+    bandwidth's distances first.  The differences x_i - x_j are rounded as
+    in ``np.subtract.outer(x, x)``: 0 + x_i is exact."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    bandwidth = median_bandwidth(x)
+    k = np.empty((x.size, x.size)) if out is None else out
+    bandwidth = median_bandwidth(x, k)
+    ones = np.ones_like(x)
+    k.fill(0.0)
+    k = _add_outer(k, 1.0, x, ones)
+    k = _add_outer(k, -1.0, ones, x)
     with np.errstate(over="ignore"):  # a distance that overflows has kernel value 0
-        k = np.subtract.outer(x, x)
         np.square(k, out=k)
     np.divide(k, -(2.0 * bandwidth**2), out=k)
     return np.exp(k, out=k)
@@ -238,28 +263,32 @@ def _off_diagonal_mean(k):
 def _centre(k):
     """Turn a Gram K into H K H (H = I - 1/m) in place, by subtracting its
     row and column means and adding its grand mean; a Gram is symmetric,
-    so its row and column means agree."""
+    so its row and column means agree.  Every entry is rounded as in
+    ``k - mu[:, None] - mu[None, :] + mu.mean()``."""
     mu = k.mean(axis=0)
-    k -= mu[:, None]
-    k -= mu[None, :]
+    ones = np.ones_like(mu)
+    k = _add_outer(k, -1.0, mu, ones)
+    k = _add_outer(k, -1.0, ones, mu)
     k += mu.mean()
     return k
 
 
-def _centred_gram(x):
-    """Centred Gram of a column and the off-diagonal mean of its Gram."""
-    k = _gram(x)
+def _centred_gram(x, out=None):
+    """Centred Gram of a column, written into ``out`` as ``_gram`` does, and
+    the off-diagonal mean of its Gram."""
+    k = _gram(x, out)
     mu = _off_diagonal_mean(k)
     return _centre(k), mu
 
 
-def _hsic_moments(kc, mu_x, lc, mu_y):
+def _hsic_moments(kc, mu_x, lc, mu_y, out=None):
     """Biased HSIC V-statistic times m from two centred Grams, plus the
     mean and variance of HSIC under independence for the gamma
     approximation; ``mu_x`` and ``mu_y`` are the off-diagonal means of the
-    uncentred Grams."""
+    uncentred Grams.  The product of the Grams is written into ``out``, a
+    fresh array without one; ``out`` may be ``lc``."""
     m = kc.shape[0]
-    prod = kc * lc
+    prod = np.multiply(kc, lc, out=out)
     stat = float(prod.sum()) / m
 
     prod /= 6.0
@@ -285,13 +314,19 @@ def _gamma_p_value(stat, mean_hsic, var_hsic, m) -> float:
 def _permutation_p_value(stat, kc, lc, n_permutations, seed) -> float:
     """Permuting y permutes the rows and columns of its Gram, centred or
     not, and leaves its bandwidth unchanged, so each draw only re-indexes
-    the centred Gram; the draws are those of ``rng.permutation(y)``."""
+    the centred Gram, into two arrays that serve every draw; the draws are
+    those of ``rng.permutation(y)``.  A permutation's indices are in range,
+    so ``mode="clip"`` changes none of them; it spares ``np.take`` the copy
+    of ``out`` it makes to check them."""
     m = kc.shape[0]
     rng = np.random.default_rng(seed)
+    rows, prod = np.empty_like(lc), np.empty_like(lc)
     count = 0
     for _ in range(n_permutations):
         p = rng.permutation(m)
-        if float(np.sum(kc * lc[np.ix_(p, p)])) / m >= stat:
+        np.take(lc, p, axis=0, out=rows, mode="clip")
+        np.take(rows, p, axis=1, out=prod, mode="clip")
+        if float(np.sum(np.multiply(kc, prod, out=prod))) / m >= stat:
             count += 1
     return (count + 1.0) / (n_permutations + 1.0)
 
@@ -325,8 +360,12 @@ def _fit_residuals(ridge, y):
     bandwidth."""
     factor, lam, ties, sizes = ridge
     yc = y - y.mean()
-    fitted = yc - lam * cho_solve(factor, yc, check_finite=False)
-    return yc - (np.bincount(ties, fitted) / sizes)[ties]
+    fitted = cho_solve(factor, yc, check_finite=False)
+    fitted *= lam
+    np.subtract(yc, fitted, out=fitted)
+    group_means = np.bincount(ties, fitted)
+    group_means /= sizes
+    return np.subtract(yc, np.take(group_means, ties, out=fitted, mode="clip"), out=yc)
 
 
 def _column_pair(x, y):
@@ -380,26 +419,39 @@ def kernel_regress(x, y, ridge_scale=DEFAULT_RIDGE_SCALE):
 
 # the last source anm_test saw: (its column, ridge_scale, _anm_source state)
 _last_source = None
+# anm_test's three m x m arrays for the last m it saw (see _anm_workspace)
+_workspace = None
 
 
-def _anm_source(x, ridge_scale):
+def _anm_workspace(m):
+    """The three m x m arrays ``anm_test`` computes in, allocated by the
+    first test on m rows.  A test on another m drops them, and the source
+    state held in them, before it allocates its own."""
+    global _workspace, _last_source
+    if _workspace is None or _workspace[0].shape[0] != m:
+        _workspace = _last_source = None
+        _workspace = tuple(np.empty((m, m)) for _ in range(3))
+    return _workspace
+
+
+def _anm_source(x, ridge_scale, workspace):
     """A source column's centred Gram, the off-diagonal mean of its Gram
-    and its ``_ridge_factor``.
+    and its ``_ridge_factor``, in the first two arrays of ``workspace``.
 
     Only the last source is remembered, keyed by the column's values and
     ``ridge_scale``, so a universe enumerated source by source builds each
-    source's state once, and only one source's two m x m arrays are live.
-    The previous entry is dropped before the next is built, also when
-    building it fails."""
+    source's state once.  The previous entry is dropped before the next is
+    built over it, also when building it fails."""
     global _last_source
     last = _last_source
     if last is not None and last[1] == ridge_scale and np.array_equal(last[0], x):
         return last[2]
     _last_source = last = None
-    k = _gram(x)
+    centred, k = workspace[:2]
+    k = _gram(x, k)
     mu = _off_diagonal_mean(k)
-    kc = _centre(k.copy())
-    state = kc, mu, _ridge_factor(x, k, ridge_scale)
+    np.copyto(centred, k)
+    state = _centre(centred), mu, _ridge_factor(x, k, ridge_scale)
     _last_source = (x.copy(), ridge_scale, state)
     return state
 
@@ -414,9 +466,13 @@ def anm_test(d, q: Query, alpha, ridge_scale=DEFAULT_RIDGE_SCALE) -> TestOutcome
     The source's centred Gram serves the marginal test and the residual
     test, and the Cholesky factor of its regularised Gram the regression;
     both are built once for consecutive tests from the same source (see
-    ``_anm_source``).  At most four m x m arrays are live: the source's
-    two, the target's or the residual's centred Gram and the product
-    inside the HSIC moments.
+    ``_anm_source``).  Every m x m array is one of a fixed workspace of
+    three (see ``_anm_workspace``): the source's two and the target's or
+    the residual's centred Gram, which the product inside the HSIC moments
+    overwrites, since no later step reads it.  They stay allocated after
+    the test returns, 3 * 8 * m^2 bytes: 8.6 MB at m = 600 and 0.6 GB at
+    ``MAX_ANM_ROWS``.  Two threads must not run it at once, since they
+    would share the workspace.
     """
     if q.kind != QueryKind.ORDERED_PAIR:
         raise InvalidSize("anm_test takes ordered pairs")
@@ -427,14 +483,16 @@ def anm_test(d, q: Query, alpha, ridge_scale=DEFAULT_RIDGE_SCALE) -> TestOutcome
     m = x.size
     if m > MAX_ANM_ROWS:
         raise InvalidSize(
-            f"anm_test on {m} rows would hold four dense {m} x {m} arrays "
-            f"({4 * 8 * m * m / 1e9:.1f} GB); the limit is {MAX_ANM_ROWS} rows"
+            f"anm_test on {m} rows would hold three dense {m} x {m} arrays "
+            f"({3 * 8 * m * m / 1e9:.1f} GB); the limit is {MAX_ANM_ROWS} rows"
         )
     _check_nonconstant(x, y)
-    kc, mu_x, ridge = _anm_source(x, ridge_scale)
-    marginal_p = _gamma_p_value(*_hsic_moments(kc, mu_x, *_centred_gram(y)), m)
+    workspace = _anm_workspace(m)
+    kc, mu_x, ridge = _anm_source(x, ridge_scale, workspace)
+    target = workspace[2]
+    marginal_p = _gamma_p_value(*_hsic_moments(kc, mu_x, *_centred_gram(y, target), target), m)
     residuals = _fit_residuals(ridge, y)
     _check_nonconstant(residuals)
-    resid_p = _gamma_p_value(*_hsic_moments(kc, mu_x, *_centred_gram(residuals)), m)
+    resid_p = _gamma_p_value(*_hsic_moments(kc, mu_x, *_centred_gram(residuals, target), target), m)
     accepted = marginal_p <= alpha and resid_p > alpha
     return TestOutcome(binary(1 if accepted else 0), resid_p, alpha)

@@ -191,19 +191,14 @@ def sample(scm, l, seed) -> ScmSample:
     return ScmSample(Dataset(x, tuple(range(n))), scm)
 
 
-def population_covariance(scm: LinearScm) -> np.ndarray:
-    """Exact covariance of the induced Gaussian: (I-A)^-1 (I-A)^-T."""
-    if not isinstance(scm, LinearScm):
-        raise InvalidSize("population covariance is defined for linear SCMs only")
-    b = np.linalg.inv(np.eye(scm.n) - scm.coeffs)
-    return b @ b.T
-
-
 def truth_to_json(scm) -> dict:
+    """An SCM as a JSON object, which ``models.model_from_json`` reads back
+    as the SCM's graph."""
     if isinstance(scm, LinearScm):
         dag = scm.dag()
         return {
             "type": "linear",
+            "n": scm.n,
             "order": list(scm.order),
             "edges": sorted(map(list, dag.edges)),
             "coeffs": scm.coeffs.tolist(),
@@ -211,6 +206,7 @@ def truth_to_json(scm) -> dict:
     if isinstance(scm, GamScm):
         return {
             "type": "gam",
+            "n": scm.n,
             "edges": sorted(map(list, scm.dag.edges)),
             "noise_width": scm.noise_width,
             "mechanisms": {

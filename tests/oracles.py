@@ -47,7 +47,7 @@ from causalpred.stattests import (
     anm_test,
     fisher_z_from_corr,
 )
-from causalpred.synthgen import gen_gam_scm, gen_linear_scm, sample
+from causalpred.synthgen import LinearScm, gen_gam_scm, gen_linear_scm, sample
 
 
 def scan_parents(g: Dag, v):
@@ -169,6 +169,21 @@ def random_dag(n, seed, p=0.5):
             if rng.random() < p:
                 edges.append((int(perm[a]), int(perm[b])))
     return Dag(n, edges)
+
+
+def markov_equivalent(g1: Dag, g2: Dag) -> int:
+    """Same skeleton and same unshielded colliders."""
+    if g1.n != g2.n:
+        raise InvalidSize("graphs must share the node set")
+    return int(g1.skeleton() == g2.skeleton() and v_structures(g1) == v_structures(g2))
+
+
+def population_covariance(scm: LinearScm) -> np.ndarray:
+    """Exact covariance of the induced Gaussian: (I-A)^-1 (I-A)^-T."""
+    if not isinstance(scm, LinearScm):
+        raise InvalidSize("population covariance is defined for linear SCMs only")
+    b = np.linalg.inv(np.eye(scm.n) - scm.coeffs)
+    return b @ b.T
 
 
 # --- kernel layer: the former dense formulas ----------------------------------

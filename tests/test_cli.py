@@ -14,10 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalpred import bounds, cli, stattests, synthgen
-from causalpred.core import Query, QueryKind, load_dataset
+from causalpred.core import Query, QueryKind, enumerate_queries, load_dataset
 from causalpred.learners import pc_fit
 from causalpred.errors import ParseError
-from causalpred.models import Dag, PathModel, Polytree, cpdag_from_dag, save_model
+from causalpred.models import (
+    Dag,
+    PathModel,
+    Polytree,
+    cpdag_from_dag,
+    d_separated,
+    q_anm_polytree,
+    save_model,
+)
 
 
 # --- query grammar ------------------------------------------------------------
@@ -304,6 +312,34 @@ def test_cli_import_leaves_out_scipy_stats():
 
 
 # --- subcommands --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["linear", "gam"])
+def test_predict_reads_the_truth_file_of_gen(tmp_path, capsys, kind):
+    # seed 3 leaves node 5 isolated in both families, so the truth file
+    # must carry n: its edges alone name nodes 0..4
+    truth = tmp_path / "truth.json"
+    args = ["--n", "6", "--degree", "1.0", "--samples", "30", "--seed", "3"]
+    assert cli.main(["gen", kind, *args, "--out", str(tmp_path / "d.csv"), "--truth", str(truth)]) == 0
+    capsys.readouterr()
+    if kind == "linear":
+        dag = synthgen.gen_linear_scm(6, 1.0, 3).dag()
+    else:
+        dag = synthgen.gen_gam_scm(6, 1.0, 3).dag
+    assert 5 not in {v for e in dag.edges for v in e}
+    queries = [q for size in (0, 1) for q in enumerate_queries(6, QueryKind.COND_INDEP, size)]
+    for q in queries:
+        assert cli.main(["predict", "--model", str(truth), "--query", cli.format_query("ci", q)]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == d_separated(dag, q)
+    # a gam truth is a polytree, which also answers additive-noise queries
+    for q in enumerate_queries(6, QueryKind.ORDERED_PAIR):
+        rc = cli.main(["predict", "--model", str(truth), "--query", cli.format_query("anm", q)])
+        if kind == "gam":
+            assert rc == 0
+            assert json.loads(capsys.readouterr().out)["value"] == q_anm_polytree(dag, q)
+        else:
+            assert rc == 1
+            assert _one_json_object(capsys.readouterr().err)["error"] == "UnsupportedQueryForModel"
 
 
 def test_gen_and_test_roundtrip(tmp_path, capsys):

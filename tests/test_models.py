@@ -26,7 +26,6 @@ from causalpred.models import (
     forest_union,
     glue_gaussian_chain,
     load_model,
-    markov_equivalent,
     model_from_json,
     model_to_json,
     path_corr,
@@ -42,6 +41,7 @@ from oracles import (
     closure_has_path,
     d_connected,
     is_polytree,
+    markov_equivalent,
     moral_d_separated,
     random_dag,
     ref_ancestors,

@@ -842,3 +842,42 @@ def test_anm_universe_holds_at_most_four_grams():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 8 * m * m + 16 * 8 * m
+
+
+def test_a_second_universe_pass_reuses_the_workspace():
+    # the first pass over m = 600 allocates the three m x m arrays of the
+    # workspace; a second pass over the same universe computes in them and
+    # allocates less than one m x m array in all.  Both passes give the
+    # same outcomes; every tenth, one or two per source, is checked against
+    # the reference, which takes 0.16 s a test at this m
+    m = 600
+    d = sample(gen_gam_scm(10, 1.5, 3), m, seed=4).dataset
+    universe = enumerate_queries(10, QueryKind.ORDERED_PAIR)
+    first = [anm_test(d, q, 0.05) for q in universe]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        second = [anm_test(d, q, 0.05) for q in universe]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 8 * m * m
+    assert second == first
+    for q, out in zip(universe[::10], second[::10]):
+        value, p = ref_anm_test(d.column(q.members[0]), d.column(q.members[1]), 0.05)
+        assert out.value.value == value
+        assert abs(out.p_value - p) <= 1e-10
+
+
+def test_the_workspace_follows_a_change_of_the_row_count():
+    # datasets of 200 and 300 rows interleave, so the workspace is dropped
+    # and allocated again at each change of m, with the source state in it
+    small = sample(gen_gam_scm(4, 1.5, 7), 200, seed=8).dataset
+    large = sample(gen_gam_scm(4, 1.5, 9), 300, seed=10).dataset
+    pairs = [(0, 1), (0, 2), (1, 0), (3, 2)]
+    for d, (s, t) in [(d, pair) for pair in pairs for d in (small, large, small)]:
+        out = anm_test(d, Query.ordered_pair(s, t), 0.05)
+        value, p = ref_anm_test(d.column(s), d.column(t), 0.05)
+        assert out.value.value == value
+        assert abs(out.p_value - p) <= 1e-10
+        assert stattests._workspace[0].shape == (d.l, d.l)

@@ -13,11 +13,11 @@ from causalpred.synthgen import (
     gen_gam_chain,
     gen_gam_scm,
     gen_linear_scm,
-    population_covariance,
     sample,
     save_truth,
     truth_to_json,
 )
+from oracles import population_covariance
 
 
 def _chain_scm(a=0.5):
@@ -185,7 +185,7 @@ def test_population_covariance_linear_only():
 def test_truth_json_linear(tmp_path):
     scm = gen_linear_scm(4, 1.5, seed=2)
     obj = truth_to_json(scm)
-    assert obj["type"] == "linear"
+    assert obj["type"] == "linear" and obj["n"] == 4
     assert sorted(map(tuple, obj["edges"])) == sorted(scm.dag().edges)
     save_truth(scm, tmp_path / "truth.json")
     assert (tmp_path / "truth.json").exists()
@@ -194,5 +194,5 @@ def test_truth_json_linear(tmp_path):
 def test_truth_json_gam():
     scm = gen_gam_scm(4, 1.5, seed=2)
     obj = truth_to_json(scm)
-    assert obj["type"] == "gam"
+    assert obj["type"] == "gam" and obj["n"] == 4
     assert len(obj["mechanisms"]) == len(scm.dag.edges)
