@@ -4,11 +4,11 @@ test-budget planner, plus small-n exhaustive cross-checks."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
 from enum import Enum
 from itertools import combinations, permutations, product
 
-from .core import QueryKind, ci_query_array, enumerate_queries
+from .core import QueryKind, _check_ci_universe, ci_query_array, enumerate_queries
 from .errors import GraphError, InvalidN, InvalidParams, InvalidSize, NTooLarge, UnsupportedClass
 from .models import (
     Dag,
@@ -32,20 +32,15 @@ class ModelClassId(Enum):
     DIRECTIONALITY = "directionality"
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    h: float
-    k: int
-    eta: float
-    empirical_risk: float
-    gap: float
-
-    @property
-    def bound(self):
-        return self.empirical_risk + self.gap
+def _double(name, v):
+    """``v`` as a float; a number that a double cannot hold is refused."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise InvalidParams(f"{name} is too large for a double") from None
 
 
-def vc_upper_bound(c: ModelClassId, n: int, path_corr_constant=PATH_CORR_CONSTANT) -> float:
+def vc_upper_bound(c: ModelClassId, n: int) -> float:
     """VC upper bound h for each model class, as used by the gap formulas.
 
     Every class but PATH_CORR gets a log-cardinality bound: log2 of an
@@ -64,42 +59,44 @@ def vc_upper_bound(c: ModelClassId, n: int, path_corr_constant=PATH_CORR_CONSTAN
       It shatters floor(n/2) ceil(n/2) ordered pairs (sources x sinks),
       so no bound linear in n holds.
     - PATH_CORR: the real-valued ``path_corr``; a linear-order bound with
-      slope ``path_corr_constant``, not a log-cardinality bound.
+      slope ``PATH_CORR_CONSTANT``, not a log-cardinality bound.
     """
     if n < 2:
         raise InvalidN("need at least two nodes")
+    n = _double("n", n)
     if c in (ModelClassId.ALL_DAGS, ModelClassId.DIRECTIONALITY):
         return n * math.log2(n) + n * (n - 1) / 2.0
     if c == ModelClassId.POLYTREES:
         return n * (math.log2(n) + 1.0)
     if c == ModelClassId.PATH_SIGN:
-        return float(n)
+        return n
     if c == ModelClassId.PATH_CORR:
-        return path_corr_constant * n
+        return PATH_CORR_CONSTANT * n
     raise UnsupportedClass(str(c))
 
 
 def _check_gap_params(h, k, eta):
-    if k < 1 or h <= 0:
-        raise InvalidParams("need k >= 1 and h > 0")
+    if k < 1 or not 0 < h < math.inf:
+        raise InvalidParams(f"need k >= 1 and a finite h > 0, not {h}")
     if not 0.0 < eta < 1.0:
         raise InvalidParams(f"eta {eta} outside (0, 1)")
+    return _double("k", k)
 
 
 def gap_binary(h, k, eta) -> float:
     """Binary generalization gap 2 sqrt((h (ln(2k/h) + 1) - ln(eta/9)) / k),
     clamped to [0, 1]; the trivial gap 1 when 2k <= h."""
-    _check_gap_params(h, k, eta)
-    if 2.0 * k <= h:
+    k = _check_gap_params(h, k, eta)
+    if k <= h / 2.0:  # exactly 2k <= h, where 2k may overflow
         return 1.0
-    inner = (h * (math.log(2.0 * k / h) + 1.0) - math.log(eta / 9.0)) / k
+    inner = (h * (math.log(2.0 * (k / h)) + 1.0) - math.log(eta / 9.0)) / k
     return max(0.0, min(1.0, 2.0 * math.sqrt(max(inner, 0.0))))
 
 
 def gap_real(h, k, eta, a, b) -> float:
     """Real-valued gap (b-a) sqrt((h (ln(k/h) + 1) - ln(eta/4)) / k),
     clamped to [0, b-a]; trivial when k <= h."""
-    _check_gap_params(h, k, eta)
+    k = _check_gap_params(h, k, eta)
     if b <= a:
         raise InvalidParams("need b > a")
     width = b - a
@@ -119,36 +116,28 @@ def class_gap(c: ModelClassId, h, k, eta) -> float:
 
 
 def min_training_sets(c: ModelClassId, n, eps, eta) -> int:
-    """Smallest k with class_gap(c, vc_upper_bound(c, n), k, eta) <= eps;
-    both gaps are non-increasing in k."""
+    """Smallest k <= 2^60 with class_gap(c, vc_upper_bound(c, n), k, eta)
+    <= eps, by bisection: both gaps are non-increasing in k."""
     if not 0.0 < eps < 1.0:
         raise InvalidParams(f"eps {eps} outside (0, 1)")
     h = vc_upper_bound(c, n)
-    k = 1
-    while class_gap(c, h, k, eta) > eps:
-        k *= 2
-        if k > 2**60:
-            raise InvalidParams("no feasible training-set count below 2^60")
-    if k == 1:
-        return 1
-    lo, hi = k // 2, k
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if class_gap(c, h, mid, eta) <= eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    k = 1 + bisect_left(range(1, 2**60 + 1), True, key=lambda j: class_gap(c, h, j, eta) <= eps)
+    if k > 2**60:
+        raise InvalidParams("no feasible training-set count below 2^60")
+    return k
 
 
 def count_queries(n, kind, cond_size=0) -> int:
     """Closed-form size of the query universe; matches enumerate_queries."""
+    if kind == QueryKind.COND_INDEP:
+        _check_ci_universe(n, cond_size)
+        # math.comb's cost grows with C(m, s) >= (m / s)^s; refuse past 2^1024
+        s = min(cond_size, n - 2 - cond_size)
+        if s and s * (math.log2(n - 2) - math.log2(s)) >= 1024:
+            raise InvalidSize("the universe holds more queries than a double can hold")
+        return n * (n - 1) // 2 * math.comb(n - 2, cond_size)
     if n < 2:
         raise InvalidSize("need at least two variables")
-    if kind == QueryKind.COND_INDEP:
-        if cond_size < 0 or cond_size > n - 2:
-            raise InvalidSize(f"conditioning size {cond_size} infeasible for n={n}")
-        return n * (n - 1) // 2 * math.comb(n - 2, cond_size)
     if cond_size:
         raise InvalidSize("conditioning set only applies to conditional independence")
     if kind == QueryKind.ORDERED_PAIR:

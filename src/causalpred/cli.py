@@ -97,6 +97,7 @@ def _outcome_json(out):
 
 
 def cmd_gen(args):
+    synthgen.check_sample_size(args.n, args.samples)
     if args.kind == "linear":
         scm = synthgen.gen_linear_scm(args.n, args.degree, args.seed)
     else:
@@ -194,15 +195,14 @@ def cmd_bound(args):
     class_id = bounds.ModelClassId(args.model_class)
     h = bounds.vc_upper_bound(class_id, args.n)
     gap = bounds.class_gap(class_id, h, args.k, args.eta)
-    report = bounds.BoundReport(h, args.k, args.eta, args.empirical, gap)
     out = {
         "class": class_id.value,
-        "h": report.h,
-        "k": report.k,
-        "eta": report.eta,
-        "empirical_risk": report.empirical_risk,
-        "gap": report.gap,
-        "bound": report.bound,
+        "h": h,
+        "k": args.k,
+        "eta": args.eta,
+        "empirical_risk": args.empirical,
+        "gap": gap,
+        "bound": args.empirical + gap,
     }
     if class_id == bounds.ModelClassId.PATH_CORR:
         out["note"] = "h uses the configured linear constant; valid up to that constant"
@@ -297,6 +297,16 @@ def _seed(text):
     )
 
 
+def _risk(text):
+    """An --empirical value, a risk: a number in [0, 1]."""
+    try:
+        if 0.0 <= float(text) <= 1.0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"empirical risk {text!r} is not a number in [0, 1]")
+
+
 def build_parser():
     p = _Parser(
         prog="causalpred",
@@ -344,7 +354,7 @@ def build_parser():
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--k", type=int, required=True)
     b.add_argument("--eta", type=float, default=0.1)
-    b.add_argument("--empirical", type=float, default=0.0)
+    b.add_argument("--empirical", type=_risk, default=0.0)
     b.set_defaults(func=cmd_bound)
 
     pl = sub.add_parser("plan", help="training-set budget vs possible tests")

@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import Query, binary, ci_query_array, sample_queries
-from .errors import InvalidSize, KTooLarge, ZeroCorrelation
+from .errors import DataError, InvalidSize, KTooLarge, ZeroCorrelation
 
 # d_separated stays bound here for the benchmark's tracer
 from .models import (
@@ -52,15 +52,16 @@ def pc_from_ci(n, ci_test, max_cond):
     """Core PC skeleton + orientation phase driven by a CI callback.
 
     ``ci_test(a, b, cond)`` must return a TestOutcome whose binary value is
-    1 for independence.  Edges are scanned in lexicographic order; the
-    separating set recorded at deletion time drives v-structure
-    orientation.  Returns the CPDAG and every executed test, deduplicated
-    by canonical query.
+    1 for independence.  Levels 0..min(max_cond, n - 2) scan the edges once
+    each in lexicographic order (adjacency only shrinks, so a second scan
+    would find every test already run); the separating set recorded at
+    deletion time drives v-structure orientation.  Returns the CPDAG and
+    every executed test, deduplicated by canonical query.
     """
     if max_cond < 0:
         raise InvalidSize("max_cond must be nonnegative")
     adjacency = {v: set(range(n)) - {v} for v in range(n)}
-    sepset = {}
+    sepset = {}  # (a, b), a < b, -> the conditioning set that separated them
     log = {}
 
     # keyed by (a, b, cond): PC passes a < b and cond drawn from sorted
@@ -72,35 +73,21 @@ def pc_from_ci(n, ci_test, max_cond):
             log[key] = LabeledQuery(Query.ci(a, b, cond), ci_test(a, b, cond))
         return log[key].outcome.value.value
 
-    for level in range(max_cond + 1):
-        removed = True
-        while removed:
-            removed = False
-            for a, b in combinations(range(n), 2):
-                if b not in adjacency[a]:
-                    continue
-                candidates = sorted(adjacency[a] - {b})
-                if len(candidates) < level:
-                    continue
-                for cond in combinations(candidates, level):
-                    if run_test(a, b, cond) == 1:
-                        adjacency[a].discard(b)
-                        adjacency[b].discard(a)
-                        sepset[frozenset((a, b))] = set(cond)
-                        removed = True
-                        break
-    pdag = _Pdag(
-        n, undirected=[(a, b) for a, b in combinations(range(n), 2) if b in adjacency[a]]
-    )
-    # v-structures from the recorded separating sets
-    for a, b in combinations(range(n), 2):
-        if b in adjacency[a]:
-            continue
-        key = frozenset((a, b))
-        if key not in sepset:
-            continue
+    for level in range(min(max_cond, n - 2) + 1):
+        for a, b in combinations(range(n), 2):
+            if b not in adjacency[a]:
+                continue
+            for cond in combinations(sorted(adjacency[a] - {b}), level):
+                if run_test(a, b, cond) == 1:
+                    adjacency[a].discard(b)
+                    adjacency[b].discard(a)
+                    sepset[a, b] = cond
+                    break
+    pdag = _Pdag(n, undirected=[(a, b) for a, b in combinations(range(n), 2) if b in adjacency[a]])
+    # v-structures a -> c <- b from each separated pair's set, in pair order
+    for (a, b), cond in sorted(sepset.items()):
         for c in sorted(adjacency[a] & adjacency[b]):
-            if c not in sepset[key]:
+            if c not in cond:
                 pdag.orient(a, c)
                 pdag.orient(b, c)
     pdag.apply_meek_rules()
@@ -112,6 +99,10 @@ def pc_fit(d, alpha, max_cond, *, corr=None):
     ``corr`` when the caller has already built it."""
     if corr is None:
         corr = correlation_matrix(d)
+    k = len(d.columns)  # PC's node v is the column of id v
+    outside = [v for v in d.columns if not 0 <= v < k]
+    if outside:
+        raise DataError(f"PC needs column ids 0..{k - 1} in some order; ids {outside} are outside")
     index = {v: i for i, v in enumerate(d.columns)}
 
     def ci_test(a, b, cond):
@@ -119,7 +110,7 @@ def pc_fit(d, alpha, max_cond, *, corr=None):
             corr, d.l, (index[a], index[b]), [index[c] for c in cond], alpha
         )
 
-    return pc_from_ci(len(d.columns), ci_test, max_cond)
+    return pc_from_ci(k, ci_test, max_cond)
 
 
 def pc_oracle(g, max_cond):

@@ -304,6 +304,7 @@ def d_separated(g: Dag, q: Query) -> int:
     one-row ``d_separated_many``."""
     if q.kind != QueryKind.COND_INDEP:
         raise InvalidSize("d-separation takes conditional-independence queries")
+    _check_nodes(g.n, *q.variables())
     return int(d_separated_many(g, ci_rows([q]))[0])
 
 

@@ -20,7 +20,7 @@ from .core import PropertyValue, Query, QueryKind, binary, real, sign
 from .errors import DegenerateInput, InvalidParams, InvalidSize, ZeroCorrelation
 
 VAR_EPS = 1e-12
-DEFAULT_RIDGE_SCALE = 1e-3  # ridge = scale * sample count
+RIDGE_SCALE = 1e-3  # ridge = scale * sample count
 # anm_test computes in a workspace of three dense m x m float arrays (8
 # bytes per entry), which stay allocated after it returns until m changes:
 # the last source's centred Gram and ridge factor, which serve all of its
@@ -331,17 +331,15 @@ def _permutation_p_value(stat, kc, lc, n_permutations, seed) -> float:
     return (count + 1.0) / (n_permutations + 1.0)
 
 
-def _ridge_factor(x, k, ridge_scale):
+def _ridge_factor(x, k):
     """The system of a kernel ridge regression on the column ``x`` with
-    Gram ``k``: the Cholesky factor of K + lam I, lam = ``ridge_scale * m``,
+    Gram ``k``: the Cholesky factor of K + lam I, lam = ``RIDGE_SCALE * m``,
     written over ``k``, then lam and the groups of equal x values.
 
     ``k.T`` is passed because a C-ordered array would be copied before an
     in-place factorisation; K is symmetric."""
-    if not ridge_scale > 0:
-        raise InvalidParams(f"ridge_scale {ridge_scale} must be positive")
     m = k.shape[0]
-    lam = ridge_scale * m
+    lam = RIDGE_SCALE * m
     k.flat[:: m + 1] += lam
     factor = cho_factor(k.T, lower=True, overwrite_a=True, check_finite=False)
     _, ties, sizes = np.unique(x, return_inverse=True, return_counts=True)
@@ -405,19 +403,19 @@ def hsic_independence(x, y, alpha, method="gamma", n_permutations=500, seed=0) -
     return TestOutcome(binary(1 if p > alpha else 0), p, alpha)
 
 
-def kernel_regress(x, y, ridge_scale=DEFAULT_RIDGE_SCALE):
+def kernel_regress(x, y):
     """Residuals of y after kernel ridge regression on x.
 
     Gaussian kernel with median-heuristic bandwidth, ridge
-    ``ridge_scale * l``; y is centered before the solve so constant
+    ``RIDGE_SCALE * l``; y is centered before the solve so constant
     targets give exactly zero residuals.
     """
     x, y = _column_pair(x, y)
     _check_nonconstant(x)
-    return _fit_residuals(_ridge_factor(x, _gram(x), ridge_scale), y)
+    return _fit_residuals(_ridge_factor(x, _gram(x)), y)
 
 
-# the last source anm_test saw: (its column, ridge_scale, _anm_source state)
+# the last source anm_test saw: (its column, _anm_source state)
 _last_source = None
 # anm_test's three m x m arrays for the last m it saw (see _anm_workspace)
 _workspace = None
@@ -434,29 +432,29 @@ def _anm_workspace(m):
     return _workspace
 
 
-def _anm_source(x, ridge_scale, workspace):
+def _anm_source(x, workspace):
     """A source column's centred Gram, the off-diagonal mean of its Gram
     and its ``_ridge_factor``, in the first two arrays of ``workspace``.
 
-    Only the last source is remembered, keyed by the column's values and
-    ``ridge_scale``, so a universe enumerated source by source builds each
-    source's state once.  The previous entry is dropped before the next is
-    built over it, also when building it fails."""
+    Only the last source is remembered, keyed by the column's values, so a
+    universe enumerated source by source builds each source's state once.
+    The previous entry is dropped before the next is built over it, also
+    when building it fails."""
     global _last_source
     last = _last_source
-    if last is not None and last[1] == ridge_scale and np.array_equal(last[0], x):
-        return last[2]
+    if last is not None and np.array_equal(last[0], x):
+        return last[1]
     _last_source = last = None
     centred, k = workspace[:2]
     k = _gram(x, k)
     mu = _off_diagonal_mean(k)
     np.copyto(centred, k)
-    state = _centre(centred), mu, _ridge_factor(x, k, ridge_scale)
-    _last_source = (x.copy(), ridge_scale, state)
+    state = _centre(centred), mu, _ridge_factor(x, k)
+    _last_source = (x.copy(), state)
     return state
 
 
-def anm_test(d, q: Query, alpha, ridge_scale=DEFAULT_RIDGE_SCALE) -> TestOutcome:
+def anm_test(d, q: Query, alpha) -> TestOutcome:
     """Bivariate additive-noise test for the ordered pair (source, target).
 
     Value 1 iff the pair is marginally dependent and the residual of the
@@ -488,7 +486,7 @@ def anm_test(d, q: Query, alpha, ridge_scale=DEFAULT_RIDGE_SCALE) -> TestOutcome
         )
     _check_nonconstant(x, y)
     workspace = _anm_workspace(m)
-    kc, mu_x, ridge = _anm_source(x, ridge_scale, workspace)
+    kc, mu_x, ridge = _anm_source(x, workspace)
     target = workspace[2]
     marginal_p = _gamma_p_value(*_hsic_moments(kc, mu_x, *_centred_gram(y, target), target), m)
     residuals = _fit_residuals(ridge, y)

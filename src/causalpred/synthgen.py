@@ -23,6 +23,9 @@ DEFAULT_NOISE_WIDTH = 1.0  # uniform noise on [-0.5, 0.5]
 # a linear one fills an n x n coefficient matrix: about 0.1 GB at this
 # many nodes, growing as n^2
 MAX_SCM_NODES = 1000
+# the most cells (l x n) in a sample: at this many `causalpred gen` peaked at
+# 0.85 GB resident (linear, n = 10) and 1.3 GB (gam, n = 3); 67 MB at l = 10
+MAX_SAMPLE_CELLS = 10**7
 
 
 @dataclass(frozen=True)
@@ -166,10 +169,17 @@ def gen_gam_chain(n, seed, noise_width=DEFAULT_NOISE_WIDTH) -> GamScm:
     return GamScm(n, Polytree(n, edges), mechanisms, noise_width)
 
 
-def sample(scm, l, seed) -> ScmSample:
-    """Draw l i.i.d. rows, evaluating ancestors before descendants."""
+def check_sample_size(n, l):
+    """Refuse an empty sample or one over MAX_SAMPLE_CELLS; allocates nothing."""
     if l < 1:
         raise InvalidSize("need at least one sample")
+    if l * n > MAX_SAMPLE_CELLS:
+        raise InvalidSize(f"{l} samples of {n} variables; the limit is {MAX_SAMPLE_CELLS} cells")
+
+
+def sample(scm, l, seed) -> ScmSample:
+    """Draw l i.i.d. rows, evaluating ancestors before descendants."""
+    check_sample_size(scm.n, l)
     rng = np.random.default_rng(seed)
     n = scm.n
     x = np.zeros((l, n))  # zeros matter: unassigned columns meet zero coefficients

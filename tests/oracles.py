@@ -16,6 +16,7 @@ from scipy.stats import norm
 from causalpred.bounds import ModelClassId, gap_binary, vc_upper_bound
 from causalpred.core import (
     Dataset,
+    Query,
     QueryKind,
     binary,
     empirical_error,
@@ -31,17 +32,18 @@ from causalpred.errors import (
     ParseError,
 )
 from causalpred.harness import RiskRecord
-from causalpred.learners import pc_fit, pc_oracle, polytree_from_anm
+from causalpred.learners import LabeledQuery, pc_fit, pc_oracle, polytree_from_anm
 from causalpred.models import (
     Cpdag,
     Dag,
+    _Pdag,
     is_polytree_edges,
     q_anm_polytree,
     random_dag_from_cpdag,
     v_structures,
 )
 from causalpred.stattests import (
-    DEFAULT_RIDGE_SCALE,
+    RIDGE_SCALE,
     VAR_EPS,
     TestOutcome,
     anm_test,
@@ -268,11 +270,11 @@ def ref_hsic_p_value(x, y, method="gamma", n_permutations=500, seed=0):
     return (count + 1.0) / (n_permutations + 1.0)
 
 
-def ref_kernel_regress(x, y, ridge_scale=DEFAULT_RIDGE_SCALE):
+def ref_kernel_regress(x, y):
     x, y = _ref_check_pair(x, y)
     _ref_check_nonconstant(x)
     k = _ref_gram(x)
-    lam = ridge_scale * x.size
+    lam = RIDGE_SCALE * x.size
     yc = y - y.mean()
     alpha_vec = np.linalg.solve(k + lam * np.eye(x.size), yc)
     # the fitted function is evaluated once at each distinct x, so points
@@ -284,11 +286,11 @@ def ref_kernel_regress(x, y, ridge_scale=DEFAULT_RIDGE_SCALE):
     return yc - (k[first] @ alpha_vec)[inverse]
 
 
-def ref_anm_test(x, y, alpha, ridge_scale=DEFAULT_RIDGE_SCALE):
+def ref_anm_test(x, y, alpha):
     """(value, residual p-value) of the additive-noise test of x -> y:
     five bandwidths and five Grams, two of them the source's twice."""
     marginal = ref_hsic_p_value(x, y)
-    residuals = ref_kernel_regress(x, y, ridge_scale)
+    residuals = ref_kernel_regress(x, y)
     resid = ref_hsic_p_value(x, residuals)
     return int(not marginal > alpha and resid > alpha), resid
 
@@ -644,3 +646,56 @@ def ref_has_path(g, i, j):
         seen.add(u)
         stack.extend(scan_children(g, u))
     return False
+
+
+# --- PC: the former skeleton and v-structure loops ------------------------------
+#
+# ``learners.pc_from_ci`` scans each level once, up to min(max_cond, n - 2),
+# and orients from its separating sets; this is the loop it replaced, which
+# repeated a level until a pass removed nothing, ran every level up to
+# max_cond and scanned all pairs for v-structures.
+
+
+def ref_pc_from_ci(n, ci_test, max_cond):
+    adjacency = {v: set(range(n)) - {v} for v in range(n)}
+    sepset = {}
+    log = {}
+
+    def run_test(a, b, cond):
+        key = (a, b, cond)
+        if key not in log:
+            log[key] = LabeledQuery(Query.ci(a, b, cond), ci_test(a, b, cond))
+        return log[key].outcome.value.value
+
+    for level in range(max_cond + 1):
+        removed = True
+        while removed:
+            removed = False
+            for a, b in combinations(range(n), 2):
+                if b not in adjacency[a]:
+                    continue
+                candidates = sorted(adjacency[a] - {b})
+                if len(candidates) < level:
+                    continue
+                for cond in combinations(candidates, level):
+                    if run_test(a, b, cond) == 1:
+                        adjacency[a].discard(b)
+                        adjacency[b].discard(a)
+                        sepset[frozenset((a, b))] = set(cond)
+                        removed = True
+                        break
+    pdag = _Pdag(
+        n, undirected=[(a, b) for a, b in combinations(range(n), 2) if b in adjacency[a]]
+    )
+    for a, b in combinations(range(n), 2):
+        if b in adjacency[a]:
+            continue
+        key = frozenset((a, b))
+        if key not in sepset:
+            continue
+        for c in sorted(adjacency[a] & adjacency[b]):
+            if c not in sepset[key]:
+                pdag.orient(a, c)
+                pdag.orient(b, c)
+    pdag.apply_meek_rules()
+    return pdag.to_cpdag(), list(log.values())

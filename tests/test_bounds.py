@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from causalpred.bounds import (
-    BoundReport,
     ModelClassId,
     all_dags,
     brute_force_vc_check,
@@ -49,7 +48,6 @@ def test_vc_linear_classes():
         7 * math.log2(7) + 21
     )
     assert vc_upper_bound(ModelClassId.PATH_CORR, 7) == 28.0
-    assert vc_upper_bound(ModelClassId.PATH_CORR, 7, path_corr_constant=2.0) == 14.0
 
 
 def test_vc_requires_two_nodes():
@@ -288,8 +286,3 @@ def test_polytree_markov_classes_per_skeleton():
         for skel, classes in by_skeleton.items():
             if len(skel) == n - 1:  # spanning trees only
                 assert len(classes) <= bound, (skel, len(classes))
-
-
-def test_bound_report_composition():
-    r = BoundReport(h=10.0, k=100, eta=0.1, empirical_risk=0.2, gap=0.3)
-    assert r.bound == pytest.approx(0.5)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -299,6 +300,89 @@ def test_gen_size_guard_refuses_before_allocating(tmp_path, monkeypatch, capsys,
     assert err["error"] == "InvalidSize"
     assert str(n) in err["message"] and f"limit is {synthgen.MAX_SCM_NODES} nodes" in err["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["linear", "gam"])
+def test_gen_samples_guard_refuses_before_allocating(tmp_path, monkeypatch, capsys, kind):
+    def no_rng(*args, **kwargs):
+        raise AssertionError("an SCM was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    samples = synthgen.MAX_SAMPLE_CELLS // 5 + 1
+    out = tmp_path / "d.csv"
+    assert cli.main(["gen", kind, "--n", "5", "--samples", str(samples), "--out", str(out)]) == 2
+    err = _one_json_object(capsys.readouterr().err)
+    assert err["error"] == "InvalidSize"
+    assert f"{samples} samples of 5 variables" in err["message"]
+    assert f"limit is {synthgen.MAX_SAMPLE_CELLS} cells" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--class", "alldags", "--n", str(10**400), "--k", "5"],
+        ["plan", "--class", "polytrees", "--n", str(10**400)],
+        ["bound", "--class", "pathcorr", "--n", "10", "--k", str(10**400)],
+        ["bound", "--class", "alldags", "--n", str(10**200), "--k", "5"],
+    ],
+    ids=["bound-n", "plan-n", "bound-k", "bound-h"],
+)
+def test_bound_and_plan_refuse_numbers_a_double_cannot_hold(capsys, argv):
+    assert cli.main(argv) == 2
+    assert _one_json_object(capsys.readouterr().err)["error"] == "InvalidParams"
+
+
+@pytest.mark.parametrize("risk", ["nan", "7", "-0.1", "inf", "x"])
+def test_bound_empirical_risk_outside_0_1_is_a_usage_error(capsys, risk):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bound", "--class", "alldags", "--n", "10", "--k", "100", "--empirical", risk])
+    assert exc.value.code == 2
+    err = _one_json_object(capsys.readouterr().err)
+    assert err["error"] == "UsageError" and "[0, 1]" in err["message"]
+
+
+def test_bound_at_huge_k_stays_valid_json(capsys):
+    # doubling k = 2^1023 overflows; the gap is still the formula's
+    k = 2**1023
+    assert cli.main(["bound", "--class", "polytrees", "--n", "10", "--k", str(k)]) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=_not_json)
+    h = bounds.vc_upper_bound(bounds.ModelClassId.POLYTREES, 10)
+    want = 2.0 * math.sqrt((h * (math.log(2.0) + math.log(k / h) + 1.0) - math.log(0.1 / 9.0)) / k)
+    assert out["gap"] == pytest.approx(want, rel=1e-12)
+
+
+def test_plan_refuses_a_universe_past_the_largest_double(capsys):
+    # C(999998, 500000) is about 10^301026, far past the largest double
+    argv = ["plan", "--class", "polytrees", "--n", "1000000", "--cond-size", "500000"]
+    assert cli.main(argv) == 2
+    err = _one_json_object(capsys.readouterr().err)
+    assert err == {"error": "InvalidSize", "message": "the universe holds more queries than a double can hold"}
+
+
+@pytest.mark.parametrize(
+    "query", ["ci:0,1|1000000000000000000000000000000", "ci:0,1000000000000000000000000000000|", "ci:0,1|-1"]
+)
+def test_predict_ci_on_a_node_outside_the_graph(tmp_path, capsys, query):
+    # -1 is also the padding of a CI row, so it used to read as no condition
+    path = tmp_path / "m.json"
+    save_model(Dag(3, [(0, 1), (1, 2)]), path)
+    assert cli.main(["predict", "--model", str(path), "--query", query]) == 2
+    assert _one_json_object(capsys.readouterr().err)["error"] == "UnknownNode"
+
+
+def test_fit_pc_names_column_ids_that_are_not_0_to_k_minus_1(tmp_path, capsys):
+    rows = np.random.default_rng(3).standard_normal((50, 3))
+    (tmp_path / "d.csv").write_text(
+        "5,7,9\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist())
+    )
+    rc = cli.main(["fit", "pc", "--data", str(tmp_path / "d.csv"), "--out", str(tmp_path / "m.json")])
+    assert rc == 2
+    err = _one_json_object(capsys.readouterr().err)
+    assert err == {
+        "error": "DataError",
+        "message": "PC needs column ids 0..2 in some order; ids [5, 7, 9] are outside",
+    }
 
 
 def test_cli_import_leaves_out_scipy_stats():
@@ -699,9 +783,9 @@ def test_seed_env_variable(tmp_path, monkeypatch, capsys):
 
 @st.composite
 def _fuzz_csv(draw):
-    """A small CSV whose columns may be constant, duplicated, huge or
-    non-finite, and whose text may hold ragged rows, quoted cells or blank
-    lines."""
+    """A small CSV whose header ids may be permuted or gapped, whose columns
+    may be constant, duplicated, huge or non-finite, and whose text may
+    hold ragged rows, quoted cells or blank lines."""
     rows, width = draw(st.integers(1, 12)), draw(st.integers(2, 4))
     data = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((rows, width))
     for j in range(width):
@@ -714,7 +798,12 @@ def _fuzz_csv(draw):
             data[:, j] *= 1e160
         elif kind == "non-finite":
             data[draw(st.integers(0, rows - 1)), j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
-    lines = [",".join(map(str, range(width)))] + [",".join(map(repr, r)) for r in data.tolist()]
+    # header ids 0..width-1 in some order, or distinct ids with gaps
+    ids = draw(
+        st.permutations(range(width))
+        | st.lists(st.integers(0, 9), min_size=width, max_size=width, unique=True)
+    )
+    lines = [",".join(map(str, ids))] + [",".join(map(repr, r)) for r in data.tolist()]
     for _ in range(draw(st.integers(0, 2))):
         i = draw(st.integers(1, len(lines) - 1))
         fault = draw(st.sampled_from(["ragged", "quoted", "blank"]))
@@ -731,22 +820,30 @@ def _fuzz_csv(draw):
     return raw
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 def _run_cli(argv):
     """``cli.main(argv)`` under the fuzz tests' three requirements: an exit
     code of 0, 1 or 2, exactly one JSON object on stderr when it is not 0
-    (else JSON on stdout), and neither a traceback nor a warning."""
+    (else strict JSON on stdout, without NaN or Infinity), and neither a
+    traceback nor a warning.  A usage error exits through argparse."""
     out, err = io.StringIO(), io.StringIO()
     # an uncaught exception would end the test with its traceback
     with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rc = cli.main(argv)
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
     assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if rc:
         _one_json_object(err.getvalue())
     else:
         assert not err.getvalue()
-        json.loads(out.getvalue())
+        json.loads(out.getvalue(), parse_constant=_not_json)
     assert not caught, [str(w.message) for w in caught]
 
 
@@ -761,6 +858,40 @@ def test_cli_on_generated_files_exits_with_a_code_and_json(tmp_path_factory, raw
         ["fit", "path", "--out", str(here / "fuzz-path.json")],
     ):
         _run_cli([*command, "--data", str(here / "fuzz.csv")])
+
+
+# numbers at and past the limits of a double and of the size guards; a
+# valid gen request stays tiny, since every sample count past 50 is over
+# the cell limit for any n >= 1
+_HUGE = [2**53 + 1, 10**154, 10**308, 2**1023, 2**1024, 10**400]
+_FLOATS = ["0.1", "0", "1", "-0.5", "nan", "inf", "-inf", "1e-320", "1e308", "x"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_numeric_options_exit_with_a_code_and_json(tmp_path_factory, data):
+    draw = data.draw
+    command = draw(st.sampled_from(["bound", "plan", "gen"]))
+    if command == "gen":
+        argv = [
+            "gen", draw(st.sampled_from(["linear", "gam"])),
+            "--n", draw(st.sampled_from([-1, 0, 1, 2, 3, 5, synthgen.MAX_SCM_NODES + 1, *_HUGE])),
+            "--samples", draw(st.sampled_from([-1, 0, 1, 2, 50, synthgen.MAX_SAMPLE_CELLS + 1, *_HUGE])),
+            "--degree", draw(st.sampled_from(["1.5", "0.5", *_FLOATS])),
+            "--seed", draw(st.sampled_from([0, 1, -1, 10**400, "x"])),
+            "--out", tmp_path_factory.getbasetemp() / "fuzz-gen.csv",
+        ]
+    else:
+        n = st.sampled_from([-1, 0, 1, 2, 3, 10, 1000, 10**17, *_HUGE])
+        argv = [command, "--class", draw(st.sampled_from(cli.MODEL_CLASSES)), "--n", draw(n),
+                "--eta", draw(st.sampled_from(_FLOATS))]
+        if command == "bound":
+            argv += ["--k", draw(st.sampled_from([-3, 0, 1, 10, 5000, 10**42, *_HUGE])),
+                     "--empirical", draw(st.sampled_from(["0.05", "7", *_FLOATS]))]
+        else:
+            argv += ["--eps", draw(st.sampled_from(["0.999", *_FLOATS])),
+                     "--cond-size", draw(st.sampled_from([-1, 0, 1, 2, 5, 499, 10**5, 10**16, 10**399]))]
+    _run_cli([str(v) for v in argv])
 
 
 # a JSON value of a wrong type for most fields; "1e400" is written as the

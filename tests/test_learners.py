@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from causalpred import learners
 from causalpred.core import Dataset, Query, binary
-from causalpred.errors import DegenerateInput, InvalidParams, InvalidSize, KTooLarge, ZeroCorrelation
+from causalpred.errors import (
+    DataError,
+    DegenerateInput,
+    InvalidParams,
+    InvalidSize,
+    KTooLarge,
+    ZeroCorrelation,
+)
 from causalpred.learners import (
     LabeledQuery,
     fit_path_model,
@@ -20,7 +27,14 @@ from causalpred.learners import (
 from causalpred.models import Dag, PathModel, is_polytree_edges, path_corr
 from causalpred.stattests import TestOutcome, correlation_matrix
 from causalpred.synthgen import gen_linear_scm, sample
-from oracles import RefPdag, moral_d_separated, random_dag, ref_fisher_z_from_corr, ref_select_alpha
+from oracles import (
+    RefPdag,
+    moral_d_separated,
+    random_dag,
+    ref_fisher_z_from_corr,
+    ref_pc_from_ci,
+    ref_select_alpha,
+)
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
 COLLIDER = Dag(3, [(0, 2), (1, 2)])
@@ -165,6 +179,68 @@ def test_pc_orientation_matches_edge_set_reference(n, seed, max_cond, kind):
         ref_cpdag, ref_labels = run()
     assert cpdag == ref_cpdag
     assert labels == ref_labels
+
+
+def _random_tester(seed, p_independent=0.4):
+    # a fresh stream per run: the outcomes also pin the order of new tests
+    rng = np.random.default_rng(seed)
+    return lambda a, b, cond: TestOutcome(binary(int(rng.random() < p_independent)), None, None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 9),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 10),
+    st.sampled_from(["oracle", "random"]),
+)
+def test_pc_equals_the_repeat_scan_reference(n, seed, max_cond, kind):
+    # one scan per level, stopped after level n - 2, gives the CPDAG and the
+    # log (queries, outcomes, order) of the loop that repeated each level
+    # until a pass removed nothing and ran every level up to max_cond
+    g = random_dag(n, seed, p=0.4)
+
+    def tester():
+        if kind == "random":
+            return _random_tester(seed)
+        return lambda a, b, cond: TestOutcome(binary(moral_d_separated(g, a, b, set(cond))), None, None)
+
+    assert pc_from_ci(n, tester(), max_cond) == ref_pc_from_ci(n, tester(), max_cond)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_pc_max_cond_past_n_minus_2_returns_what_n_minus_2_does(n):
+    # no pair has more than n - 2 candidates, so PC stops there however
+    # large max_cond is; the repeat-scan loop ran 10**30 levels
+    want = pc_from_ci(n, _random_tester(n), n - 2)
+    assert pc_from_ci(n, _random_tester(n), 10**30) == want
+    g = random_dag(n, n, p=0.5)
+    assert pc_oracle(g, 10**30) == pc_oracle(g, n - 2)
+
+
+def test_pc_fit_refuses_column_ids_that_are_not_0_to_k_minus_1():
+    # PC's nodes are positions 0..k-1, looked up as column ids
+    d = Dataset(np.random.default_rng(0).standard_normal((100, 3)), (5, 7, 9))
+    with pytest.raises(DataError, match=r"ids \[5, 7, 9\] are outside"):
+        pc_fit(d, 0.01, 1)
+    d = Dataset(d.samples, (0, 1, 3))
+    with pytest.raises(DataError, match=r"column ids 0..2 in some order; ids \[3\] are outside"):
+        pc_fit(d, 0.01, 1)
+
+
+def test_pc_fit_on_permuted_column_ids():
+    # a column keeps its id whatever its position: the permuted file gives
+    # the CPDAG and labels of the same columns in id order
+    d = sample(gen_linear_scm(6, 1.5, 4), 3000, 5).dataset
+    order = [2, 0, 5, 1, 4, 3]
+    permuted = Dataset(d.samples[:, order], tuple(order))
+    cpdag, log = pc_fit(permuted, 0.01, 2)
+    want_cpdag, want_log = pc_fit(d, 0.01, 2)
+    assert cpdag == want_cpdag
+    assert [(lq.query, lq.outcome.value) for lq in log] == [
+        (lq.query, lq.outcome.value) for lq in want_log
+    ]
+    assert max(abs(x.outcome.p_value - y.outcome.p_value) for x, y in zip(log, want_log)) <= 1e-12
 
 
 def test_pc_negative_max_cond():

@@ -579,18 +579,6 @@ def test_kernel_regress_null_fit_keeps_variance():
     assert abs(np.var(resid) / np.var(y) - 1.0) < 0.1
 
 
-def test_ridge_scale_must_be_positive():
-    # the ridge system is solved by a Cholesky factorisation, which needs
-    # K + lam I positive definite
-    rng = np.random.default_rng(20)
-    x, y = rng.standard_normal(30), rng.standard_normal(30)
-    for ridge in (0.0, -1e-3, float("nan")):
-        with pytest.raises(InvalidParams):
-            kernel_regress(x, y, ridge)
-        with pytest.raises(InvalidParams):
-            anm_test(_dataset(x, y), Query.ordered_pair(0, 1), 0.05, ridge)
-
-
 # --- additive-noise test ------------------------------------------------------
 
 
@@ -709,25 +697,23 @@ def test_anm_matches_reference_on_gam_chain():
         assert abs(out.p_value - p) <= 1e-10
 
 
-def test_anm_source_state_follows_the_column_values_and_the_ridge():
+def test_anm_source_state_follows_the_column_values():
     # anm_test remembers the last source's Gram and ridge factor: sources
-    # interleave, two datasets share column ids and two ridges differ, and
-    # every outcome must still be the reference's
+    # interleave and two datasets share column ids, and every outcome must
+    # still be the reference's
     first = sample(gen_gam_chain(3, seed=5), 200, seed=105).dataset
     second = sample(gen_gam_chain(3, seed=6), 200, seed=106).dataset
     calls = [
-        (first, 0, 1, 1e-3),
-        (first, 1, 0, 1e-3),
-        (first, 0, 2, 1e-3),
-        (first, 0, 2, 0.1),
-        (first, 0, 1, 1e-3),
-        (second, 0, 1, 1e-3),
-        (second, 0, 1, 0.1),
-        (first, 0, 1, 0.1),
+        (first, 0, 1),
+        (first, 1, 0),
+        (first, 0, 2),
+        (first, 0, 1),
+        (second, 0, 1),
+        (first, 0, 1),
     ]
-    for d, s, t, ridge in calls:
-        out = anm_test(d, Query.ordered_pair(s, t), 0.05, ridge)
-        value, p = ref_anm_test(d.column(s), d.column(t), 0.05, ridge)
+    for d, s, t in calls:
+        out = anm_test(d, Query.ordered_pair(s, t), 0.05)
+        value, p = ref_anm_test(d.column(s), d.column(t), 0.05)
         assert out.value.value == value
         assert abs(out.p_value - p) <= 1e-10
 
