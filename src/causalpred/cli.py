@@ -205,7 +205,9 @@ def cmd_bound(args):
         "bound": args.empirical + gap,
     }
     if class_id == bounds.ModelClassId.PATH_CORR:
-        out["note"] = "h uses the configured linear constant; valid up to that constant"
+        out["note"] = (
+            "h uses the fixed linear constant bounds.PATH_CORR_CONSTANT; valid up to that constant"
+        )
     _emit(out)
     return 0
 

@@ -152,6 +152,19 @@ def expected_risk(predict, queries, tester) -> float:
     return _disagreement(predict(queries), tester(queries))
 
 
+def _record(cfg, h, rep, seed, labels, predict, label_queries, universe, tester):
+    """Score a fitted predictor: its risk on the k labelled tests, given
+    as ``label_queries`` in the form ``predict`` takes, against its risk on
+    the universe, with the VC gap of a class of VC dimension h at k."""
+    empirical = _disagreement(predict(label_queries), [lq.outcome.value.value for lq in labels])
+    expected = expected_risk(predict, universe, tester)
+    k = len(labels)
+    bound = gap_binary(h, k, cfg.eta)
+    return RiskRecord(
+        cfg.experiment, cfg.n, cfg.l, cfg.alpha, k, rep, empirical, expected, bound, seed
+    )
+
+
 def run_ci_experiment(cfg: ExperimentConfig):
     """Per dataset: fit PC, extend to a DAG, compare the risk on the
     queries PC actually executed with the risk on the full universe of
@@ -177,26 +190,9 @@ def run_ci_experiment(cfg: ExperimentConfig):
                 return fisher_z_many(corr, cfg.l, rows, cfg.alpha)[0]
 
         g = random_dag_from_cpdag(cpdag, seed + 2)
-        empirical = _disagreement(
-            d_separated_many(g, ci_rows([lq.query for lq in labels])),
-            [lq.outcome.value.value for lq in labels],
-        )
-        expected = expected_risk(partial(d_separated_many, g), universe, tester)
-        k_used = len(labels)
-        records.append(
-            RiskRecord(
-                "ci",
-                cfg.n,
-                cfg.l,
-                cfg.alpha,
-                k_used,
-                rep,
-                empirical,
-                expected,
-                gap_binary(h, k_used, cfg.eta),
-                seed,
-            )
-        )
+        predict = partial(d_separated_many, g)
+        label_rows = ci_rows([lq.query for lq in labels])
+        records.append(_record(cfg, h, rep, seed, labels, predict, label_rows, universe, tester))
     return records
 
 
@@ -231,24 +227,9 @@ def run_anm_experiment(cfg: ExperimentConfig):
                 def predict(queries):
                     return [q_anm_polytree(tree, q) for q in queries]
 
-                empirical = _disagreement(
-                    predict([lq.query for lq in labels]),
-                    [lq.outcome.value.value for lq in labels],
-                )
-                expected = expected_risk(predict, universe, tester)
+                queries = [lq.query for lq in labels]
                 records.append(
-                    RiskRecord(
-                        "anm",
-                        cfg.n,
-                        cfg.l,
-                        cfg.alpha,
-                        k,
-                        rep,
-                        empirical,
-                        expected,
-                        gap_binary(h, k, cfg.eta),
-                        rep_seed,
-                    )
+                    _record(cfg, h, rep, rep_seed, labels, predict, queries, universe, tester)
                 )
     return records
 

@@ -103,12 +103,11 @@ def pc_fit(d, alpha, max_cond, *, corr=None):
     outside = [v for v in d.columns if not 0 <= v < k]
     if outside:
         raise DataError(f"PC needs column ids 0..{k - 1} in some order; ids {outside} are outside")
-    index = {v: i for i, v in enumerate(d.columns)}
+    pos = np.argsort(d.columns)
+    corr = corr[np.ix_(pos, pos)]  # row and column v are now column id v's
 
     def ci_test(a, b, cond):
-        return fisher_z_from_corr(
-            corr, d.l, (index[a], index[b]), [index[c] for c in cond], alpha
-        )
+        return fisher_z_from_corr(corr, d.l, (a, b), cond, alpha)
 
     return pc_from_ci(k, ci_test, max_cond)
 

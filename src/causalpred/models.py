@@ -14,7 +14,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .core import Query, QueryKind, ci_rows, load_json
+from .core import Query, QueryKind, check_ci_rows, ci_rows, load_json
 from .errors import (
     DegenerateInput,
     GraphError,
@@ -260,21 +260,6 @@ def d_connection_rows(g: Dag, sources, conds) -> np.ndarray:
     return (reached[:, 0] | reached[:, 1]) & ~in_z
 
 
-def _raise_first_bad_row(g: Dag, rows):
-    """Raise what ``d_separated`` raises on the first row that names a node
-    outside the graph or the same node twice; return if there is none."""
-    n = g.n
-    bad = np.zeros(len(rows), dtype=bool)
-    for j, node in enumerate(rows.T):  # column by column: rows are short
-        bad |= (node < (0 if j < 2 else -1)) | (node >= n)
-        for earlier in rows.T[:j]:
-            bad |= (earlier == node) & (node != -1)
-    if bad.any():
-        a, b, *cond = rows[int(np.argmax(bad))].tolist()
-        q = Query.ci(a, b, [c for c in cond if c != -1])  # a node twice: InvalidSize
-        _check_nodes(n, *q.members, *q.cond)
-
-
 def d_separated_many(g: Dag, rows) -> np.ndarray:
     """d-separation of each CI query row (a, b, c1, ..., cs), padded with
     -1, as a 0/1 array in row order.
@@ -283,10 +268,7 @@ def d_separated_many(g: Dag, rows) -> np.ndarray:
     first bad row.  Rows that agree but for b share one row of
     ``d_connection_rows``.
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    if rows.ndim != 2 or rows.shape[1] < 2:
-        raise InvalidSize("CI query rows must be a 2-d array of width at least 2")
-    _raise_first_bad_row(g, rows)
+    rows = check_ci_rows(rows, g.n)
     walks = np.delete(rows, 1, axis=1)  # a, c1, ..., cs
     order = np.lexsort(walks.T)
     walks = walks[order]

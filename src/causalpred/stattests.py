@@ -16,7 +16,7 @@ from scipy.linalg.blas import dger
 from scipy.spatial.distance import pdist
 from scipy.special import erfc, gammaincc
 
-from .core import PropertyValue, Query, QueryKind, binary, real, sign
+from .core import PropertyValue, Query, QueryKind, binary, check_ci_rows, real, sign
 from .errors import DegenerateInput, InvalidParams, InvalidSize, ZeroCorrelation
 
 VAR_EPS = 1e-12
@@ -122,7 +122,8 @@ def fisher_z_from_corr(corr, l, target_idx, cond_idx, alpha) -> TestOutcome:
 def fisher_z_many(corr, l, rows, alpha):
     """``fisher_z_from_corr`` on every CI query row (a, b) or (a, b, c) at
     once, c = -1 for none: the 0/1 labels and the p-values as two arrays.
-    The row entries index ``corr``; a row of ``core.ci_rows`` or
+    The row entries index ``corr``, and a bad row raises what
+    ``models.d_separated_many`` raises on it; a row of ``core.ci_rows`` or
     ``core.ci_query_array`` may be wider only by padding.
 
     The partial correlations use the scalar's arithmetic, so the batch
@@ -130,9 +131,7 @@ def fisher_z_many(corr, l, rows, alpha):
     is run on the first failing row, which raises what a loop over the
     rows would have raised."""
     _require_alpha(alpha)
-    rows = np.asarray(rows, dtype=np.intp)
-    if rows.ndim != 2 or rows.shape[1] < 2:
-        raise InvalidSize("CI query rows must be a 2-d array of width at least 2")
+    rows = check_ci_rows(rows, len(corr))
     if np.count_nonzero(rows[:, 3:] != -1):
         raise InvalidSize("fisher_z_many takes at most one conditioning variable")
     a, b = rows[:, 0], rows[:, 1]

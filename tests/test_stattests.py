@@ -14,9 +14,11 @@ from causalpred.errors import (
     DegenerateInput,
     InvalidParams,
     InvalidSize,
+    UnknownNode,
     ZeroCorrelation,
 )
 from causalpred import stattests
+from causalpred.models import Dag, d_separated_many
 from causalpred.stattests import (
     TestOutcome,
     _gamma_p_value,
@@ -380,6 +382,23 @@ def test_fisher_z_many_preconditions():
         fisher_z_many(corr, 100, [[0, 1]], 1.0)
     labels, p = fisher_z_many(corr, 100, ci_rows([]), 0.05)
     assert labels.shape == p.shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [([-2, 1], UnknownNode), ([0, 1, -3], UnknownNode), ([0, 5], UnknownNode), ([0, 0], InvalidSize),
+     ([0, 1, 1], InvalidSize)],
+)
+def test_fisher_z_many_refuses_bad_rows_as_d_separated_many_does(row, error):
+    # a negative id read a row from the end of the matrix, a condition below
+    # -1 read as none, an id past the matrix ended in IndexError and a node
+    # twice in DegenerateInput
+    rows = [[0, 1, 2], row + [-1] * (3 - len(row)), [-2, 0, -1]]
+    with pytest.raises(error) as want:
+        d_separated_many(Dag(4, []), rows)
+    with pytest.raises(error) as got:
+        fisher_z_many(np.eye(4), 100, rows, 0.05)
+    assert str(got.value) == str(want.value)
 
 
 def test_fisher_z_many_reads_padded_rows_as_the_narrow_ones():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -93,6 +95,23 @@ def test_mechanism_shapes():
     m = Mechanism(np.ones(HIDDEN_UNITS), np.ones(HIDDEN_UNITS), np.zeros(HIDDEN_UNITS))
     out = m(np.array([0.0]))
     assert out.shape == (1,)
+
+
+def test_mechanism_computes_in_one_l_by_hidden_temporary():
+    # the sum and the tanh each took a second l x HIDDEN_UNITS array; the
+    # values are those of the three-temporary formula, bit for bit
+    rng = np.random.default_rng(0)
+    m = Mechanism(rng.normal(size=HIDDEN_UNITS), rng.normal(size=HIDDEN_UNITS), rng.normal(size=HIDDEN_UNITS))
+    x = rng.standard_normal(100_000)
+    m(x[:10])
+    tracemalloc.start()
+    try:
+        y = m(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * x.size * HIDDEN_UNITS * 8
+    assert y.tobytes() == (np.tanh(np.outer(x, m.w1) + m.b) @ m.w2).tobytes()
 
 
 def test_gam_scm_validation():
