@@ -335,22 +335,31 @@ def ci_query_array(n, cond_sizes) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+def check_nodes(n, *nodes):
+    for v in nodes:
+        if not 0 <= v < n:
+            raise UnknownNode(v)
+
+
 def check_ci_rows(rows, n) -> np.ndarray:
-    """CI query rows (a, b, c1, ..., cs) on nodes 0..n-1, padded with -1,
-    as a 2-d index array.  The first row that names a node outside them or
-    the same node twice raises what its Query and node check would."""
+    """CI query rows (a, b, c1, ..., cs) on nodes 0..n-1, padded at the end
+    with -1, as a 2-d index array.  The first bad row raises what its Query
+    and node check would, or InvalidSize for a node after its padding."""
     rows = np.asarray(rows, dtype=np.intp)
     if rows.ndim != 2 or rows.shape[1] < 2:
         raise InvalidSize("CI query rows must be a 2-d array of width at least 2")
     bad = np.zeros(len(rows), dtype=bool)
     for j, node in enumerate(rows.T):  # column by column: rows are short
         bad |= (node < (0 if j < 2 else -1)) | (node >= n)
+        if j > 2:
+            bad |= (rows[:, j - 1] == -1) & (node != -1)
         for earlier in rows.T[:j]:
             bad |= (earlier == node) & (node != -1)
     if bad.any():
-        a, b, *cond = rows[int(np.argmax(bad))].tolist()
-        q = Query.ci(a, b, [c for c in cond if c != -1])  # a node twice: InvalidSize
-        raise UnknownNode(next(v for v in q.variables() if not 0 <= v < n))
+        row = rows[int(np.argmax(bad))].tolist()
+        q = Query.ci(row[0], row[1], [c for c in row[2:] if c != -1])  # a node twice: InvalidSize
+        check_nodes(n, *q.variables())
+        raise InvalidSize(f"CI query row {row} has a node after its -1 padding")
     return rows
 
 

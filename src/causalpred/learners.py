@@ -15,19 +15,13 @@ import numpy as np
 from .core import Query, binary, ci_query_array, sample_queries
 from .errors import DataError, InvalidSize, KTooLarge, ZeroCorrelation
 
-# d_separated stays bound here for the benchmark's tracer
-from .models import (
-    PathModel,
-    Polytree,
-    _Pdag,
-    d_connection_rows,
-    d_separated,
-    d_separated_many,
-    forest_union,
-)
+# d_separated and fisher_z_from_corr stay bound here for the benchmark's
+# tracer; nothing here calls them
+from .models import PathModel, Polytree, _Pdag, d_separated, d_separated_many, forest_union
 from .stattests import (
     VAR_EPS,
     TestOutcome,
+    _fisher_z,
     _require_alpha,
     anm_test,
     correlation_matrix,
@@ -48,41 +42,43 @@ class LabeledQuery:
 # --- PC -----------------------------------------------------------------------
 
 
-def pc_from_ci(n, ci_test, max_cond):
-    """Core PC skeleton + orientation phase driven by a CI callback.
+def pc_from_ci(n, label, max_cond):
+    """Core PC skeleton + orientation phase driven by a batch CI labeller.
 
-    ``ci_test(a, b, cond)`` must return a TestOutcome whose binary value is
-    1 for independence.  Levels 0..min(max_cond, n - 2) scan the edges once
-    each in lexicographic order (adjacency only shrinks, so a second scan
-    would find every test already run); the separating set recorded at
-    deletion time drives v-structure orientation.  Returns the CPDAG and
-    every executed test, deduplicated by canonical query.
+    Levels 0..min(max_cond, n - 2) scan the edges once each in lexicographic
+    order (adjacency only shrinks, so a second scan would find every test
+    already run).  At a level's start ``label(rows)`` takes the CI query
+    rows (a, b, c1, ..., c_level) the scan may test, in its order, and
+    returns ``outcome``: ``outcome(i)`` is row i's TestOutcome, 1 for
+    independence, asked only if the row's pair and set are still adjacent
+    when the scan reaches it, so a row skipped never raises.  The separating
+    set recorded at deletion time drives v-structure orientation.  Returns
+    the CPDAG and the tests asked for, in order.
     """
     if max_cond < 0:
         raise InvalidSize("max_cond must be nonnegative")
     adjacency = {v: set(range(n)) - {v} for v in range(n)}
     sepset = {}  # (a, b), a < b, -> the conditioning set that separated them
-    log = {}
-
-    # keyed by (a, b, cond): PC passes a < b and cond drawn from sorted
-    # candidates, the canonical order of Query.ci, so no Query is built
-    # for a test that was already run
-    def run_test(a, b, cond):
-        key = (a, b, cond)
-        if key not in log:
-            log[key] = LabeledQuery(Query.ci(a, b, cond), ci_test(a, b, cond))
-        return log[key].outcome.value.value
-
+    log = []
     for level in range(min(max_cond, n - 2) + 1):
-        for a, b in combinations(range(n), 2):
-            if b not in adjacency[a]:
+        tests = [
+            (a, b, cond)
+            for a, b in combinations(range(n), 2)
+            if b in adjacency[a]
+            for cond in combinations(sorted(adjacency[a] - {b}), level)
+        ]
+        if not tests:  # no pair has enough neighbours, here or above
+            break
+        outcome = label(np.array([(a, b, *cond) for a, b, cond in tests], dtype=np.intp))
+        for i, (a, b, cond) in enumerate(tests):
+            if b not in adjacency[a] or not adjacency[a].issuperset(cond):
                 continue
-            for cond in combinations(sorted(adjacency[a] - {b}), level):
-                if run_test(a, b, cond) == 1:
-                    adjacency[a].discard(b)
-                    adjacency[b].discard(a)
-                    sepset[a, b] = cond
-                    break
+            out = outcome(i)
+            log.append(LabeledQuery(Query.ci(a, b, cond), out))
+            if out.value.value == 1:
+                adjacency[a].discard(b)
+                adjacency[b].discard(a)
+                sepset[a, b] = cond
     pdag = _Pdag(n, undirected=[(a, b) for a, b in combinations(range(n), 2) if b in adjacency[a]])
     # v-structures a -> c <- b from each separated pair's set, in pair order
     for (a, b), cond in sorted(sepset.items()):
@@ -91,7 +87,7 @@ def pc_from_ci(n, ci_test, max_cond):
                 pdag.orient(a, c)
                 pdag.orient(b, c)
     pdag.apply_meek_rules()
-    return pdag.to_cpdag(), list(log.values())
+    return pdag.to_cpdag(), log
 
 
 def pc_fit(d, alpha, max_cond, *, corr=None):
@@ -106,25 +102,27 @@ def pc_fit(d, alpha, max_cond, *, corr=None):
     pos = np.argsort(d.columns)
     corr = corr[np.ix_(pos, pos)]  # row and column v are now column id v's
 
-    def ci_test(a, b, cond):
-        return fisher_z_from_corr(corr, d.l, (a, b), cond, alpha)
+    def label(rows):
+        labels, p, fail = _fisher_z(corr, d.l, rows, alpha)
 
-    return pc_from_ci(k, ci_test, max_cond)
+        def outcome(i):
+            if fail[i]:
+                fisher_z_many(corr, d.l, rows[i : i + 1], alpha)  # raises the row's error
+            return TestOutcome(binary(int(labels[i])), float(p[i]), alpha)
+
+        return outcome
+
+    return pc_from_ci(k, label, max_cond)
 
 
 def pc_oracle(g, max_cond):
-    """PC driven by exact d-separation in a known graph (no data): the
-    d-connection rows of every source given a conditioning set, built when
-    PC first tests given that set."""
-    sources = np.arange(g.n)
-    tables = {}
+    """PC driven by exact d-separation in a known graph (no data)."""
 
-    def ci_test(a, b, cond):
-        if cond not in tables:
-            tables[cond] = d_connection_rows(g, sources, [cond])
-        return TestOutcome(binary(int(not tables[cond][a, b])), None, None)
+    def label(rows):
+        labels = d_separated_many(g, rows)
+        return lambda i: TestOutcome(binary(int(labels[i])), None, None)
 
-    return pc_from_ci(g.n, ci_test, max_cond)
+    return pc_from_ci(g.n, label, max_cond)
 
 
 # --- confidence-level selection -----------------------------------------------

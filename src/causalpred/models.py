@@ -14,7 +14,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .core import Query, QueryKind, check_ci_rows, ci_rows, load_json
+from .core import Query, QueryKind, check_ci_rows, check_nodes, ci_rows, load_json
 from .errors import (
     DegenerateInput,
     GraphError,
@@ -25,12 +25,6 @@ from .errors import (
     UnknownNode,
     ZeroCorrelation,
 )
-
-
-def _check_nodes(n, *nodes):
-    for v in nodes:
-        if not 0 <= v < n:
-            raise UnknownNode(v)
 
 
 def reach(starts, step):
@@ -286,7 +280,7 @@ def d_separated(g: Dag, q: Query) -> int:
     one-row ``d_separated_many``."""
     if q.kind != QueryKind.COND_INDEP:
         raise InvalidSize("d-separation takes conditional-independence queries")
-    _check_nodes(g.n, *q.variables())
+    check_nodes(g.n, *q.variables())
     return int(d_separated_many(g, ci_rows([q]))[0])
 
 
@@ -295,7 +289,7 @@ def q_dirpath(g: Dag, q: Query) -> int:
     if q.kind != QueryKind.ORDERED_PAIR:
         raise InvalidSize("directed-path predictor takes ordered pairs")
     i, j = q.members
-    _check_nodes(g.n, i, j)
+    check_nodes(g.n, i, j)
     return int(g.has_path(i, j))
 
 
@@ -304,7 +298,7 @@ def q_anm_polytree(g: Polytree, q: Query) -> int:
     if q.kind != QueryKind.ORDERED_PAIR:
         raise InvalidSize("polytree edge predictor takes ordered pairs")
     i, j = q.members
-    _check_nodes(g.n, i, j)
+    check_nodes(g.n, i, j)
     return int((i, j) in g.edges)
 
 
@@ -318,7 +312,7 @@ def q_lingam_admissible(g: Dag, q: Query) -> int:
     if q.kind != QueryKind.ORDERED_TUPLE:
         raise InvalidSize("admissibility predictor takes ordered tuples")
     members = q.members
-    _check_nodes(g.n, *members)
+    check_nodes(g.n, *members)
     anc = {v: g.ancestors(v) for v in members}
     member_set = set(members)
     for yi, yj in combinations(members, 2):

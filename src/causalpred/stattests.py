@@ -16,7 +16,7 @@ from scipy.linalg.blas import dger
 from scipy.spatial.distance import pdist
 from scipy.special import erfc, gammaincc
 
-from .core import PropertyValue, Query, QueryKind, binary, check_ci_rows, real, sign
+from .core import PropertyValue, Query, QueryKind, binary, check_ci_rows, check_nodes, real, sign
 from .errors import DegenerateInput, InvalidParams, InvalidSize, ZeroCorrelation
 
 VAR_EPS = 1e-12
@@ -77,81 +77,77 @@ def correlation_matrix(d, variables=None):
     return np.corrcoef(x, rowvar=False)
 
 
-def partial_correlation(corr, target_idx, cond_idx):
-    """Partial correlation of two variables given a set, from a correlation
-    matrix: in closed form for at most one conditioning variable, else via
-    inversion of the relevant submatrix.
+def _fisher_z(corr, l, rows, alpha):
+    """``fisher_z_many`` without its raise: the labels, the p-values (NaN on
+    a row that fails a guard), and per row the first guard it fails: 1 for
+    too few samples, 2 for a refused partial correlation, 3 for one at +-1,
+    0 for none.
 
-    Given c, the submatrix of (a, b, c) has determinant
-    (1 - r_ac^2)(1 - r_bc^2)(1 - r_ab.c^2), so it is singular exactly when c
-    is collinear with a target or the result is at +-1; the first case is
-    refused here, the second by the caller."""
-    a, b = target_idx
-    cond = list(cond_idx)
-    if len(cond) > 1:
-        idx = [a, b] + cond
-        sub = corr[np.ix_(idx, idx)]
-        if not np.isfinite(sub).all() or np.linalg.cond(sub) > 1e12:
-            raise DegenerateInput("correlation submatrix is singular or undefined")
-        prec = np.linalg.inv(sub)
-        return float(-prec[0, 1] / np.sqrt(prec[0, 0] * prec[1, 1]))
-    r = corr.item(a, b)
-    if cond:
-        r_ac, r_bc = corr.item(a, cond[0]), corr.item(b, cond[0])
-        if not (abs(r_ac) < 1.0 - VAR_EPS and abs(r_bc) < 1.0 - VAR_EPS):
-            raise DegenerateInput("conditioning variable collinear with a target")
-        r = (r - r_ac * r_bc) / math.sqrt((1.0 - r_ac * r_ac) * (1.0 - r_bc * r_bc))
-    return r
-
-
-def fisher_z_from_corr(corr, l, target_idx, cond_idx, alpha) -> TestOutcome:
-    """Fisher-Z test evaluated on a precomputed correlation matrix; the
-    two-sided normal tail 2 * sf(|z|) is erfc(|z| / sqrt(2))."""
-    _require_alpha(alpha)
-    n_cond = len(cond_idx)
-    if l <= n_cond + 3:
-        raise InvalidSize(f"need more than {n_cond + 3} samples")
-    r = partial_correlation(corr, target_idx, cond_idx)
-    if not abs(r) < 1.0 - VAR_EPS:
-        raise DegenerateInput("partial correlation at the +-1 boundary or undefined")
-    stat = math.sqrt(l - n_cond - 3) * math.atanh(r)
-    p = math.erfc(abs(stat) / math.sqrt(2.0))
-    return TestOutcome(binary(1 if p > alpha else 0), p, alpha)
-
-
-def fisher_z_many(corr, l, rows, alpha):
-    """``fisher_z_from_corr`` on every CI query row (a, b) or (a, b, c) at
-    once, c = -1 for none: the 0/1 labels and the p-values as two arrays.
-    The row entries index ``corr``, and a bad row raises what
-    ``models.d_separated_many`` raises on it; a row of ``core.ci_rows`` or
-    ``core.ci_query_array`` may be wider only by padding.
-
-    The partial correlations use the scalar's arithmetic, so the batch
-    fails its guards exactly where the scalar does; on a failure the scalar
-    is run on the first failing row, which raises what a loop over the
-    rows would have raised."""
+    Given at most one variable c the partial correlation is the closed form
+    (r_ab - r_ac r_bc) / sqrt((1 - r_ac^2)(1 - r_bc^2)), refused when c is
+    collinear with a target; the submatrix of (a, b, c) has determinant
+    (1 - r_ac^2)(1 - r_bc^2)(1 - r_ab.c^2), so it is singular exactly where
+    this guard or the one at +-1 refuses.  Given s >= 2 it comes from the
+    inverse of the (s + 2)-square submatrix, refused when that is not
+    finite or its condition number exceeds 1e12; the submatrices of one
+    size are inverted as one stack, which rounds each as alone."""
     _require_alpha(alpha)
     rows = check_ci_rows(rows, len(corr))
-    if np.count_nonzero(rows[:, 3:] != -1):
-        raise InvalidSize("fisher_z_many takes at most one conditioning variable")
+    size = np.count_nonzero(rows[:, 2:] != -1, axis=1)  # padding comes last
     a, b = rows[:, 0], rows[:, 1]
     c = rows[:, 2] if rows.shape[1] > 2 else np.full(len(rows), -1)
-    has_c = c >= 0
     r_ab = corr[a, b]
     r_ac, r_bc = corr[a, c], corr[b, c]  # c = -1 reads an unused entry
     bound = 1.0 - VAR_EPS
     with np.errstate(invalid="ignore", divide="ignore"):
-        collinear = has_c & ~((np.abs(r_ac) < bound) & (np.abs(r_bc) < bound))
+        refused = (size == 1) & ~((np.abs(r_ac) < bound) & (np.abs(r_bc) < bound))
         partial = (r_ab - r_ac * r_bc) / np.sqrt((1.0 - r_ac * r_ac) * (1.0 - r_bc * r_bc))
-    r = np.where(has_c, partial, r_ab)
-    bad = (l <= has_c + 3) | collinear | ~(np.abs(r) < bound)
-    if bad.any():
-        i = int(np.argmax(bad))
-        cond = [int(c[i])] if has_c[i] else []
-        fisher_z_from_corr(corr, l, (int(a[i]), int(b[i])), cond, alpha)  # raises the scalar's error
-    stat = np.sqrt(l - 3 - has_c) * np.arctanh(r)
+        r = np.where(size == 1, partial, r_ab)
+        for s in np.unique(size[size >= 2]).tolist():
+            group = np.flatnonzero(size == s)
+            idx = rows[group, : s + 2]
+            subs = corr[idx[:, :, None], idx[:, None, :]]
+            finite = np.isfinite(subs).all(axis=(1, 2))
+            singular = ~finite
+            singular[finite] = np.linalg.cond(subs[finite]) > 1e12
+            prec = np.linalg.inv(subs[~singular])
+            r[group[~singular]] = -prec[:, 0, 1] / np.sqrt(prec[:, 0, 0] * prec[:, 1, 1])
+            refused[group] = singular
+        fail = np.select([l <= size + 3, refused, ~(np.abs(r) < bound)], [1, 2, 3], 0)
+        stat = np.sqrt(l - size - 3) * np.arctanh(r)
     p = erfc(np.abs(stat) / math.sqrt(2.0))
-    return (p > alpha).astype(np.int64), p
+    p[fail != 0] = np.nan
+    return (p > alpha).astype(np.int64), p, fail
+
+
+def fisher_z_many(corr, l, rows, alpha):
+    """Fisher-Z tests of CI query rows (a, b, c1, ..., cs), padded at the
+    end with -1, on the correlation matrix the entries index: the 0/1
+    labels, 1 for p > alpha, and the p-values erfc(|z| / sqrt(2)).  A bad
+    row raises what ``models.d_separated_many`` raises on it, and then the
+    first row that fails a guard of ``_fisher_z`` raises its error."""
+    labels, p, fail = _fisher_z(corr, l, rows, alpha)
+    if not fail.any():
+        return labels, p
+    i = int(np.argmax(fail != 0))
+    size = np.count_nonzero(np.asarray(rows)[i, 2:] != -1)
+    if fail[i] == 1:
+        raise InvalidSize(f"need more than {size + 3} samples")
+    if fail[i] == 3:
+        raise DegenerateInput("partial correlation at the +-1 boundary or undefined")
+    if size == 1:
+        raise DegenerateInput("conditioning variable collinear with a target")
+    raise DegenerateInput("correlation submatrix is singular or undefined")
+
+
+def fisher_z_from_corr(corr, l, target_idx, cond_idx, alpha) -> TestOutcome:
+    """Fisher-Z test of one CI query on a correlation matrix: the one-row
+    ``fisher_z_many``.  An index outside the matrix, -1 included, raises
+    UnknownNode."""
+    row = [*target_idx, *cond_idx]
+    check_nodes(len(corr), *row)
+    labels, p = fisher_z_many(corr, l, [row], alpha)
+    return TestOutcome(binary(int(labels[0])), float(p[0]), alpha)
 
 
 def fisher_z_ci(d, q: Query, alpha) -> TestOutcome:

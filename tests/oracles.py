@@ -6,6 +6,7 @@ of DFS) so that agreement is meaningful evidence of correctness.
 """
 
 import csv
+import math
 from itertools import combinations
 from pathlib import Path
 
@@ -47,7 +48,6 @@ from causalpred.stattests import (
     VAR_EPS,
     TestOutcome,
     anm_test,
-    fisher_z_from_corr,
 )
 from causalpred.synthgen import LinearScm, gen_gam_scm, gen_linear_scm, sample
 
@@ -327,6 +327,46 @@ def ref_fisher_z_from_corr(corr, l, target_idx, cond_idx, alpha):
     return TestOutcome(binary(1 if p > alpha else 0), float(p), alpha)
 
 
+# The package's former scalar Fisher-Z, frozen: the closed form in Python
+# floats given at most one variable, the submatrix inverse behind a
+# condition-number guard given more, and the tail as math.erfc.  The batch
+# test that replaced it must give its labels and errors, and its p-values
+# to a few units in the last place.
+
+
+def closed_form_partial_correlation(corr, target_idx, cond_idx):
+    a, b = target_idx
+    cond = list(cond_idx)
+    if len(cond) > 1:
+        idx = [a, b] + cond
+        sub = corr[np.ix_(idx, idx)]
+        if not np.isfinite(sub).all() or np.linalg.cond(sub) > 1e12:
+            raise DegenerateInput("correlation submatrix is singular or undefined")
+        prec = np.linalg.inv(sub)
+        return float(-prec[0, 1] / np.sqrt(prec[0, 0] * prec[1, 1]))
+    r = corr.item(a, b)
+    if cond:
+        r_ac, r_bc = corr.item(a, cond[0]), corr.item(b, cond[0])
+        if not (abs(r_ac) < 1.0 - VAR_EPS and abs(r_bc) < 1.0 - VAR_EPS):
+            raise DegenerateInput("conditioning variable collinear with a target")
+        r = (r - r_ac * r_bc) / math.sqrt((1.0 - r_ac * r_ac) * (1.0 - r_bc * r_bc))
+    return r
+
+
+def closed_form_fisher_z_from_corr(corr, l, target_idx, cond_idx, alpha):
+    if not 0.0 < alpha < 1.0:
+        raise InvalidParams(f"alpha {alpha} outside (0, 1)")
+    n_cond = len(cond_idx)
+    if l <= n_cond + 3:
+        raise InvalidSize(f"need more than {n_cond + 3} samples")
+    r = closed_form_partial_correlation(corr, target_idx, cond_idx)
+    if not abs(r) < 1.0 - VAR_EPS:
+        raise DegenerateInput("partial correlation at the +-1 boundary or undefined")
+    stat = math.sqrt(l - n_cond - 3) * math.atanh(r)
+    p = math.erfc(abs(stat) / math.sqrt(2.0))
+    return TestOutcome(binary(1 if p > alpha else 0), p, alpha)
+
+
 # --- risk scoring: the former per-query path ----------------------------------
 #
 # The harness scores a predictor with one batch call per side and counts
@@ -344,7 +384,8 @@ def ref_expected_risk(predict, queries, tester):
 
 def ref_run_ci_experiment(cfg):
     """``harness.run_ci_experiment`` scored query by query with the scalar
-    ``ref_d_separated`` and ``empirical_error``."""
+    ``ref_d_separated``, ``closed_form_fisher_z_from_corr`` and
+    ``empirical_error``."""
     universe = enumerate_queries(cfg.n, QueryKind.COND_INDEP, 0) + enumerate_queries(
         cfg.n, QueryKind.COND_INDEP, 1
     )
@@ -366,7 +407,7 @@ def ref_run_ci_experiment(cfg):
             cpdag, labels = pc_fit(data, cfg.alpha, cfg.max_cond)
 
             def tester(q):
-                return fisher_z_from_corr(corr, cfg.l, q.members, q.cond, cfg.alpha)
+                return closed_form_fisher_z_from_corr(corr, cfg.l, q.members, q.cond, cfg.alpha)
 
         g = random_dag_from_cpdag(cpdag, seed + 2)
         empirical = empirical_error(
@@ -384,8 +425,8 @@ def ref_run_ci_experiment(cfg):
 
 
 def ref_select_alpha(candidates, scms, l, seed=0):
-    """``learners.select_alpha`` with one scalar Fisher-Z test and one
-    reference d-separation per candidate alpha and query."""
+    """``learners.select_alpha`` with one ``closed_form_fisher_z_from_corr``
+    test and one reference d-separation per candidate alpha and query."""
     if not candidates:
         raise InvalidSize("need at least one candidate alpha")
     scores = {a: [] for a in candidates}
@@ -399,7 +440,8 @@ def ref_select_alpha(candidates, scms, l, seed=0):
         for alpha in candidates:
             tp = fp = fn = 0
             for q in queries:
-                predicted_dep = fisher_z_from_corr(corr, l, q.members, q.cond, alpha).value.value == 0
+                outcome = closed_form_fisher_z_from_corr(corr, l, q.members, q.cond, alpha)
+                predicted_dep = outcome.value.value == 0
                 true_dep = ref_d_separated(g, q) == 0
                 tp += predicted_dep and true_dep
                 fp += predicted_dep and not true_dep
@@ -699,3 +741,45 @@ def ref_pc_from_ci(n, ci_test, max_cond):
                 pdag.orient(b, c)
     pdag.apply_meek_rules()
     return pdag.to_cpdag(), list(log.values())
+
+
+def scalar_labeller(ci_test):
+    """A scalar tester ``ci_test(a, b, cond)`` as the batch labeller
+    ``learners.pc_from_ci`` takes: a row is tested when PC asks for it."""
+
+    def label(rows):
+        def outcome(i):
+            a, b, *cond = rows[i].tolist()
+            return ci_test(a, b, tuple(cond))
+
+        return outcome
+
+    return label
+
+
+# --- VC dimension -------------------------------------------------------------
+
+
+def exact_vc_dimension(functions):
+    """The size of the largest set of query positions that the 0/1 label
+    vectors ``functions`` shatter, i.e. on which they realise all 2^s
+    labellings.  Every subset of a shattered set is shattered, so level
+    s + 1 only tries the extensions of shattered s-sets whose every
+    s-subset is shattered."""
+    labels = np.unique(np.asarray(functions, dtype=np.int64), axis=0)
+    shattered, size = [()], 0
+    while shattered and len(labels) >= 2 ** (size + 1):
+        known = set(shattered)
+        grown = []
+        for s in shattered:
+            for j in range(s[-1] + 1 if s else 0, labels.shape[1]):
+                t = s + (j,)
+                if any(t[:i] + t[i + 1 :] not in known for i in range(len(t) - 1)):
+                    continue
+                codes = labels[:, t] @ (1 << np.arange(len(t)))
+                if len(np.unique(codes)) == 2 ** len(t):
+                    grown.append(t)
+        if grown:
+            size += 1
+        shattered = grown
+    return size

@@ -16,7 +16,7 @@ from causalpred.bounds import (
     min_training_sets,
     vc_upper_bound,
 )
-from causalpred.core import Query, QueryKind, enumerate_queries
+from causalpred.core import Query, QueryKind, ci_query_array, enumerate_queries
 from causalpred.errors import (
     InvalidN,
     InvalidParams,
@@ -24,7 +24,8 @@ from causalpred.errors import (
     NTooLarge,
     UnsupportedClass,
 )
-from causalpred.models import d_separated, is_polytree_edges, q_dirpath
+from causalpred.models import d_separated, d_separated_many, is_polytree_edges, q_dirpath
+from oracles import exact_vc_dimension
 
 
 # --- vc_upper_bound -----------------------------------------------------------
@@ -237,6 +238,21 @@ def test_directionality_shatters_sources_times_sinks():
     # the bound must cover the floor(n/2) * ceil(n/2) shattered pairs
     for n in range(2, 51):
         assert vc_upper_bound(ModelClassId.DIRECTIONALITY, n) >= (n // 2) * ((n + 1) // 2)
+
+
+@pytest.mark.parametrize(
+    "n, c, count, vc",
+    [(3, ModelClassId.ALL_DAGS, 11, 3), (4, ModelClassId.ALL_DAGS, 137, 5), (4, ModelClassId.POLYTREES, 90, 5)],
+)
+def test_exact_vc_dimension_on_the_order_0_1_ci_universe(n, c, count, vc):
+    # the largest query set the class shatters on the universe the CI
+    # experiments score, under the log2 of its function count and the bound
+    # h the overlays use (2.8 and 2.4 times the exact VC at n = 4)
+    queries = ci_query_array(n, (0, 1))
+    dags = [g for g in all_dags(n) if c == ModelClassId.ALL_DAGS or is_polytree_edges(n, g.edges)]
+    functions = {tuple(d_separated_many(g, queries)) for g in dags}
+    assert (len(functions), exact_vc_dimension(list(functions))) == (count, vc)
+    assert vc <= math.log2(count) <= vc_upper_bound(c, n)
 
 
 def test_all_dags_skips_only_cyclic_graphs(monkeypatch):

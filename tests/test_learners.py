@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -25,7 +26,7 @@ from causalpred.learners import (
     select_alpha,
 )
 from causalpred.models import Dag, PathModel, is_polytree_edges, path_corr
-from causalpred.stattests import TestOutcome, correlation_matrix
+from causalpred.stattests import TestOutcome, correlation_matrix, fisher_z_many
 from causalpred.synthgen import gen_linear_scm, sample
 from oracles import (
     RefPdag,
@@ -34,6 +35,7 @@ from oracles import (
     ref_fisher_z_from_corr,
     ref_pc_from_ci,
     ref_select_alpha,
+    scalar_labeller,
 )
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
@@ -69,12 +71,10 @@ def test_pc_oracle_labels_match_d_separation():
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 10), st.integers(0, 2**32 - 1), st.sampled_from([0.2, 0.4, 0.7]), st.integers(0, 3))
 def test_pc_oracle_equals_pc_on_the_moral_oracle(n, seed, p, max_cond):
-    # its per-conditioning-set tables give PC the CPDAG and log that one
+    # one d_separated_many call a level gives PC the CPDAG and log that one
     # moral-graph d-separation per test gives
     g = random_dag(n, seed, p)
-    want = pc_from_ci(
-        n, lambda a, b, cond: TestOutcome(binary(moral_d_separated(g, a, b, set(cond))), None, None), max_cond
-    )
+    want = pc_from_ci(n, scalar_labeller(_moral_tester(g)), max_cond)
     assert pc_oracle(g, max_cond) == want
 
 
@@ -117,7 +117,7 @@ def test_pc_fit_log_matches_reference_tester(seed, max_cond):
     cpdag, log = pc_fit(d, 0.001, max_cond)
     ref_cpdag, ref_log = pc_from_ci(
         15,
-        lambda a, b, cond: ref_fisher_z_from_corr(corr, d.l, (a, b), cond, 0.001),
+        scalar_labeller(lambda a, b, cond: ref_fisher_z_from_corr(corr, d.l, (a, b), cond, 0.001)),
         max_cond,
     )
     assert cpdag == ref_cpdag
@@ -169,10 +169,7 @@ def test_pc_orientation_matches_edge_set_reference(n, seed, max_cond, kind):
     else:
 
         def run():
-            rng = np.random.default_rng(seed)
-            return pc_from_ci(
-                n, lambda a, b, cond: TestOutcome(binary(rng.random() < 0.4), None, None), max_cond
-            )
+            return pc_from_ci(n, scalar_labeller(_random_tester(seed)), max_cond)
 
     cpdag, labels = run()
     with mock.patch.object(learners, "_Pdag", RefPdag):
@@ -182,9 +179,16 @@ def test_pc_orientation_matches_edge_set_reference(n, seed, max_cond, kind):
 
 
 def _random_tester(seed, p_independent=0.4):
-    # a fresh stream per run: the outcomes also pin the order of new tests
-    rng = np.random.default_rng(seed)
-    return lambda a, b, cond: TestOutcome(binary(int(rng.random() < p_independent)), None, None)
+    # a stream per query, so an outcome does not depend on when it is asked
+    def test(a, b, cond):
+        u = np.random.default_rng([seed, a, b, *cond]).random()
+        return TestOutcome(binary(int(u < p_independent)), None, None)
+
+    return test
+
+
+def _moral_tester(g):
+    return lambda a, b, cond: TestOutcome(binary(moral_d_separated(g, a, b, set(cond))), None, None)
 
 
 @settings(max_examples=150, deadline=None)
@@ -199,21 +203,16 @@ def test_pc_equals_the_repeat_scan_reference(n, seed, max_cond, kind):
     # log (queries, outcomes, order) of the loop that repeated each level
     # until a pass removed nothing and ran every level up to max_cond
     g = random_dag(n, seed, p=0.4)
-
-    def tester():
-        if kind == "random":
-            return _random_tester(seed)
-        return lambda a, b, cond: TestOutcome(binary(moral_d_separated(g, a, b, set(cond))), None, None)
-
-    assert pc_from_ci(n, tester(), max_cond) == ref_pc_from_ci(n, tester(), max_cond)
+    tester = _random_tester(seed) if kind == "random" else _moral_tester(g)
+    assert pc_from_ci(n, scalar_labeller(tester), max_cond) == ref_pc_from_ci(n, tester, max_cond)
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_pc_max_cond_past_n_minus_2_returns_what_n_minus_2_does(n):
     # no pair has more than n - 2 candidates, so PC stops there however
     # large max_cond is; the repeat-scan loop ran 10**30 levels
-    want = pc_from_ci(n, _random_tester(n), n - 2)
-    assert pc_from_ci(n, _random_tester(n), 10**30) == want
+    tester = scalar_labeller(_random_tester(n))
+    assert pc_from_ci(n, tester, 10**30) == pc_from_ci(n, tester, n - 2)
     g = random_dag(n, n, p=0.5)
     assert pc_oracle(g, 10**30) == pc_oracle(g, n - 2)
 
@@ -245,7 +244,44 @@ def test_pc_fit_on_permuted_column_ids():
 
 def test_pc_negative_max_cond():
     with pytest.raises(InvalidSize):
-        pc_from_ci(3, lambda a, b, c: None, -1)
+        pc_from_ci(3, lambda rows: None, -1)
+
+
+def test_pc_fit_raises_only_on_a_test_it_consults():
+    # PC separates 0 and 3 before it reaches (0, 3 | 1), where y - x given
+    # x is y, a partial correlation at +-1 that the batch call refuses
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal(2000)
+    x = z + rng.standard_normal(2000)
+    y = z + rng.standard_normal(2000)
+    d = Dataset(np.column_stack([y, x, z, y - x]), (0, 1, 2, 3))
+    cpdag, log = pc_fit(d, 0.01, 1)
+    assert len(log) == 11
+    assert cpdag.directed == frozenset({(0, 3), (1, 3), (2, 0), (2, 1)})
+    assert Query.ci(0, 3, (1,)) not in {lq.query for lq in log}
+    boundary = re.escape("partial correlation at the +-1 boundary or undefined")
+    with pytest.raises(DegenerateInput, match=boundary):
+        fisher_z_many(correlation_matrix(d), d.l, [[0, 3, 1]], 0.01)
+    # a consulted row that fails still raises: b + c given c is b
+    b, c = rng.standard_normal((2, 500))
+    with pytest.raises(DegenerateInput, match=boundary):
+        pc_fit(Dataset(np.column_stack([b + c, b, c]), (0, 1, 2)), 0.05, 1)
+
+
+def test_pc_from_ci_labels_each_level_in_one_call():
+    # every candidate of a level, in scan order, from the adjacency at the
+    # level's start; independence everywhere at level 0 leaves no level 1
+    calls = []
+
+    def label(rows):
+        calls.append(rows.tolist())
+        return lambda i: TestOutcome(binary(int(rows[i, 0] == 0)), None, None)
+
+    cpdag, log = pc_from_ci(4, label, 2)
+    assert calls[0] == [[a, b] for a in range(4) for b in range(a + 1, 4)]
+    assert [lq.query for lq in log][:6] == [Query.ci(*row) for row in calls[0]]
+    assert calls[1] == [[1, 2, 3], [1, 3, 2], [2, 3, 1]]
+    assert len(calls) == 2 and cpdag.directed == frozenset()
 
 
 # --- alpha selection ----------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import erfc
 from scipy.stats import gamma as gamma_dist
 
 from causalpred.core import Dataset, Query, QueryKind, ci_query_array, ci_rows, enumerate_queries
@@ -32,11 +33,12 @@ from causalpred.stattests import (
     hsic_statistic,
     kernel_regress,
     median_bandwidth,
-    partial_correlation,
     sign_estimate,
 )
 from causalpred.synthgen import gen_gam_chain, gen_gam_scm, gen_linear_scm, sample
 from oracles import (
+    closed_form_fisher_z_from_corr,
+    closed_form_partial_correlation,
     ref_anm_test,
     ref_fisher_z_from_corr,
     ref_hsic_p_value,
@@ -119,17 +121,30 @@ def test_fisher_preconditions():
 
 
 def test_partial_correlation_singular():
-    corr = np.ones((3, 3))
-    with pytest.raises(DegenerateInput):
-        partial_correlation(corr, (0, 1), (2,))
+    corr = np.ones((4, 4))
+    for cond in [(2,), (2, 3)]:
+        with pytest.raises(DegenerateInput):
+            fisher_z_from_corr(corr, 100, (0, 1), cond, 0.05)
 
 
 def test_partial_correlation_closed_form():
-    # rho_{01.2} = (r01 - r02 r12) / sqrt((1-r02^2)(1-r12^2))
+    # rho_{01.2} = (r01 - r02 r12) / sqrt((1-r02^2)(1-r12^2)), at l = 100
     corr = np.array([[1.0, 0.3, 0.5], [0.3, 1.0, 0.4], [0.5, 0.4, 1.0]])
-    got = partial_correlation(corr, (0, 1), (2,))
+    got = fisher_z_from_corr(corr, 100, (0, 1), (2,), 0.05).p_value
     want = (0.3 - 0.5 * 0.4) / np.sqrt((1 - 0.25) * (1 - 0.16))
-    assert got == pytest.approx(want)
+    assert got == pytest.approx(erfc(np.sqrt(96) * np.arctanh(want) / np.sqrt(2.0)))
+
+
+@pytest.mark.parametrize("target, cond, twin", [((0, 1), (-1,), (3,)), ((-1, 0), (), ())])
+def test_fisher_z_from_corr_refuses_ids_outside_the_matrix(target, cond, twin):
+    # -1 read the last row and column, as the twin query does; an id past
+    # the matrix ended in IndexError
+    corr = np.corrcoef(np.random.default_rng(0).standard_normal((100, 4)), rowvar=False)
+    for t, c in [(target, cond), ((0, 4), ()), ((0, 1), (2, 4))]:
+        with pytest.raises(UnknownNode):
+            fisher_z_from_corr(corr, 100, t, c, 0.05)
+    twin_target = tuple(3 if v == -1 else v for v in target)
+    assert fisher_z_from_corr(corr, 100, twin_target, twin, 0.05).p_value > 0.0
 
 
 # --- Fisher-Z closed form against the former inverse path ---------------------
@@ -279,19 +294,18 @@ def test_fisher_z_guard_refuses_only_what_the_former_guard_refused():
     assert refused > 0 and differ > 0
 
 
-# --- batch Fisher-Z against the scalar loop -----------------------------------
+# --- batch Fisher-Z against the former scalar loop ----------------------------
 
 
-def _universe01(k):
-    order1 = enumerate_queries(k, QueryKind.COND_INDEP, 1) if k > 2 else []
-    return enumerate_queries(k, QueryKind.COND_INDEP, 0) + order1
+def _universe(k, orders=(0, 1)):
+    return [q for s in orders if s <= k - 2 for q in enumerate_queries(k, QueryKind.COND_INDEP, s)]
 
 
 def _scalar_loop(corr, l, queries, alpha):
-    """What ``fisher_z_many`` replaces: labels and p-values query by query,
-    or the (class, message) of the first error."""
+    """What ``fisher_z_many`` replaced: the former scalar query by query,
+    labels and p-values, or the (class, message) of the first error."""
     try:
-        outs = [fisher_z_from_corr(corr, l, q.members, q.cond, alpha) for q in queries]
+        outs = [closed_form_fisher_z_from_corr(corr, l, q.members, q.cond, alpha) for q in queries]
     except CausalPredError as exc:
         return type(exc), str(exc)
     return [o.value.value for o in outs], [o.p_value for o in outs]
@@ -327,7 +341,7 @@ def test_fisher_z_many_matches_the_scalar_loop(seed, k, l, mixing, alpha):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((200, k)) @ (np.eye(k) + mixing * rng.standard_normal((k, k)))
     corr = np.corrcoef(x, rowvar=False)
-    queries = _universe01(k)
+    queries = _universe(k, (0, 1, 2))
     rng.shuffle(queries)
     _assert_batch_matches_scalar(corr, l, queries, alpha)
 
@@ -335,19 +349,18 @@ def test_fisher_z_many_matches_the_scalar_loop(seed, k, l, mixing, alpha):
 @pytest.mark.parametrize("seed", [5, 17])
 def test_fisher_z_many_matches_the_scalar_loop_on_the_ci_universe(seed):
     d = sample(gen_linear_scm(20, 1.5, seed), 10_000, seed + 1).dataset
-    _assert_batch_matches_scalar(correlation_matrix(d), d.l, _universe01(20), 0.001)
+    _assert_batch_matches_scalar(correlation_matrix(d), d.l, _universe(20), 0.001)
 
 
-@pytest.mark.parametrize(
-    "case", sorted(c for c, (_, cond) in _collinear_cases().items() if len(cond) <= 1)
-)
+@pytest.mark.parametrize("case", sorted(_collinear_cases()))
 @pytest.mark.parametrize("l", [4, 500])
 def test_fisher_z_many_raises_the_first_error_of_the_scalar_loop(case, l):
-    # the case's own query comes last, after the order-0/1 universe of its
-    # columns; at l = 4 every order-1 query has too few samples
+    # the case's own query comes last, after the order-0/1/2 universe of
+    # its columns; at l = 4 every order-1 or order-2 query has too few
+    # samples
     cols, cond = _collinear_cases()[case]
     corr = np.corrcoef(np.column_stack(cols), rowvar=False)
-    queries = _universe01(len(cols)) + [Query.ci(0, 1, cond)]
+    queries = _universe(len(cols), (0, 1, 2)) + [Query.ci(0, 1, cond)]
     _assert_batch_matches_scalar(corr, l, queries, 0.05)
     refused = isinstance(_batch(corr, l, queries, 0.05)[0], type)
     assert refused == (not case.startswith("independent") or (l == 4 and len(cols) > 2))
@@ -367,13 +380,25 @@ def test_fisher_z_many_guards_at_the_boundary():
         _assert_batch_matches_scalar(corr, 1000, [Query.ci(0, 1)], 0.05)
     corr = np.eye(4)
     corr[0, 2] = corr[2, 0] = corr[0, 1] = corr[1, 0] = np.nan
-    _assert_batch_matches_scalar(corr, 100, _universe01(4), 0.05)
+    _assert_batch_matches_scalar(corr, 100, _universe(4, (0, 1, 2)), 0.05)
+
+
+def test_fisher_z_many_inverts_each_submatrix_as_the_scalar_does():
+    # the stacked inverse and condition number round each order-2 and
+    # order-3 submatrix as the former scalar's one-matrix calls did, so
+    # the p-value of its partial correlation is bit-equal
+    d = sample(gen_linear_scm(15, 1.5, 3), 2000, 4).dataset
+    corr = correlation_matrix(d)
+    queries = _universe(15, (2, 3))[::6]
+    _, p = fisher_z_many(corr, d.l, ci_rows(queries), 0.05)
+    for q, got in zip(queries, p.tolist()):
+        r = closed_form_partial_correlation(corr, q.members, q.cond)
+        stat = np.sqrt(d.l - len(q.cond) - 3) * np.arctanh(r)
+        assert got == erfc(abs(stat) / np.sqrt(2.0)), q
 
 
 def test_fisher_z_many_preconditions():
     corr = np.eye(4)
-    with pytest.raises(InvalidSize):
-        fisher_z_many(corr, 100, ci_rows([Query.ci(0, 1), Query.ci(0, 1, (2, 3))]), 0.05)
     with pytest.raises(InvalidSize):
         fisher_z_many(corr, 100, [[0, 1, -1, 3]], 0.05)
     with pytest.raises(InvalidSize):
@@ -387,13 +412,14 @@ def test_fisher_z_many_preconditions():
 @pytest.mark.parametrize(
     "row, error",
     [([-2, 1], UnknownNode), ([0, 1, -3], UnknownNode), ([0, 5], UnknownNode), ([0, 0], InvalidSize),
-     ([0, 1, 1], InvalidSize)],
+     ([0, 1, 1], InvalidSize), ([0, 1, -1, 3], InvalidSize), ([0, 1, -1, 5], UnknownNode)],
 )
 def test_fisher_z_many_refuses_bad_rows_as_d_separated_many_does(row, error):
     # a negative id read a row from the end of the matrix, a condition below
-    # -1 read as none, an id past the matrix ended in IndexError and a node
-    # twice in DegenerateInput
-    rows = [[0, 1, 2], row + [-1] * (3 - len(row)), [-2, 0, -1]]
+    # -1 read as none, an id past the matrix ended in IndexError, a node
+    # twice in DegenerateInput, and a node after the -1 padding was read as
+    # a condition by d_separated_many
+    rows = [[0, 1, 2, -1], row + [-1] * (4 - len(row)), [-2, 0, -1, -1]]
     with pytest.raises(error) as want:
         d_separated_many(Dag(4, []), rows)
     with pytest.raises(error) as got:
