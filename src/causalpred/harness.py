@@ -18,7 +18,7 @@ import numpy as np
 # the benchmark's tracer
 from .bounds import ModelClassId, gap_binary, vc_upper_bound
 from .core import QueryKind, ci_query_array, ci_rows, empirical_error, enumerate_queries
-from .errors import InvalidParams, LengthMismatch, ParseError, TagMismatch
+from .errors import InvalidParams, InvalidSize, KTooLarge, LengthMismatch, ParseError, TagMismatch
 from .learners import pc_fit, pc_oracle, polytree_from_anm
 from .models import (
     d_separated,
@@ -28,6 +28,13 @@ from .models import (
 )
 from .stattests import anm_test, correlation_matrix, fisher_z_from_corr, fisher_z_many
 from .synthgen import gen_gam_scm, gen_linear_scm, sample
+
+# the most nodes a ci experiment takes: its order-0/1 universe holds
+# n(n-1)/2 * (n-1) query rows, growing as n^3; one replicate at this many
+# (l = 2000, max_cond 1) peaked at 0.81 GB resident on d-separation truth
+# and 0.78 GB on Fisher-Z tests (0.86 GB at l = 50,000, the most samples
+# MAX_SAMPLE_CELLS allows); 0.45 GB at n = 160 and 1.3 GB at n = 240
+MAX_CI_NODES = 200
 
 
 @dataclass(frozen=True)
@@ -57,6 +64,25 @@ class ExperimentConfig:
             raise InvalidParams("need at least one repetition and dataset")
         if self.seed < 0:
             raise InvalidParams(f"seed {self.seed} is negative")
+        # the checks of the steps that would otherwise refuse these values
+        # only after some work has run: the tests, gap_binary, PC and
+        # polytree_from_anm
+        for name, value in (("alpha", self.alpha), ("eta", self.eta)):
+            if not 0.0 < value < 1.0:
+                raise InvalidParams(f"{name} {value} outside (0, 1)")
+        if self.max_cond < 0:
+            raise InvalidSize("max_cond must be nonnegative")
+        if self.experiment == "ci" and self.n > MAX_CI_NODES:
+            raise InvalidSize(
+                f"a ci experiment on {self.n} nodes; the limit is {MAX_CI_NODES} nodes"
+            )
+        if self.experiment == "anm":
+            if not self.k_values:
+                raise InvalidParams("anm experiment needs k_values")
+            pairs = self.n * (self.n - 1)
+            for k in self.k_values:
+                if not 1 <= k <= pairs:
+                    raise KTooLarge(f"k={k} outside 1..{pairs}")
 
     @staticmethod
     def from_json(obj):
@@ -202,8 +228,6 @@ def run_anm_experiment(cfg: ExperimentConfig):
     repetitions and record empirical vs. expected risk."""
     if cfg.experiment != "anm":
         raise InvalidParams("config is not an anm experiment")
-    if not cfg.k_values:
-        raise InvalidParams("anm experiment needs k_values")
     class_id = ModelClassId(cfg.bound_class)
     h = vc_upper_bound(class_id, cfg.n)
     universe = enumerate_queries(cfg.n, QueryKind.ORDERED_PAIR)

@@ -184,9 +184,9 @@ def sign_estimate(d, q: Query) -> TestOutcome:
 # bandwidth and Gram once and hands the Grams to the private helpers, and
 # centring subtracts row and column means, so no m x m centring matrix is
 # built or multiplied.  Each m x m step writes into a given array: a fresh
-# one for the HSIC functions, the workspace of ``anm_test``.  No step
-# broadcasts a vector over a matrix, since numpy allocates a ufunc buffer
-# of about 64 KB for that; ``_add_outer`` does those steps instead.
+# one for the HSIC functions, one of the three in ``anm_test``'s record.
+# No step broadcasts a vector over a matrix, since numpy allocates a ufunc
+# buffer of about 64 KB for that; ``_add_outer`` does those steps instead.
 
 
 def _add_outer(k, alpha, a, b):
@@ -309,20 +309,11 @@ def _gamma_p_value(stat, mean_hsic, var_hsic, m) -> float:
 def _permutation_p_value(stat, kc, lc, n_permutations, seed) -> float:
     """Permuting y permutes the rows and columns of its Gram, centred or
     not, and leaves its bandwidth unchanged, so each draw only re-indexes
-    the centred Gram, into two arrays that serve every draw; the draws are
-    those of ``rng.permutation(y)``.  A permutation's indices are in range,
-    so ``mode="clip"`` changes none of them; it spares ``np.take`` the copy
-    of ``out`` it makes to check them."""
+    the centred Gram; the draws are those of ``rng.permutation(y)``."""
     m = kc.shape[0]
     rng = np.random.default_rng(seed)
-    rows, prod = np.empty_like(lc), np.empty_like(lc)
-    count = 0
-    for _ in range(n_permutations):
-        p = rng.permutation(m)
-        np.take(lc, p, axis=0, out=rows, mode="clip")
-        np.take(rows, p, axis=1, out=prod, mode="clip")
-        if float(np.sum(np.multiply(kc, prod, out=prod))) / m >= stat:
-            count += 1
+    draws = (rng.permutation(m) for _ in range(n_permutations))
+    count = sum(float(np.sum(kc * lc[np.ix_(p, p)])) / m >= stat for p in draws)
     return (count + 1.0) / (n_permutations + 1.0)
 
 
@@ -374,6 +365,8 @@ def _column_pair(x, y):
 def hsic_statistic(x, y):
     """Biased HSIC V-statistic with median-heuristic Gaussian kernels,
     plus the gamma moment-matching parameters of its null distribution."""
+    x, y = _column_pair(x, y)
+    _check_nonconstant(x, y)
     return _hsic_moments(*_centred_gram(x), *_centred_gram(y))
 
 
@@ -410,43 +403,38 @@ def kernel_regress(x, y):
     return _fit_residuals(_ridge_factor(x, _gram(x)), y)
 
 
-# the last source anm_test saw: (its column, _anm_source state)
-_last_source = None
-# anm_test's three m x m arrays for the last m it saw (see _anm_workspace)
-_workspace = None
+# anm_test's record: its three m x m arrays for the last m it saw, and the
+# last source it built in them, (its column, _anm_source state); each part
+# is None until there is one
+_anm_record = None, None
 
 
-def _anm_workspace(m):
-    """The three m x m arrays ``anm_test`` computes in, allocated by the
-    first test on m rows.  A test on another m drops them, and the source
-    state held in them, before it allocates its own."""
-    global _workspace, _last_source
-    if _workspace is None or _workspace[0].shape[0] != m:
-        _workspace = _last_source = None
-        _workspace = tuple(np.empty((m, m)) for _ in range(3))
-    return _workspace
-
-
-def _anm_source(x, workspace):
+def _anm_source(x):
     """A source column's centred Gram, the off-diagonal mean of its Gram
-    and its ``_ridge_factor``, in the first two arrays of ``workspace``.
+    and its ``_ridge_factor``, built in the first two of the three m x m
+    arrays ``anm_test`` computes in, and the third array, for a target.
 
-    Only the last source is remembered, keyed by the column's values, so a
-    universe enumerated source by source builds each source's state once.
-    The previous entry is dropped before the next is built over it, also
-    when building it fails."""
-    global _last_source
-    last = _last_source
+    ``_anm_record`` keeps the arrays until m changes, and the last source
+    keyed by the column's values, so a universe enumerated source by
+    source builds each source's state once.  A new m drops the arrays and
+    the source before allocating; a new source is dropped before it is
+    built over the arrays.  So a failure leaves a record of the arrays, if
+    any, and no source."""
+    global _anm_record
+    arrays, last = _anm_record
+    if arrays is None or arrays[0].shape[0] != x.size:
+        _anm_record = arrays, last = None, None
+        arrays = tuple(np.empty((x.size, x.size)) for _ in range(3))
     if last is not None and np.array_equal(last[0], x):
-        return last[1]
-    _last_source = last = None
-    centred, k = workspace[:2]
+        return last[1], arrays[2]
+    _anm_record = arrays, None
+    centred, k, target = arrays
     k = _gram(x, k)
     mu = _off_diagonal_mean(k)
     np.copyto(centred, k)
     state = _centre(centred), mu, _ridge_factor(x, k)
-    _last_source = (x.copy(), state)
-    return state
+    _anm_record = arrays, (x.copy(), state)
+    return state, target
 
 
 def anm_test(d, q: Query, alpha) -> TestOutcome:
@@ -459,13 +447,12 @@ def anm_test(d, q: Query, alpha) -> TestOutcome:
     The source's centred Gram serves the marginal test and the residual
     test, and the Cholesky factor of its regularised Gram the regression;
     both are built once for consecutive tests from the same source (see
-    ``_anm_source``).  Every m x m array is one of a fixed workspace of
-    three (see ``_anm_workspace``): the source's two and the target's or
-    the residual's centred Gram, which the product inside the HSIC moments
-    overwrites, since no later step reads it.  They stay allocated after
-    the test returns, 3 * 8 * m^2 bytes: 8.6 MB at m = 600 and 0.6 GB at
-    ``MAX_ANM_ROWS``.  Two threads must not run it at once, since they
-    would share the workspace.
+    ``_anm_source``).  Every m x m array is one of the three of its
+    record: the source's two and the target's or the residual's centred
+    Gram, which the product inside the HSIC moments overwrites, since no
+    later step reads it.  They stay allocated after the test returns,
+    3 * 8 * m^2 bytes: 8.6 MB at m = 600 and 0.6 GB at ``MAX_ANM_ROWS``.
+    Two threads must not run it at once, since they would share them.
     """
     if q.kind != QueryKind.ORDERED_PAIR:
         raise InvalidSize("anm_test takes ordered pairs")
@@ -480,9 +467,7 @@ def anm_test(d, q: Query, alpha) -> TestOutcome:
             f"({3 * 8 * m * m / 1e9:.1f} GB); the limit is {MAX_ANM_ROWS} rows"
         )
     _check_nonconstant(x, y)
-    workspace = _anm_workspace(m)
-    kc, mu_x, ridge = _anm_source(x, workspace)
-    target = workspace[2]
+    (kc, mu_x, ridge), target = _anm_source(x)
     marginal_p = _gamma_p_value(*_hsic_moments(kc, mu_x, *_centred_gram(y, target), target), m)
     residuals = _fit_residuals(ridge, y)
     _check_nonconstant(residuals)

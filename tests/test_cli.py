@@ -727,8 +727,13 @@ def test_predict_on_a_model_with_negative_n_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "update", [{"experiment": "anm", "k_values": [2], "bound_class": "foo"}, {"seed": -1}],
-    ids=["unknown-bound-class", "negative-seed"],
+    "update",
+    [
+        {"experiment": "anm", "k_values": [2], "bound_class": "foo"},
+        {"seed": -1},
+        {"alpha": 1.5, "oracle": True},
+    ],
+    ids=["unknown-bound-class", "negative-seed", "alpha-outside-0-1"],
 )
 def test_experiment_on_invalid_config_params_exits_2(tmp_path, capsys, update):
     cfg = tmp_path / "cfg.json"

@@ -6,8 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from causalpred import harness, learners
+from causalpred.bounds import gap_binary
 from causalpred.core import Dataset, Query, binary
-from causalpred.errors import InvalidParams, LengthMismatch, ParseError, TagMismatch
+from causalpred.errors import (
+    CausalPredError,
+    InvalidParams,
+    InvalidSize,
+    LengthMismatch,
+    ParseError,
+    TagMismatch,
+)
 from causalpred.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -19,7 +27,8 @@ from causalpred.harness import (
     summarize,
     write_records,
 )
-from causalpred.stattests import TestOutcome
+from causalpred.models import Dag
+from causalpred.stattests import TestOutcome, fisher_z_from_corr
 from oracles import ref_expected_risk, ref_run_anm_experiment, ref_run_ci_experiment
 
 
@@ -52,8 +61,11 @@ def test_config_from_json_parse_errors(obj):
 
 
 def test_config_from_json_takes_an_int_for_a_float_and_no_bool_for_an_int():
-    cfg = ExperimentConfig.from_json({"experiment": "ci", "alpha": 0, "expected_degree": 2})
-    assert (cfg.alpha, cfg.expected_degree) == (0, 2)
+    cfg = ExperimentConfig.from_json({"experiment": "ci", "expected_degree": 2})
+    assert cfg.expected_degree == 2
+    # an int alpha passes the type check and meets the range check
+    with pytest.raises(InvalidParams, match=r"alpha 0 outside \(0, 1\)"):
+        ExperimentConfig.from_json({"experiment": "ci", "alpha": 0})
     for key in ("n", "seed", "max_cond"):
         with pytest.raises(ParseError, match=f"{key} must be an integer"):
             ExperimentConfig.from_json({"experiment": "ci", key: False})
@@ -71,8 +83,53 @@ def test_experiment_type_mismatch():
         run_ci_experiment(ExperimentConfig("anm", k_values=(5,)))
     with pytest.raises(InvalidParams):
         run_anm_experiment(ExperimentConfig("ci"))
-    with pytest.raises(InvalidParams):
-        run_anm_experiment(ExperimentConfig("anm"))  # no k_values
+
+
+def _error(fn, *args, **kwargs):
+    with pytest.raises(CausalPredError) as info:
+        fn(*args, **kwargs)
+    return type(info.value), str(info.value)
+
+
+def test_config_refuses_what_a_step_would_refuse_before_any_work(monkeypatch):
+    # each value is refused with the error of the step that would refuse it
+    # later: a test, gap_binary, PC or polytree_from_anm; and no SCM is drawn
+    data = Dataset(np.random.default_rng(1).standard_normal((30, 6)), tuple(range(6)))
+    truth = Dag(3, frozenset({(0, 1)}))
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("an SCM was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    cases = [
+        ({"alpha": 1.5, "oracle": True}, fisher_z_from_corr, np.eye(2), 10, (0, 1), (), 1.5),
+        ({"alpha": 0.0}, fisher_z_from_corr, np.eye(2), 10, (0, 1), (), 0.0),
+        ({"eta": 1.0}, gap_binary, 1, 1, 1.0),
+        ({"experiment": "anm", "k_values": (2,), "eta": -0.5}, gap_binary, 1, 1, -0.5),
+        ({"max_cond": -1}, learners.pc_oracle, truth, -1),
+        ({"experiment": "anm", "n": 6, "k_values": (10, 31)}, learners.polytree_from_anm, data, 31, 0.05, 0),
+        ({"experiment": "anm", "n": 6, "k_values": (0,)}, learners.polytree_from_anm, data, 0, 0.05, 0),
+    ]
+    for update, step, *args in cases:
+        cfg = {"experiment": "ci", "n": 6, "l": 300, "repetitions": 2, **update}
+        assert _error(ExperimentConfig, **cfg) == _error(step, *args)
+    assert _error(ExperimentConfig, "anm") == (InvalidParams, "anm experiment needs k_values")
+
+
+def test_a_ci_experiment_past_the_node_limit_is_refused_before_any_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the experiment started")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(harness, "ci_query_array", refuse)
+    n = harness.MAX_CI_NODES + 1
+    for oracle in (False, True):
+        assert _error(ExperimentConfig, "ci", n=n, l=2000, oracle=oracle) == (
+            InvalidSize,
+            f"a ci experiment on {n} nodes; the limit is {harness.MAX_CI_NODES} nodes",
+        )
+    ExperimentConfig("ci", n=harness.MAX_CI_NODES)
+    ExperimentConfig("anm", n=n, k_values=(5,))  # the limit is the ci universe's
 
 
 # --- risk plumbing ------------------------------------------------------------

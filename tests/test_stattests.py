@@ -790,7 +790,7 @@ def test_hsic_errors_unchanged_and_in_order():
     for (x, y), kind in zip(cases, want):
         got = _error(hsic_independence, x, y, 0.05)
         assert got[0] is kind
-        assert got == _error(ref_hsic_p_value, x, y)
+        assert got == _error(ref_hsic_p_value, x, y) == _error(hsic_statistic, x, y)
     assert "gamma" in _error(ref_hsic_p_value, OVERFLOW, OVERFLOW[::-1].copy())[1]
     assert _error(hsic_independence, OVERFLOW, OVERFLOW[::-1].copy(), 0.05) == OVERFLOW_ERROR
     assert _error(median_bandwidth, OVERFLOW) == OVERFLOW_ERROR
@@ -846,7 +846,8 @@ def test_a_refused_source_leaves_no_remembered_state():
     anm_test(d, Query.ordered_pair(0, 1), 0.05)
     for _ in range(2):
         assert _error(anm_test, d, Query.ordered_pair(2, 1), 0.05) == OVERFLOW_ERROR
-        assert stattests._last_source is None
+        arrays, source = stattests._anm_record
+        assert source is None and arrays[0].shape == (20, 20)
     for s, t in ((0, 1), (1, 0), (0, 1)):
         out = anm_test(d, Query.ordered_pair(s, t), 0.05)
         value, p = ref_anm_test(d.column(s), d.column(t), 0.05)
@@ -911,4 +912,46 @@ def test_the_workspace_follows_a_change_of_the_row_count():
         value, p = ref_anm_test(d.column(s), d.column(t), 0.05)
         assert out.value.value == value
         assert abs(out.p_value - p) <= 1e-10
-        assert stattests._workspace[0].shape == (d.l, d.l)
+        assert stattests._anm_record[0][0].shape == (d.l, d.l)
+
+
+def test_a_change_of_the_row_count_frees_the_old_arrays_before_allocating():
+    # from m = 300 to m = 320 the traced memory grows by the difference of
+    # the three arrays, not by three new ones next to the old
+    first = sample(gen_gam_scm(3, 1.5, 15), 300, seed=16).dataset
+    second = sample(gen_gam_scm(3, 1.5, 17), 320, seed=18).dataset
+    tracemalloc.start()
+    try:
+        anm_test(first, Query.ordered_pair(0, 1), 0.05)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        anm_test(second, Query.ordered_pair(0, 1), 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 8 * 320 * 320
+
+
+def test_a_failed_allocation_leaves_a_record_the_next_test_reads(monkeypatch):
+    # a change of m drops the old arrays before it allocates the new ones;
+    # when that allocation fails, the next test starts from an empty record
+    first = sample(gen_gam_scm(3, 1.5, 11), 100, seed=12).dataset
+    second = sample(gen_gam_scm(3, 1.5, 13), 120, seed=14).dataset
+    anm_test(first, Query.ordered_pair(0, 1), 0.05)
+    empty = np.empty
+
+    def refuse_square(shape, *args, **kwargs):
+        if shape == (120, 120):
+            raise MemoryError
+        return empty(shape, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "empty", refuse_square)
+        with pytest.raises(MemoryError):
+            anm_test(second, Query.ordered_pair(0, 1), 0.05)
+    assert stattests._anm_record == (None, None)
+    for d in (second, first):
+        out = anm_test(d, Query.ordered_pair(0, 1), 0.05)
+        value, p = ref_anm_test(d.column(0), d.column(1), 0.05)
+        assert out.value.value == value
+        assert abs(out.p_value - p) <= 1e-10
