@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bounds, harness, learners, models, stattests, synthgen
 from .core import Query, QueryKind, load_dataset, load_json, save_dataset
-from .errors import CausalPredError, ParseError, UnsupportedQueryForModel
+from .errors import CausalPredError, InvalidSize, ParseError, UnsupportedQueryForModel
 
 DEFAULT_SEED_ENV = "CAUSALPRED_SEED"
 
@@ -222,6 +222,9 @@ PLAN_QUERY_KIND = {
 
 
 def cmd_plan(args):
+    # pair classes ignore --cond-size, but no class takes a negative one
+    if args.cond_size < 0:
+        raise InvalidSize(f"conditioning size {args.cond_size} is negative")
     class_id = bounds.ModelClassId(args.model_class)
     min_k = bounds.min_training_sets(class_id, args.n, args.eps, args.eta)
     kind = PLAN_QUERY_KIND.get(class_id, QueryKind.COND_INDEP)

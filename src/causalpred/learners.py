@@ -136,9 +136,15 @@ def _f1(tp, fp, fn):
 def select_alpha(candidates, scms, l, seed=0):
     """Pick the test confidence level with the best mean F1 of predicted
     dependence against d-separation ground truth, over marginal and
-    one-variable-conditioned queries; ties go to the smaller alpha."""
+    one-variable-conditioned queries; ties go to the smaller alpha.  Every
+    candidate is checked, and ``scms`` must not be empty, before any
+    sample is drawn."""
     if not candidates:
         raise InvalidSize("need at least one candidate alpha")
+    for alpha in candidates:
+        _require_alpha(alpha)
+    if not scms:
+        raise InvalidSize("need at least one SCM")
     scores = {a: [] for a in candidates}
     for idx, scm in enumerate(scms):
         data = sample(scm, l, seed + idx).dataset
@@ -148,13 +154,12 @@ def select_alpha(candidates, scms, l, seed=0):
         true_dep = d_separated_many(g, queries) == 0
         p = fisher_z_many(corr, l, queries, candidates[0])[1]
         for alpha in candidates:
-            _require_alpha(alpha)
             predicted_dep = p <= alpha  # label 0: p is never NaN here
             tp = int(np.count_nonzero(predicted_dep & true_dep))
             fp = int(np.count_nonzero(predicted_dep & ~true_dep))
             fn = int(np.count_nonzero(~predicted_dep & true_dep))
             scores[alpha].append(_f1(tp, fp, fn))
-    means = {a: float(np.mean(s)) if s else 0.0 for a, s in scores.items()}
+    means = {a: float(np.mean(s)) for a, s in scores.items()}
     best = max(means.values())
     return min(a for a in candidates if means[a] == best)
 

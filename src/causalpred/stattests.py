@@ -306,17 +306,6 @@ def _gamma_p_value(stat, mean_hsic, var_hsic, m) -> float:
     return float(gammaincc(shape, max(stat, 0.0) / scale))
 
 
-def _permutation_p_value(stat, kc, lc, n_permutations, seed) -> float:
-    """Permuting y permutes the rows and columns of its Gram, centred or
-    not, and leaves its bandwidth unchanged, so each draw only re-indexes
-    the centred Gram; the draws are those of ``rng.permutation(y)``."""
-    m = kc.shape[0]
-    rng = np.random.default_rng(seed)
-    draws = (rng.permutation(m) for _ in range(n_permutations))
-    count = sum(float(np.sum(kc * lc[np.ix_(p, p)])) / m >= stat for p in draws)
-    return (count + 1.0) / (n_permutations + 1.0)
-
-
 def _ridge_factor(x, k):
     """The system of a kernel ridge regression on the column ``x`` with
     Gram ``k``: the Cholesky factor of K + lam I, lam = ``RIDGE_SCALE * m``,
@@ -370,24 +359,12 @@ def hsic_statistic(x, y):
     return _hsic_moments(*_centred_gram(x), *_centred_gram(y))
 
 
-def hsic_independence(x, y, alpha, method="gamma", n_permutations=500, seed=0) -> TestOutcome:
-    """HSIC test; value 1 iff independence is accepted (p > alpha).
-
-    The null p-value comes from a gamma moment-matching approximation by
-    default; ``method="permutation"`` resamples one column instead.
-    """
+def hsic_independence(x, y, alpha) -> TestOutcome:
+    """HSIC test; value 1 iff independence is accepted (p > alpha), with the
+    p-value of the gamma moment-matching approximation to the null."""
     _require_alpha(alpha)
     x, y = _column_pair(x, y)
-    _check_nonconstant(x, y)
-    kc, mu_x = _centred_gram(x)
-    lc, mu_y = _centred_gram(y)
-    stat, mean_hsic, var_hsic = _hsic_moments(kc, mu_x, lc, mu_y)
-    if method == "gamma":
-        p = _gamma_p_value(stat, mean_hsic, var_hsic, x.size)
-    elif method == "permutation":
-        p = _permutation_p_value(stat, kc, lc, n_permutations, seed)
-    else:
-        raise InvalidParams(f"unknown method {method!r}")
+    p = _gamma_p_value(*hsic_statistic(x, y), x.size)
     return TestOutcome(binary(1 if p > alpha else 0), p, alpha)
 
 

@@ -18,7 +18,7 @@ from .errors import InvalidDegree, InvalidSize
 from .models import Dag, Polytree, forest_union
 
 HIDDEN_UNITS = 20
-DEFAULT_NOISE_WIDTH = 1.0  # uniform noise on [-0.5, 0.5]
+NOISE_WIDTH = 1.0  # GAM noise is uniform on [-0.5, 0.5]
 # a random SCM draws from all n(n-1)/2 forward pairs, built as a list, and
 # a linear one fills an n x n coefficient matrix: about 0.1 GB at this
 # many nodes, growing as n^2
@@ -81,18 +81,16 @@ class Mechanism:
 
 @dataclass(frozen=True)
 class GamScm:
-    """Generalized-additive SCM on a forest skeleton with uniform noise."""
+    """Generalized-additive SCM on a forest skeleton with uniform noise of
+    width ``NOISE_WIDTH``."""
 
     n: int
     dag: Polytree
     mechanisms: dict  # (parent, child) -> Mechanism
-    noise_width: float = DEFAULT_NOISE_WIDTH
 
     def __post_init__(self):
         if set(self.mechanisms) != set(self.dag.edges):
             raise InvalidSize("mechanisms must cover exactly the edges of the skeleton")
-        if self.noise_width <= 0:
-            raise InvalidSize("noise width must be positive")
 
 
 @dataclass(frozen=True)
@@ -148,7 +146,7 @@ def _random_mechanism(rng) -> Mechanism:
     return Mechanism(w1, w2, b)
 
 
-def gen_gam_scm(n, expected_degree, seed, noise_width=DEFAULT_NOISE_WIDTH) -> GamScm:
+def gen_gam_scm(n, expected_degree, seed) -> GamScm:
     """Like gen_linear_scm, but edges closing an undirected cycle are rejected."""
     p = _edge_probability(n, expected_degree)
     rng = np.random.default_rng(seed)
@@ -161,15 +159,15 @@ def gen_gam_scm(n, expected_degree, seed, noise_width=DEFAULT_NOISE_WIDTH) -> Ga
         if rng.random() < p and union(j, i):
             edges.append((j, i))
             mechanisms[(j, i)] = _random_mechanism(rng)
-    return GamScm(n, Polytree(n, edges), mechanisms, noise_width)
+    return GamScm(n, Polytree(n, edges), mechanisms)
 
 
-def gen_gam_chain(n, seed, noise_width=DEFAULT_NOISE_WIDTH) -> GamScm:
+def gen_gam_chain(n, seed) -> GamScm:
     """A directed chain 0 -> 1 -> ... -> n-1 with random tanh mechanisms."""
     rng = np.random.default_rng(seed)
     edges = [(i, i + 1) for i in range(n - 1)]
     mechanisms = {e: _random_mechanism(rng) for e in edges}
-    return GamScm(n, Polytree(n, edges), mechanisms, noise_width)
+    return GamScm(n, Polytree(n, edges), mechanisms)
 
 
 def check_sample_size(n, l):
@@ -192,8 +190,7 @@ def sample(scm, l, seed) -> ScmSample:
         for v in ranks:
             x[:, v] = noise[:, v] + x @ scm.coeffs[v]
     elif isinstance(scm, GamScm):
-        w = scm.noise_width
-        noise = rng.uniform(-w / 2.0, w / 2.0, size=(l, n))
+        noise = rng.uniform(-NOISE_WIDTH / 2.0, NOISE_WIDTH / 2.0, size=(l, n))
         for v in scm.dag.topological_order():
             acc = noise[:, v].copy()
             for p in sorted(scm.dag.parents(v)):
@@ -221,7 +218,7 @@ def truth_to_json(scm) -> dict:
             "type": "gam",
             "n": scm.n,
             "edges": sorted(map(list, scm.dag.edges)),
-            "noise_width": scm.noise_width,
+            "noise_width": NOISE_WIDTH,
             "mechanisms": {
                 f"{p}->{c}": {"w1": m.w1.tolist(), "w2": m.w2.tolist(), "b": m.b.tolist()}
                 for (p, c), m in sorted(scm.mechanisms.items())

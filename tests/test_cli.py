@@ -603,6 +603,14 @@ def test_plan_command_universe_follows_class(capsys, model_class, possible):
     assert out["fraction"] == pytest.approx(out["min_k"] / possible)
 
 
+@pytest.mark.parametrize("model_class", cli.MODEL_CLASSES)
+def test_plan_refuses_a_negative_cond_size_for_every_class(capsys, model_class):
+    # pair classes ignore --cond-size, yet a negative one is refused for them too
+    assert cli.main(["plan", "--class", model_class, "--n", "5", "--cond-size", "-7"]) == 2
+    err = _one_json_object(capsys.readouterr().err)
+    assert err == {"error": "InvalidSize", "message": "conditioning size -7 is negative"}
+
+
 def test_plan_command(capsys):
     rc = cli.main(["plan", "--class", "polytrees", "--n", "10", "--eps", "0.1", "--eta", "0.1"])
     assert rc == 0
@@ -673,9 +681,11 @@ def test_experiment_command(tmp_path, capsys):
         '{"experiment": "anm", "k_values": "12"}',
         '{"experiment": "ci", "n": true}',
         '{"experiment": "ci", "oracle": 1}',
+        '{"experiment": "anm", "k_values": [2], "bound_class": "foo"}',
     ],
     ids=["unknown-key", "missing-key", "not-an-object", "k-values-not-a-list", "n-string",
-         "repetitions-float", "degree-string", "k-values-string", "n-bool", "oracle-int"],
+         "repetitions-float", "degree-string", "k-values-string", "n-bool", "oracle-int",
+         "unknown-bound-class"],
 )
 def test_experiment_on_a_malformed_config(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
@@ -729,11 +739,10 @@ def test_predict_on_a_model_with_negative_n_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "update",
     [
-        {"experiment": "anm", "k_values": [2], "bound_class": "foo"},
         {"seed": -1},
         {"alpha": 1.5, "oracle": True},
     ],
-    ids=["unknown-bound-class", "negative-seed", "alpha-outside-0-1"],
+    ids=["negative-seed", "alpha-outside-0-1"],
 )
 def test_experiment_on_invalid_config_params_exits_2(tmp_path, capsys, update):
     cfg = tmp_path / "cfg.json"
@@ -968,7 +977,6 @@ def _fuzz_config(draw):
             "datasets": st.sampled_from([1, 0]),
             "expected_degree": st.sampled_from([1.5, 1, 0, -1, 5]),
             "oracle": st.booleans(),
-            "bound_class": st.sampled_from(["polytrees", "directionality", "alldags", "foo"]),
         },
         required=("n", "l", "repetitions", "datasets"),
     )

@@ -73,9 +73,11 @@ def test_config_from_json_takes_an_int_for_a_float_and_no_bool_for_an_int():
         ExperimentConfig.from_json({"experiment": "anm", "k_values": [2, True]})
 
 
-def test_unknown_bound_class_is_invalid_params():
-    with pytest.raises(InvalidParams, match="unknown bound class 'foo'"):
-        ExperimentConfig("anm", k_values=(2,), bound_class="foo")
+def test_bound_class_is_an_unknown_key():
+    # the anm overlay is always the polytree class; no config names one
+    for value in ("polytrees", "foo"):
+        with pytest.raises(ParseError, match="bound_class"):
+            ExperimentConfig.from_json({"experiment": "anm", "k_values": [2], "bound_class": value})
 
 
 def test_experiment_type_mismatch():

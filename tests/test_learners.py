@@ -314,6 +314,20 @@ def test_select_alpha_refuses_a_bad_candidate():
         select_alpha([0.05, 1.0], [gen_linear_scm(5, 1.5, 0)], l=500)
 
 
+def test_select_alpha_checks_its_input_before_any_work():
+    # no SCM means no score, so neither a lone bad candidate nor the good
+    # first one of two may come back
+    for candidates in ([5.0], [0.01, 7.0]):
+        with pytest.raises(InvalidParams):
+            select_alpha(candidates, [], l=100)
+    with pytest.raises(InvalidSize):
+        select_alpha([0.01], [], l=100)
+    # a bad last candidate is refused before the first sample is drawn
+    with mock.patch.object(learners, "sample", side_effect=AssertionError("sampled")):
+        with pytest.raises(InvalidParams):
+            select_alpha([0.01, 0.05, 0.0], [gen_linear_scm(5, 1.5, 0)], l=500)
+
+
 # --- polytree from additive-noise outcomes ------------------------------------
 
 

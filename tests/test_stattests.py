@@ -580,23 +580,12 @@ def test_hsic_invariant_under_joint_permutation():
     assert a.p_value == pytest.approx(b.p_value)
 
 
-def test_hsic_permutation_method_agrees_with_gamma():
-    rng = np.random.default_rng(9)
-    x = rng.uniform(-1, 1, 150)
-    y = x**2 + 0.1 * rng.standard_normal(150)
-    g = hsic_independence(x, y, 0.05)
-    p = hsic_independence(x, y, 0.05, method="permutation", n_permutations=200, seed=1)
-    assert g.value.value == p.value.value == 0
-
-
 def test_hsic_preconditions():
     rng = np.random.default_rng(10)
     with pytest.raises(InvalidSize):
         hsic_independence(rng.standard_normal(10), rng.standard_normal(10), 0.05)
     with pytest.raises(InvalidSize):
         hsic_independence(rng.standard_normal(30), rng.standard_normal(31), 0.05)
-    with pytest.raises(InvalidParams):
-        hsic_independence(rng.standard_normal(30), rng.standard_normal(30), 0.05, method="bogus")
 
 
 # --- kernel regression --------------------------------------------------------
@@ -701,16 +690,20 @@ def test_hsic_matches_dense_centring(m, ties):
     assert abs(p - ref_hsic_p_value(x, y)) <= 1e-10
 
 
-@pytest.mark.parametrize("m,ties", [(20, True), (45, False), (60, True)])
-def test_hsic_permutation_reindexes_grams(m, ties):
-    # weak dependence, so the permuted statistics fall on both sides of the
-    # observed one and the count of exceedances is informative
+@pytest.mark.parametrize("m", [20, 21, 57, 200, 333, 600])
+@pytest.mark.parametrize("ties", [False, True])
+def test_hsic_independence_is_the_gamma_p_value_of_hsic_statistic(m, ties):
+    # independent, weakly and strongly dependent pairs, so p-values spread
+    # over (0, 1]; the label compares p with alpha, equal alpha included
     x = _kernel_column(m, m, ties)
-    y = 0.3 * x + _kernel_column(m + 1, m, ties)
-    got = hsic_independence(x, y, 0.05, method="permutation", n_permutations=60, seed=m)
-    want = ref_hsic_p_value(x, y, method="permutation", n_permutations=60, seed=m)
-    assert 1.0 / 61.0 < want < 1.0
-    assert abs(got.p_value - want) <= 1e-10
+    for slope in (0.0, 0.3, 1.0):
+        y = slope * x + _kernel_column(m + 1, m, ties)
+        p = _gamma_p_value(*hsic_statistic(x, y), m)
+        for alpha in {0.01, 0.05, 0.5, p} - {0.0, 1.0}:
+            out = hsic_independence(x, y, alpha)
+            assert out.p_value == p
+            assert out.value.value == (1 if p > alpha else 0)
+            assert out.alpha == alpha
 
 
 @pytest.mark.parametrize("m,ties", KERNEL_CASES)
@@ -791,8 +784,11 @@ def test_hsic_errors_unchanged_and_in_order():
         got = _error(hsic_independence, x, y, 0.05)
         assert got[0] is kind
         assert got == _error(ref_hsic_p_value, x, y) == _error(hsic_statistic, x, y)
+        # alpha is checked before the columns
+        assert _error(hsic_independence, x, y, 1.0) == (InvalidParams, "alpha 1.0 outside (0, 1)")
     assert "gamma" in _error(ref_hsic_p_value, OVERFLOW, OVERFLOW[::-1].copy())[1]
-    assert _error(hsic_independence, OVERFLOW, OVERFLOW[::-1].copy(), 0.05) == OVERFLOW_ERROR
+    for x, y in ((OVERFLOW, OVERFLOW[::-1].copy()), (rng.standard_normal(20), OVERFLOW)):
+        assert _error(hsic_independence, x, y, 0.05) == _error(hsic_statistic, x, y) == OVERFLOW_ERROR
     assert _error(median_bandwidth, OVERFLOW) == OVERFLOW_ERROR
     assert "gamma" in _error(_gamma_p_value, 1.0, 0.0, 1.0, 30)[1]
     for x, y in cases[:2]:

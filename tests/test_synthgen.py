@@ -7,8 +7,8 @@ from scipy import stats
 from causalpred.errors import InvalidDegree, InvalidSize
 from causalpred.models import Polytree, is_polytree_edges
 from causalpred.synthgen import (
-    DEFAULT_NOISE_WIDTH,
     HIDDEN_UNITS,
+    NOISE_WIDTH,
     GamScm,
     LinearScm,
     Mechanism,
@@ -120,8 +120,7 @@ def test_gam_scm_validation():
     mech = Mechanism(rng.random(HIDDEN_UNITS), rng.random(HIDDEN_UNITS), rng.random(HIDDEN_UNITS))
     with pytest.raises(InvalidSize):
         GamScm(3, tree, {})  # missing mechanism for the edge
-    with pytest.raises(InvalidSize):
-        GamScm(3, tree, {(0, 1): mech}, noise_width=0.0)
+    GamScm(3, tree, {(0, 1): mech})
 
 
 # --- sampling -----------------------------------------------------------------
@@ -155,20 +154,11 @@ def test_chain_sample_covariance():
 def test_gam_residual_matches_noise_distribution():
     scm = gen_gam_chain(3, seed=8)
     data = sample(scm, 5000, seed=9).dataset.samples
-    w = scm.noise_width
+    w = NOISE_WIDTH
     for child in (1, 2):
         resid = data[:, child] - scm.mechanisms[(child - 1, child)](data[:, child - 1])
         ks = stats.kstest(resid, stats.uniform(loc=-w / 2, scale=w).cdf)
         assert ks.pvalue > 0.01
-
-
-def test_gam_noise_width_configurable():
-    scm = gen_gam_chain(2, seed=1, noise_width=2.0)
-    data = sample(scm, 5000, seed=2).dataset.samples
-    assert data[:, 0].min() < -0.6  # wider than the default [-0.5, 0.5]
-    assert np.all(np.abs(data[:, 0]) <= 1.0)
-    assert scm.noise_width == 2.0
-    assert DEFAULT_NOISE_WIDTH == 1.0
 
 
 # --- population covariance ----------------------------------------------------
