@@ -102,8 +102,7 @@ def cmd_gen(args):
         scm = synthgen.gen_linear_scm(args.n, args.degree, args.seed)
     else:
         scm = synthgen.gen_gam_scm(args.n, args.degree, args.seed)
-    result = synthgen.sample(scm, args.samples, args.seed + 1)
-    save_dataset(result.dataset, args.out)
+    save_dataset(synthgen.sample(scm, args.samples, args.seed + 1).dataset, args.out)
     if args.truth:
         synthgen.save_truth(scm, args.truth)
     _emit({"written": args.out, "n": scm.n, "l": args.samples})
@@ -111,30 +110,28 @@ def cmd_gen(args):
 
 
 def cmd_test(args):
-    d = load_dataset(args.data, args.names)
     prefix, q = parse_query(args.query)
-    if prefix == "ci":
-        out = stattests.fisher_z_ci(d, q, args.alpha)
-    elif prefix == "anm":
-        out = stattests.anm_test(d, q, args.alpha)
-    elif prefix == "corr":
-        out = stattests.corr_estimate(d, q)
-    elif prefix == "sign":
-        out = stattests.sign_estimate(d, q)
-    else:
+    tests = {
+        "ci": lambda d: stattests.fisher_z_ci(d, q, args.alpha),
+        "anm": lambda d: stattests.anm_test(d, q, args.alpha),
+        "corr": lambda d: stattests.corr_estimate(d, q),
+        "sign": lambda d: stattests.sign_estimate(d, q),
+    }
+    if prefix not in tests:
         raise ParseError(f"no statistical test for query kind {prefix!r}")
-    _emit(_outcome_json(out))
+    d = load_dataset(args.data, args.names)
+    _emit(_outcome_json(tests[prefix](d)))
     return 0
 
 
 def cmd_fit(args):
+    if args.model == "polytree" and args.k is None:
+        raise ParseError("polytree fitting needs --k")
     d = load_dataset(args.data, args.names)
     if args.model == "pc":
         model, labels = learners.pc_fit(d, args.alpha, args.max_cond)
         prefix = "ci"
     elif args.model == "polytree":
-        if args.k is None:
-            raise ParseError("polytree fitting needs --k")
         model, labels = learners.polytree_from_anm(d, args.k, args.alpha, args.seed)
         prefix = "anm"
     else:

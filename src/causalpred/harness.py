@@ -48,13 +48,17 @@ class ExperimentConfig:
     seed: int = 0
     max_cond: int = 1  # ci experiment
     k_values: tuple = ()  # anm experiment
-    datasets: int = 5
+    datasets: int = 5  # anm experiment
     expected_degree: float = 1.5
     oracle: bool = False  # ci: replace tests by d-separation truth
 
     def __post_init__(self):
-        if self.experiment not in ("ci", "anm"):
+        refused = {"ci": ("k_values", "datasets"), "anm": ("max_cond", "oracle")}
+        if self.experiment not in refused:
             raise InvalidParams(f"unknown experiment {self.experiment!r}")
+        for f in fields(self):
+            if f.name in refused[self.experiment] and getattr(self, f.name) != f.default:
+                raise InvalidParams(f"{f.name} is not read by {self.experiment} experiments")
         if self.repetitions < 1 or self.datasets < 1:
             raise InvalidParams("need at least one repetition and dataset")
         if self.seed < 0:
@@ -77,7 +81,7 @@ class ExperimentConfig:
             pairs = self.n * (self.n - 1)
             for k in self.k_values:
                 if not 1 <= k <= pairs:
-                    raise KTooLarge(f"k={k} outside 1..{pairs}")
+                    raise KTooLarge(f"cannot draw {k} from a universe of {pairs}")
 
     @staticmethod
     def from_json(obj):
@@ -198,8 +202,8 @@ def run_ci_experiment(cfg: ExperimentConfig):
     for rep in range(cfg.repetitions):
         seed = cfg.seed + 1000 * rep
         scm = gen_linear_scm(cfg.n, cfg.expected_degree, seed)
-        truth = scm.dag()
         if cfg.oracle:
+            truth = scm.dag()
             cpdag, labels = pc_oracle(truth, cfg.max_cond)
             tester = partial(d_separated_many, truth)
         else:

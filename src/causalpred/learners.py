@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import Query, binary, ci_query_array, sample_queries
-from .errors import DataError, InvalidSize, KTooLarge, ZeroCorrelation
+from .errors import DataError, InvalidSize, ZeroCorrelation
 
 # d_separated and fisher_z_from_corr stay bound here for the benchmark's
 # tracer; nothing here calls them
@@ -90,15 +90,19 @@ def pc_from_ci(n, label, max_cond):
     return pdag.to_cpdag(), log
 
 
+def _require_node_ids(d, who):
+    k = len(d.columns)  # the learner's node v is the column of id v
+    outside = [v for v in d.columns if not 0 <= v < k]
+    if outside:
+        raise DataError(f"{who} needs column ids 0..{k - 1} in some order; ids {outside} are outside")
+
+
 def pc_fit(d, alpha, max_cond, *, corr=None):
     """PC with Fisher-Z tests on the dataset's correlation matrix, or on
     ``corr`` when the caller has already built it."""
+    _require_node_ids(d, "PC")
     if corr is None:
         corr = correlation_matrix(d)
-    k = len(d.columns)  # PC's node v is the column of id v
-    outside = [v for v in d.columns if not 0 <= v < k]
-    if outside:
-        raise DataError(f"PC needs column ids 0..{k - 1} in some order; ids {outside} are outside")
     pos = np.argsort(d.columns)
     corr = corr[np.ix_(pos, pos)]  # row and column v are now column id v's
 
@@ -112,7 +116,7 @@ def pc_fit(d, alpha, max_cond, *, corr=None):
 
         return outcome
 
-    return pc_from_ci(k, label, max_cond)
+    return pc_from_ci(len(d.columns), label, max_cond)
 
 
 def pc_oracle(g, max_cond):
@@ -181,8 +185,6 @@ def polytree_from_anm(d, k, alpha, seed, tester=None):
     universe = [
         Query.ordered_pair(a, b) for a in d.columns for b in d.columns if a != b
     ]
-    if not 1 <= k <= len(universe):
-        raise KTooLarge(f"k={k} outside 1..{len(universe)}")
     if tester is None:
         tester = lambda q: anm_test(d, q, alpha)
     chosen = sample_queries(universe, k, seed)
@@ -216,6 +218,7 @@ def fit_path_model(d):
     Starts from the strongest pair and repeatedly extends whichever chain
     end has the largest absolute correlation with an unused variable.
     """
+    _require_node_ids(d, "a path model")
     n = len(d.columns)
     if n < 2:
         raise InvalidSize("need at least two variables")

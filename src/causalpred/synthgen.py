@@ -96,11 +96,6 @@ class GamScm:
 @dataclass(frozen=True)
 class ScmSample:
     dataset: Dataset
-    truth: object  # the generating LinearScm or GamScm
-
-    def __post_init__(self):
-        if self.dataset.columns != tuple(range(self.truth.n)):
-            raise InvalidSize("sample must cover all variables in id order")
 
 
 def _edge_probability(n, expected_degree):
@@ -198,7 +193,7 @@ def sample(scm, l, seed) -> ScmSample:
             x[:, v] = acc
     else:
         raise InvalidSize(f"cannot sample from {type(scm).__name__}")
-    return ScmSample(Dataset(x, tuple(range(n))), scm)
+    return ScmSample(Dataset(x, tuple(range(n))))
 
 
 def truth_to_json(scm) -> dict:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from causalpred import bounds, cli, stattests, synthgen
@@ -111,6 +111,24 @@ def test_missing_file_exit_code(capsys):
     assert cli.main(["test", "--data", "no-such-file.csv", "--query", "ci:0,1"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["test", "--query", "zzz:1"], "unknown query kind 'zzz'"),
+        (["test", "--query", "dir:0->1"], "no statistical test for query kind 'dir'"),
+        (["fit", "polytree", "--out", "m.json"], "polytree fitting needs --k"),
+    ],
+    ids=["test-unknown-kind", "test-kind-without-a-test", "fit-polytree-without-k"],
+)
+def test_test_and_fit_refuse_their_arguments_before_reading_the_data(
+    tmp_path, monkeypatch, capsys, argv, message
+):
+    # as predict does: the data file does not exist, so reading it first would exit 2
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*argv, "--data", "no-such-file.csv"]) == 1
+    assert _one_json_object(capsys.readouterr().err) == {"error": "ParseError", "message": message}
 
 
 def _one_json_object(err):
@@ -382,6 +400,20 @@ def test_fit_pc_names_column_ids_that_are_not_0_to_k_minus_1(tmp_path, capsys):
     assert err == {
         "error": "DataError",
         "message": "PC needs column ids 0..2 in some order; ids [5, 7, 9] are outside",
+    }
+
+
+def test_fit_path_names_column_ids_that_are_not_0_to_k_minus_1(tmp_path, capsys):
+    rows = np.random.default_rng(3).standard_normal((50, 2))
+    (tmp_path / "d.csv").write_text(
+        "3,7\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist())
+    )
+    rc = cli.main(["fit", "path", "--data", str(tmp_path / "d.csv"), "--out", str(tmp_path / "m.json")])
+    assert rc == 2
+    err = _one_json_object(capsys.readouterr().err)
+    assert err == {
+        "error": "DataError",
+        "message": "a path model needs column ids 0..1 in some order; ids [3, 7] are outside",
     }
 
 
@@ -741,8 +773,10 @@ def test_predict_on_a_model_with_negative_n_exits_2(tmp_path, capsys):
     [
         {"seed": -1},
         {"alpha": 1.5, "oracle": True},
+        {"k_values": [3]},
+        {"experiment": "anm", "k_values": [2], "oracle": True, "max_cond": 3},
     ],
-    ids=["negative-seed", "alpha-outside-0-1"],
+    ids=["negative-seed", "alpha-outside-0-1", "ci-with-k-values", "anm-with-oracle-and-max-cond"],
 )
 def test_experiment_on_invalid_config_params_exits_2(tmp_path, capsys, update):
     cfg = tmp_path / "cfg.json"
@@ -859,6 +893,7 @@ def _run_cli(argv):
         assert not err.getvalue()
         json.loads(out.getvalue(), parse_constant=_not_json)
     assert not caught, [str(w.message) for w in caught]
+    return rc
 
 
 @settings(max_examples=80, deadline=None)
@@ -961,25 +996,41 @@ def test_predict_on_generated_models_exits_with_a_code_and_json(tmp_path_factory
 @st.composite
 def _fuzz_config(draw):
     """A config that is tiny when valid: n <= 4, l <= 60, one repetition and
-    one dataset, which are never left to their large defaults."""
-    return _fuzz_object(
-        draw,
-        {
-            "experiment": st.sampled_from(["ci", "anm", "zzz"]),
-            "n": st.integers(-1, 4),
-            "l": st.integers(-1, 60),
-            "alpha": st.sampled_from([0.05, 0.2, 0, 1, -0.5]),
-            "eta": st.sampled_from([0.1, 0, 1, 1.5]),
-            "repetitions": st.sampled_from([1, 0, -1]),
-            "seed": st.integers(-2, 5),
-            "max_cond": st.integers(-1, 3),
-            "k_values": st.lists(st.integers(-1, 14), max_size=2),
-            "datasets": st.sampled_from([1, 0]),
-            "expected_degree": st.sampled_from([1.5, 1, 0, -1, 5]),
-            "oracle": st.booleans(),
+    one dataset, which are never left to their large defaults.  It carries
+    its own study's fields, and in some examples the other study's, which
+    the config refuses.  One example in three draws every field in range,
+    without junk, so that valid runs of both studies are reached."""
+    experiment = draw(st.sampled_from(["ci", "anm", "zzz"]))
+    sound = draw(st.integers(0, 2)) == 0
+
+    def values(in_range, out_of_range):
+        return in_range if sound else in_range | out_of_range
+
+    studies = {
+        "ci": {"max_cond": values(st.integers(0, 3), st.just(-1)), "oracle": st.booleans()},
+        "anm": {
+            "k_values": values(
+                st.lists(st.integers(1, 2), min_size=1, max_size=2), st.lists(st.integers(-1, 14), max_size=2)
+            ),
+            "datasets": values(st.just(1), st.just(0)),
         },
-        required=("n", "l", "repetitions", "datasets"),
-    )
+    }
+    fields = {
+        "experiment": st.just(experiment),
+        "n": values(st.integers(3, 4), st.integers(-1, 2)),
+        "l": values(st.integers(20, 60), st.integers(-1, 19)),
+        "alpha": values(st.sampled_from([0.05, 0.2]), st.sampled_from([0, 1, -0.5])),
+        "eta": values(st.just(0.1), st.sampled_from([0, 1, 1.5])),
+        "repetitions": values(st.just(1), st.sampled_from([0, -1])),
+        "seed": values(st.integers(0, 5), st.integers(-2, -1)),
+        "expected_degree": values(st.sampled_from([1.5, 1]), st.sampled_from([0, -1, 5])),
+    }
+    for study, study_fields in studies.items():
+        if study == experiment or draw(st.integers(0, 3)) == 0:
+            fields.update(study_fields)
+    if sound:
+        return json.dumps({key: draw(value) for key, value in fields.items()}).encode()
+    return _fuzz_object(draw, fields, required=("n", "l", "repetitions", "datasets"))
 
 
 @settings(max_examples=150, deadline=None)
@@ -987,7 +1038,9 @@ def _fuzz_config(draw):
 def test_experiment_on_generated_configs_exits_with_a_code_and_json(tmp_path_factory, raw):
     here = tmp_path_factory.getbasetemp()
     (here / "fuzz-cfg.json").write_bytes(raw)
-    _run_cli(["experiment", "--config", str(here / "fuzz-cfg.json"), "--out", str(here / "fuzz-records.csv")])
+    rc = _run_cli(["experiment", "--config", str(here / "fuzz-cfg.json"), "--out", str(here / "fuzz-records.csv")])
+    if rc == 0:
+        event(f"a valid {json.loads(raw)['experiment']} run")
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -78,6 +79,47 @@ def test_bound_class_is_an_unknown_key():
     for value in ("polytrees", "foo"):
         with pytest.raises(ParseError, match="bound_class"):
             ExperimentConfig.from_json({"experiment": "anm", "k_values": [2], "bound_class": value})
+
+
+@pytest.mark.parametrize(
+    "study, key, value, default",
+    [
+        ("ci", "k_values", (3,), ()),
+        ("ci", "datasets", 2, 5),
+        ("anm", "max_cond", 0, 1),
+        ("anm", "oracle", True, False),
+    ],
+    ids=["ci-k_values", "ci-datasets", "anm-max_cond", "anm-oracle"],
+)
+def test_config_refuses_a_field_only_the_other_study_reads(study, key, value, default):
+    # the study would run without it; a value equal to the default cannot be
+    # told from a field left out, so it is accepted
+    own = {"ci": {}, "anm": {"k_values": (2,)}}[study]
+
+    def builds(v):  # through the constructor and through from_json
+        obj = {"experiment": study, **own, key: v}
+        return (lambda: ExperimentConfig(**obj)), (
+            lambda: ExperimentConfig.from_json(json.loads(json.dumps(obj)))
+        )
+
+    for build in builds(value):
+        with pytest.raises(InvalidParams, match=f"^{key} is not read by {study} experiments$"):
+            build()
+    for build in builds(default):
+        assert getattr(build(), key) == default
+
+
+def test_config_refuses_k_values_on_ci_and_an_oracle_on_anm():
+    # an anm study asked for the truth would otherwise run HSIC tests; the
+    # first refused field in declaration order is named
+    assert _error(ExperimentConfig, "ci", k_values=(3,)) == (
+        InvalidParams,
+        "k_values is not read by ci experiments",
+    )
+    assert _error(ExperimentConfig, "anm", k_values=(2,), oracle=True, max_cond=3) == (
+        InvalidParams,
+        "max_cond is not read by anm experiments",
+    )
 
 
 def test_experiment_type_mismatch():

@@ -143,9 +143,9 @@ def test_pc_fit_and_fit_path_name_a_constant_column():
     rng = np.random.default_rng(0)
     samples = rng.standard_normal((100, 3))
     samples[:, 1] = 4.0
-    d = Dataset(samples, (0, 7, 2))
+    d = Dataset(samples, (2, 0, 1))  # the column at position 1 has id 0
     for fit in (lambda: pc_fit(d, 0.01, 1), lambda: fit_path_model(d)):
-        with pytest.raises(DegenerateInput, match="column 7 is constant"):
+        with pytest.raises(DegenerateInput, match="column 0 is constant"):
             fit()
 
 
