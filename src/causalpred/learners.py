@@ -181,13 +181,18 @@ def polytree_from_anm(d, k, alpha, seed, tester=None):
 
     ``tester`` may replace the default ANM test (it receives the query and
     must return a TestOutcome); used for cached or synthetic outcomes.
+    The default runs the drawn pairs source by source, in sorted order,
+    since ``anm_test`` keeps the last source's Gram and ridge factor; so
+    when several pairs would fail, the first of them in sorted order
+    raises.  The returned labels are in drawn order either way.
     """
     universe = [
         Query.ordered_pair(a, b) for a in d.columns for b in d.columns if a != b
     ]
-    if tester is None:
-        tester = lambda q: anm_test(d, q, alpha)
     chosen = sample_queries(universe, k, seed)
+    if tester is None:
+        outcomes = {q: anm_test(d, q, alpha) for q in sorted(chosen, key=lambda q: q.members)}
+        tester = outcomes.__getitem__
     labels = [LabeledQuery(q, tester(q)) for q in chosen]
 
     # Kruskal over the accepted edges, strongest first: (p-value, positional

@@ -25,7 +25,9 @@ RIDGE_SCALE = 1e-3  # ridge = scale * sample count
 # bytes per entry), which stay allocated after it returns until m changes:
 # the last source's centred Gram and ridge factor, which serve all of its
 # consecutive tests, and the target's centred Gram, which the HSIC product
-# overwrites; 8.6 MB at m = 600 and 0.6 GB at this many rows
+# overwrites; 8.6 MB at m = 600 and 0.6 GB at this many rows.  Next to them
+# a memo of marginal HSIC moments, which keeps at most m / 2 pairs of
+# columns as keys: 16 m bytes each, so at most one more array's 8 m^2
 MAX_ANM_ROWS = 5000
 
 
@@ -290,8 +292,13 @@ def _hsic_moments(kc, mu_x, lc, mu_y, out=None):
     np.square(prod, out=prod)
     var_hsic = (prod.sum() - np.trace(prod)) / m / (m - 1)
     var_hsic *= 72.0 * (m - 4) * (m - 5) / m / (m - 1) / (m - 2) / (m - 3)
-    mean_hsic = (1.0 + mu_x * mu_y - mu_x - mu_y) / m
-    return stat, mean_hsic, var_hsic
+    return stat, _mean_hsic(mu_x, mu_y, m), var_hsic
+
+
+def _mean_hsic(mu_x, mu_y, m):
+    """The mean of HSIC under independence; its rounding depends on the
+    order of the off-diagonal means, unlike the statistic and variance."""
+    return (1.0 + mu_x * mu_y - mu_x - mu_y) / m
 
 
 def _gamma_p_value(stat, mean_hsic, var_hsic, m) -> float:
@@ -380,38 +387,40 @@ def kernel_regress(x, y):
     return _fit_residuals(_ridge_factor(x, _gram(x)), y)
 
 
-# anm_test's record: its three m x m arrays for the last m it saw, and the
-# last source it built in them, (its column, _anm_source state); each part
-# is None until there is one
+# anm_test's record: its workspace for the last m it saw, one tuple of
+# its three m x m arrays and the marginal memo, and the last source it
+# built in the arrays, (its column, _anm_source state); each part is None
+# until there is one
 _anm_record = None, None
 
 
 def _anm_source(x):
     """A source column's centred Gram, the off-diagonal mean of its Gram
     and its ``_ridge_factor``, built in the first two of the three m x m
-    arrays ``anm_test`` computes in, and the third array, for a target.
+    arrays ``anm_test`` computes in, then the third array, for a target,
+    and the marginal memo.
 
-    ``_anm_record`` keeps the arrays until m changes, and the last source
+    ``_anm_record`` keeps the workspace until m changes, and the last source
     keyed by the column's values, so a universe enumerated source by
-    source builds each source's state once.  A new m drops the arrays and
-    the source before allocating; a new source is dropped before it is
-    built over the arrays.  So a failure leaves a record of the arrays, if
-    any, and no source."""
+    source builds each source's state once.  A new m drops the workspace
+    and the source before allocating; a new source is dropped before it is
+    built over the arrays.  So a failure leaves a record of the workspace,
+    if any, and no source."""
     global _anm_record
-    arrays, last = _anm_record
-    if arrays is None or arrays[0].shape[0] != x.size:
-        _anm_record = arrays, last = None, None
-        arrays = tuple(np.empty((x.size, x.size)) for _ in range(3))
+    workspace, last = _anm_record
+    if workspace is None or workspace[0].shape[0] != x.size:
+        _anm_record = workspace, last = None, None
+        workspace = (*(np.empty((x.size, x.size)) for _ in range(3)), {})
+    centred, k, target, memo = workspace
     if last is not None and np.array_equal(last[0], x):
-        return last[1], arrays[2]
-    _anm_record = arrays, None
-    centred, k, target = arrays
+        return last[1], target, memo
+    _anm_record = workspace, None
     k = _gram(x, k)
     mu = _off_diagonal_mean(k)
     np.copyto(centred, k)
     state = _centre(centred), mu, _ridge_factor(x, k)
-    _anm_record = arrays, (x.copy(), state)
-    return state, target
+    _anm_record = workspace, (x.copy(), state)
+    return state, target, memo
 
 
 def anm_test(d, q: Query, alpha) -> TestOutcome:
@@ -424,12 +433,24 @@ def anm_test(d, q: Query, alpha) -> TestOutcome:
     The source's centred Gram serves the marginal test and the residual
     test, and the Cholesky factor of its regularised Gram the regression;
     both are built once for consecutive tests from the same source (see
-    ``_anm_source``).  Every m x m array is one of the three of its
-    record: the source's two and the target's or the residual's centred
-    Gram, which the product inside the HSIC moments overwrites, since no
-    later step reads it.  They stay allocated after the test returns,
-    3 * 8 * m^2 bytes: 8.6 MB at m = 600 and 0.6 GB at ``MAX_ANM_ROWS``.
-    Two threads must not run it at once, since they would share them.
+    ``_anm_source``).  The marginal HSIC of a pair of columns is computed
+    once for both directions: the first test of the pair stores its
+    statistic, its variance and the off-diagonal mean of its source's Gram
+    in a memo keyed by the two columns' values, and the reverse test takes
+    them out, skips its target's Gram and the product, and computes the
+    mean in its own argument order.  The product of centred Grams is
+    symmetric entry by entry, so every p-value is what the test would
+    compute alone.  A full memo, m / 2 pairs, is cleared before it grows.
+    So a universe of n columns enumerated source by source builds
+    n + n(n - 1)/2 + n(n - 1) Grams, and leaves the memo empty.
+
+    Every m x m array is one of the three of its record: the source's two
+    and the target's or the residual's centred Gram, which the product
+    inside the HSIC moments overwrites, since no later step reads it.
+    They stay allocated after the test returns, 3 * 8 * m^2 bytes (8.6 MB
+    at m = 600 and 0.6 GB at ``MAX_ANM_ROWS``), next to the memo's at most
+    8 * m^2 bytes of keys.  Two threads must not run it at once, since
+    they would share them.
     """
     if q.kind != QueryKind.ORDERED_PAIR:
         raise InvalidSize("anm_test takes ordered pairs")
@@ -444,8 +465,18 @@ def anm_test(d, q: Query, alpha) -> TestOutcome:
             f"({3 * 8 * m * m / 1e9:.1f} GB); the limit is {MAX_ANM_ROWS} rows"
         )
     _check_nonconstant(x, y)
-    (kc, mu_x, ridge), target = _anm_source(x)
-    marginal_p = _gamma_p_value(*_hsic_moments(kc, mu_x, *_centred_gram(y, target), target), m)
+    (kc, mu_x, ridge), target, memo = _anm_source(x)
+    key = x.tobytes(), y.tobytes()
+    shared = memo.pop(key[::-1], None)
+    if shared is None:
+        stat, mean_hsic, var_hsic = _hsic_moments(kc, mu_x, *_centred_gram(y, target), target)
+        if len(memo) >= m // 2:
+            memo.clear()
+        memo[key] = stat, var_hsic, mu_x
+    else:
+        stat, var_hsic, mu_y = shared
+        mean_hsic = _mean_hsic(mu_x, mu_y, m)
+    marginal_p = _gamma_p_value(stat, mean_hsic, var_hsic, m)
     residuals = _fit_residuals(ridge, y)
     _check_nonconstant(residuals)
     resid_p = _gamma_p_value(*_hsic_moments(kc, mu_x, *_centred_gram(residuals, target), target), m)

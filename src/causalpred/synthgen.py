@@ -187,12 +187,12 @@ def sample(scm, l, seed) -> ScmSample:
     elif isinstance(scm, GamScm):
         noise = rng.uniform(-NOISE_WIDTH / 2.0, NOISE_WIDTH / 2.0, size=(l, n))
         for v in scm.dag.topological_order():
-            acc = noise[:, v].copy()
+            x[:, v] = noise[:, v]
             for p in sorted(scm.dag.parents(v)):
-                acc += scm.mechanisms[(p, v)](x[:, p])
-            x[:, v] = acc
+                x[:, v] += scm.mechanisms[(p, v)](x[:, p])
     else:
         raise InvalidSize(f"cannot sample from {type(scm).__name__}")
+    del noise  # Dataset copies x, so the noise must not be live next to both
     return ScmSample(Dataset(x, tuple(range(n))))
 
 

@@ -26,8 +26,8 @@ from causalpred.learners import (
     select_alpha,
 )
 from causalpred.models import Dag, PathModel, is_polytree_edges, path_corr
-from causalpred.stattests import TestOutcome, correlation_matrix, fisher_z_many
-from causalpred.synthgen import gen_linear_scm, sample
+from causalpred.stattests import TestOutcome, anm_test, correlation_matrix, fisher_z_many
+from causalpred.synthgen import gen_gam_scm, gen_linear_scm, sample
 from oracles import (
     RefPdag,
     moral_d_separated,
@@ -469,6 +469,27 @@ def test_polytree_respects_global_column_ids():
     tester = _synthetic_tester({(5, 6): 0.9, (6, 7): 0.8})
     tree, _ = polytree_from_anm(d, k=6, alpha=0.05, seed=0, tester=tester)
     assert tree.edges == frozenset({(5, 6), (6, 7)})
+
+
+def test_polytree_runs_its_anm_tests_source_by_source(monkeypatch):
+    # anm_test keeps the last source's Gram and ridge factor, so the
+    # default tester runs the drawn pairs in sorted order; the labels stay
+    # in drawn order and equal those of testing in drawn order
+    d = sample(gen_gam_scm(6, 1.5, 25), 200, seed=125).dataset
+    for k in (7, 30):
+        drawn = polytree_from_anm(d, k, 0.05, seed=k, tester=lambda q: anm_test(d, q, 0.05))
+        run = []
+
+        def recorded(data, q, alpha):
+            run.append(q.members)
+            return anm_test(data, q, alpha)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(learners, "anm_test", recorded)
+            tree, labels = polytree_from_anm(d, k, 0.05, seed=k)
+        assert (tree, labels) == drawn
+        assert run == sorted(lq.query.members for lq in labels)
+        assert run != [lq.query.members for lq in labels]
 
 
 def test_labeled_query_fields():

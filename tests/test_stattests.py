@@ -951,3 +951,82 @@ def test_a_failed_allocation_leaves_a_record_the_next_test_reads(monkeypatch):
         value, p = ref_anm_test(d.column(0), d.column(1), 0.05)
         assert out.value.value == value
         assert abs(out.p_value - p) <= 1e-10
+
+
+def _fresh_anm_test(d, q):
+    saved = stattests._anm_record
+    stattests._anm_record = None, None
+    try:
+        return anm_test(d, q, 0.05)
+    finally:
+        stattests._anm_record = saved
+
+
+def test_a_universe_pass_shares_each_pairs_marginal_hsic(monkeypatch):
+    # source by source, n = 10: 10 source Grams, 45 target Grams (the
+    # reverse test of a pair reads its marginal from the memo) and 90
+    # residual Grams; 45 marginal and 90 residual HSIC products.  Without
+    # the memo a pass took 190 and 180
+    d = sample(gen_gam_scm(10, 1.5, 3), 200, seed=4).dataset
+    universe = enumerate_queries(10, QueryKind.ORDERED_PAIR)
+    calls = {"_gram": 0, "_hsic_moments": 0}
+    for name in calls:
+        original = getattr(stattests, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(stattests, name, counted)
+    monkeypatch.setattr(stattests, "_anm_record", (None, None))
+    for q in universe:
+        anm_test(d, q, 0.05)
+    assert calls == {"_gram": 145, "_hsic_moments": 135}
+    assert stattests._anm_record[0][3] == {}
+
+
+@pytest.mark.parametrize("order", ["source-major", "reversed", "shuffled"])
+def test_shared_marginals_give_the_outcomes_of_lone_tests(order):
+    # the memo's statistic and variance are the reverse test's bit for
+    # bit, and its mean is recomputed in the reverse test's order, so the
+    # outcomes equal those of each test run on an empty record
+    d = sample(gen_gam_scm(10, 1.5, 3), 200, seed=4).dataset
+    universe = enumerate_queries(10, QueryKind.ORDERED_PAIR)
+    if order == "reversed":
+        universe = universe[::-1]
+    elif order == "shuffled":
+        universe = [universe[i] for i in np.random.default_rng(21).permutation(len(universe))]
+    stattests._anm_record = None, None
+    outcomes = [anm_test(d, q, 0.05) for q in universe]
+    if order != "shuffled":  # every pair met both ways, and each met taken out
+        assert stattests._anm_record[0][3] == {}
+    assert outcomes == [_fresh_anm_test(d, q) for q in universe]
+
+
+def test_datasets_sharing_column_ids_do_not_share_marginals():
+    # the memo is keyed by the columns' values, so the second dataset's
+    # 1 -> 0 does not read the first's 0 -> 1, nor the reverse
+    first = sample(gen_gam_chain(2, seed=22), 200, seed=122).dataset
+    second = sample(gen_gam_chain(2, seed=23), 200, seed=123).dataset
+    stattests._anm_record = None, None
+    for d, s, t in ((first, 0, 1), (second, 1, 0), (first, 1, 0)):
+        out = anm_test(d, Query.ordered_pair(s, t), 0.05)
+        value, p = ref_anm_test(d.column(s), d.column(t), 0.05)
+        assert out.value.value == value
+        assert abs(out.p_value - p) <= 1e-10
+    assert list(stattests._anm_record[0][3]) == [(second.column(1).tobytes(), second.column(0).tobytes())]
+
+
+def test_the_marginal_memo_holds_at_most_one_array_of_keys():
+    # 45 forward pairs at m = 40 meet no reverse test; the memo is
+    # cleared when it holds m / 2 pairs, 16 m bytes of keys each
+    m = 40
+    d = sample(gen_gam_scm(10, 1.5, 24), m, seed=124).dataset
+    stattests._anm_record = None, None
+    sizes = []
+    for a, b in combinations(range(10), 2):
+        anm_test(d, Query.ordered_pair(a, b), 0.05)
+        memo = stattests._anm_record[0][3]
+        assert sum(len(x) + len(y) for x, y in memo) <= 8 * m * m
+        sizes.append(len(memo))
+    assert max(sizes) == m // 2

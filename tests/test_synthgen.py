@@ -114,6 +114,22 @@ def test_mechanism_computes_in_one_l_by_hidden_temporary():
     assert y.tobytes() == (np.tanh(np.outer(x, m.w1) + m.b) @ m.w2).tobytes()
 
 
+def test_a_linear_sample_frees_its_noise_before_the_dataset_copy():
+    # the noise matrix, x and the Dataset's copy of x were three l x n
+    # arrays at once; now the peak is the noise and x, plus an l-vector
+    n, l = 10, 100_000
+    scm = gen_linear_scm(n, 1.5, 1)
+    sample(scm, 100, 0)
+    tracemalloc.start()
+    try:
+        out = sample(scm, l, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * l * n + 2 * 8 * l
+    assert out.dataset.samples.shape == (l, n)
+
+
 def test_gam_scm_validation():
     tree = Polytree(3, [(0, 1)])
     rng = np.random.default_rng(0)
