@@ -186,10 +186,10 @@ def polytree_from_anm(d, k, alpha, seed, tester=None):
     when several pairs would fail, the first of them in sorted order
     raises.  The returned labels are in drawn order either way.
     """
-    universe = [
-        Query.ordered_pair(a, b) for a in d.columns for b in d.columns if a != b
-    ]
-    chosen = sample_queries(universe, k, seed)
+    # the draw depends on the universe's length alone, so positions are
+    # drawn and only the k drawn queries are built
+    pairs = [(a, b) for a in d.columns for b in d.columns if a != b]
+    chosen = [Query.ordered_pair(*pairs[i]) for i in sample_queries(range(len(pairs)), k, seed)]
     if tester is None:
         outcomes = {q: anm_test(d, q, alpha) for q in sorted(chosen, key=lambda q: q.members)}
         tester = outcomes.__getitem__

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dger
-from scipy.spatial.distance import pdist
 from scipy.special import erfc, gammaincc
 
 from .core import PropertyValue, Query, QueryKind, binary, check_ci_rows, check_nodes, real, sign
@@ -27,7 +26,9 @@ RIDGE_SCALE = 1e-3  # ridge = scale * sample count
 # consecutive tests, and the target's centred Gram, which the HSIC product
 # overwrites; 8.6 MB at m = 600 and 0.6 GB at this many rows.  Next to them
 # a memo of marginal HSIC moments, which keeps at most m / 2 pairs of
-# columns as keys: 16 m bytes each, so at most one more array's 8 m^2
+# columns as keys: 16 m bytes each, so at most one more array's 8 m^2.  A
+# bandwidth adds no m x m array: its median distance is selected, not
+# listed, in a few m-vectors
 MAX_ANM_ROWS = 5000
 
 
@@ -187,6 +188,8 @@ def sign_estimate(d, q: Query) -> TestOutcome:
 # centring subtracts row and column means, so no m x m centring matrix is
 # built or multiplied.  Each m x m step writes into a given array: a fresh
 # one for the HSIC functions, one of the three in ``anm_test``'s record.
+# The bandwidth writes none: it counts the m(m - 1)/2 distances row by row
+# on the sorted column and lists only the few near their median.
 # No step broadcasts a vector over a matrix, since numpy allocates a ufunc
 # buffer of about 64 KB for that; ``_add_outer`` does those steps instead.
 
@@ -200,48 +203,176 @@ def _add_outer(k, alpha, a, b):
     return dger(alpha, b, a, a=k.T, overwrite_a=True).T
 
 
-def median_bandwidth(x, out=None) -> float:
+def _check_finite(*cols):
+    for c in cols:
+        if not np.isfinite(c).all():
+            raise DegenerateInput("column holds NaN or an infinite value")
+
+
+def median_bandwidth(x) -> float:
     """Median heuristic: sqrt(median of positive squared distances / 2).
 
-    Only the pairs i < j are read, written into the front of ``out``, an
-    m x m array, when one is given: the full distance matrix holds each
-    positive distance twice and zeros elsewhere, so the median of its
-    positive entries is the same number, unless averaging two equal middle
-    values above half the largest double overflows there."""
+    The median is over the pairs i < j, each squared distance rounded as
+    ``(x_i - x_j) ** 2``, and it is selected without listing the
+    m(m - 1)/2 of them.  On the sorted column s, fl(fl(s_j - s_i)^2) does
+    not decrease along a row j > i, since rounding is monotone, so
+    ``_row_ends`` finds where the pairs at or below any value end in each
+    row.  The pairs at 0, ties and squares that underflow, come first;
+    ``_select`` finds the middle one or two of the rest.  NaN and +-inf are
+    refused, since a column holding one has no such order."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    size = x.size * (x.size - 1) // 2
-    d2 = pdist(x[:, None], "sqeuclidean", out=None if out is None else out.reshape(-1)[:size])
-    positives = np.count_nonzero(d2)
+    _check_finite(x)
+    s = np.sort(x)
+    m = s.size
+    starts = _row_ends(s, 0.0, strict=False)
+    zeros = _pair_count(starts)
+    positives = m * (m - 1) // 2 - zeros
     if positives == 0:
         raise DegenerateInput("all points identical")
-    median = _median(d2, size - positives)
-    if not np.isfinite(median):
+    mid = zeros + positives // 2
+    median = _select(s, [mid] if positives % 2 else [mid - 1, mid], starts, zeros)
+    if not math.isfinite(median):
         raise DegenerateInput("squared distances between points overflow; rescale the column")
-    return float(np.sqrt(0.5 * median))
+    return math.sqrt(0.5 * median)
 
 
-def _median(a, zeros):
-    """The median of the entries of ``a`` above its ``zeros`` smallest,
-    which are 0, reordering ``a`` in place: the zeros order first, so the
-    order statistics of the rest are those of ``a[a > 0]``.  One partition
-    around the upper middle, where numpy partitions around both middles of
-    an even count, which takes several times longer."""
-    count = a.size - zeros
-    mid = zeros + count // 2
-    a.partition(mid)
-    if count % 2:
-        return a[mid]
-    return (a[:mid].max() + a[mid]) / 2
+# ``_select`` lists the pairs of a bracket once it holds at most this many
+# per row of the column, and otherwise narrows it from a sample of about
+# a quarter as many pairs
+_LISTED_PER_ROW = 16
+
+
+def _squares(s, rows, cols):
+    """fl(fl(s_j - s_i)^2) of the pairs (rows[k], cols[k]); a square or a
+    difference that overflows is inf."""
+    d = s[cols]
+    d -= s[rows]
+    with np.errstate(over="ignore"):
+        return np.square(d, out=d)
+
+
+def _row_ends(s, v, strict):
+    """For each row i of the sorted column ``s``, the end of the j > i
+    whose squared distance is below ``v`` (``strict``) or at most ``v``:
+    ``searchsorted`` at s_i + sqrt(v), then moved a run of equal values at
+    a time until the square at the end is exactly right."""
+    m = s.size
+    first = np.arange(1, m + 1)
+    inside = np.less if strict else np.less_equal
+    with np.errstate(over="ignore"):
+        ends = np.searchsorted(s, s + math.sqrt(v), "left" if strict else "right")
+    np.maximum(ends, first, out=ends)
+    rows = np.flatnonzero(ends < m)
+    while rows.size:
+        rows = rows[inside(_squares(s, rows, ends[rows]), v)]
+        ends[rows] = np.searchsorted(s, s[ends[rows]], "right")
+        rows = rows[ends[rows] < m]
+    rows = np.flatnonzero(ends > first)
+    while rows.size:
+        rows = rows[~inside(_squares(s, rows, ends[rows] - 1), v)]
+        ends[rows] = np.maximum(np.searchsorted(s, s[ends[rows] - 1], "left"), rows + 1)
+        rows = rows[ends[rows] > rows + 1]
+    return ends
+
+
+def _pair_count(ends):
+    """The number of pairs i < j below the row ends of ``_row_ends``."""
+    m = ends.size
+    return int(ends.sum()) - m * (m + 1) // 2
+
+
+def _bracket_squares(s, starts, ends, positions=None):
+    """The squared distances of the pairs i < j with starts[i] <= j <
+    ends[i], row by row, or of those at ``positions`` in that order."""
+    lengths = ends - starts
+    if positions is None:
+        rows = np.repeat(np.arange(s.size), lengths)
+        cols = np.arange(rows.size)
+        cols -= np.repeat(np.cumsum(lengths) - ends, lengths)
+    else:
+        offsets = np.cumsum(lengths)
+        rows = np.searchsorted(offsets, positions, "right")
+        cols = positions - offsets[rows] + ends[rows]
+    return _squares(s, rows, cols)
+
+
+def _select(s, ranks, starts, below):
+    """The mean of the squared distances at ``ranks``, one rank or two
+    consecutive ones, from 0, in the sorted order of the pairs i < j of the
+    sorted column ``s``; ``starts`` are the row ends of the ``below``
+    smallest pairs, and no rank is below ``below``.
+
+    The bracket is the pairs between two sets of row ends, the lower at
+    first ``starts`` and the upper at first the end of every row.  While
+    it holds more than ``_LISTED_PER_ROW`` pairs per row, a sample drawn
+    through it at a fixed stride gives two candidate values, about a
+    sample standard deviation below the lowest rank and above the highest.
+    The pairs below a candidate, or at or below it, either make a new end
+    of the bracket with every rank on one side, or, counted both ways,
+    hold the ranks that equal the candidate.  Then the bracket is listed
+    and partitioned.  Every sample gives the exact answer; a poor one
+    only takes more rounds."""
+    m = s.size
+    found = {}
+    bracket = below, starts, m * (m - 1) // 2, np.full(m, m)
+    while ranks and bracket[2] - bracket[0] > _LISTED_PER_ROW * m:
+        below, starts, upto, ends = bracket
+        size = upto - below
+        stride = size // (_LISTED_PER_ROW // 4 * m) + 1
+        sample = np.sort(_bracket_squares(s, starts, ends, np.arange(stride // 2, size, stride)))
+        n = sample.size
+        margin = math.isqrt(n) + 1
+        low = max((ranks[0] - below) * n // size - margin, 0)
+        high = min((ranks[-1] - below) * n // size + margin, n - 1)
+        # the lower candidate is most likely a new lower end, at or below
+        # it; the upper one a new upper end, below it
+        for k, strict in ((low, False), (high, True)):
+            value = float(sample[k])
+            first = _row_ends(s, value, strict)
+            narrowed = _narrowed(bracket, ranks, first)
+            if narrowed is not bracket:
+                bracket = narrowed
+                continue
+            second = _row_ends(s, value, not strict)
+            lt, le = sorted((_pair_count(first), _pair_count(second)))
+            found.update((r, value) for r in ranks if lt <= r < le)
+            ranks = [r for r in ranks if r not in found]
+            if not ranks:
+                break
+            bracket = _narrowed(_narrowed(bracket, ranks, first), ranks, second)
+    if ranks:
+        below, starts, _, ends = bracket
+        d = _bracket_squares(s, starts, ends)
+        top = ranks[-1] - below
+        d.partition(top)
+        found[ranks[-1]] = float(d[top])
+        if len(ranks) == 2:
+            found[ranks[0]] = float(d[:top].max())
+    values = [found[r] for r in sorted(found)]
+    return values[0] if len(values) == 1 else (values[0] + values[1]) / 2
+
+
+def _narrowed(bracket, ranks, row_ends):
+    """``bracket``, (below, starts, upto, ends), with ``row_ends`` for its
+    lower or upper end when that holds fewer pairs and keeps every rank
+    inside; else ``bracket`` itself."""
+    below, starts, upto, ends = bracket
+    count = _pair_count(row_ends)
+    if below < count <= ranks[0]:
+        return count, row_ends, upto, ends
+    if ranks[-1] < count < upto:
+        return below, starts, count, row_ends
+    return bracket
 
 
 def _gram(x, out=None):
     """Gaussian Gram matrix of a column at its median-heuristic bandwidth,
-    written into ``out`` (a fresh array without one), which holds the
-    bandwidth's distances first.  The differences x_i - x_j are rounded as
-    in ``np.subtract.outer(x, x)``: 0 + x_i is exact."""
+    written into ``out`` (a fresh array without one).  The differences
+    x_i - x_j are rounded as in ``np.subtract.outer(x, x)``: 0 + x_i is
+    exact."""
     x = np.asarray(x, dtype=float).reshape(-1)
+    bandwidth = median_bandwidth(x)
     k = np.empty((x.size, x.size)) if out is None else out
-    bandwidth = median_bandwidth(x, k)
     ones = np.ones_like(x)
     k.fill(0.0)
     k = _add_outer(k, 1.0, x, ones)
@@ -355,6 +486,7 @@ def _column_pair(x, y):
         raise InvalidSize("columns must have equal length")
     if x.size < 20:
         raise InvalidSize("need at least 20 samples")
+    _check_finite(x, y)
     return x, y
 
 

@@ -11,6 +11,7 @@ from itertools import combinations
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial.distance import pdist
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
@@ -191,19 +192,27 @@ def population_covariance(scm: LinearScm) -> np.ndarray:
 # --- kernel layer: the former dense formulas ----------------------------------
 #
 # The package centres Grams by their means, builds each Gram once per test
-# and reads only the pairs i < j for the median; these are the direct
-# formulas it replaced: the median over the full distance matrix, H K H by
-# two dense products with H = I - 1/m, and an additive-noise test that
-# recomputes every bandwidth and Gram in each of its three steps.
+# and selects the median distance without listing the distances; these are
+# the direct formulas it replaced: the median of all the distances of the
+# pairs i < j, H K H by two dense products with H = I - 1/m, and an
+# additive-noise test that recomputes every bandwidth and Gram in each of
+# its three steps.
 
 
 def ref_median_bandwidth(x):
+    """sqrt(median / 2) of the positive squared distances of the pairs
+    i < j, all listed by ``pdist``; the median of two middle values is
+    their mean, inf where their sum overflows."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    d2 = (x[:, None] - x[None, :]) ** 2
+    d2 = pdist(x[:, None], "sqeuclidean")
     pos = d2[d2 > 0]
     if pos.size == 0:
         raise DegenerateInput("all points identical")
-    return float(np.sqrt(0.5 * np.median(pos)))
+    mid = pos.size // 2
+    pos.partition(mid)
+    with np.errstate(over="ignore"):
+        median = pos[mid] if pos.size % 2 else (pos[:mid].max() + pos[mid]) / 2
+    return float(np.sqrt(0.5 * median))
 
 
 def _ref_gram(x):

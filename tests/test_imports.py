@@ -3,6 +3,8 @@ module, except the bindings that only the benchmark's tracer reads."""
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -45,3 +47,14 @@ def test_each_tracer_only_import_is_a_trace_target():
         if (f"causalpred.{module}", name) not in wrapped
     ]
     assert not missing
+
+
+def test_the_package_loads_no_scipy_spatial():
+    # a fresh interpreter, since the tests' own oracles import pdist
+    code = (
+        "import sys; import causalpred.cli, causalpred.harness; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'spatial']))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalpred import learners
-from causalpred.core import Dataset, Query, binary
+from causalpred.core import Dataset, Query, binary, sample_queries
 from causalpred.errors import (
     DataError,
     DegenerateInput,
@@ -461,6 +461,19 @@ def test_polytree_k_subset_is_without_replacement():
     d = Dataset(np.zeros((30, 4)), (0, 1, 2, 3))
     _, labels = polytree_from_anm(d, k=5, alpha=0.05, seed=7, tester=_synthetic_tester({}))
     assert len({lq.query for lq in labels}) == 5
+
+
+@pytest.mark.parametrize("k", [1, 10, 45, 90])
+def test_polytree_draws_the_queries_a_draw_from_the_query_universe_gives(k):
+    # random.sample picks positions from the population's length alone,
+    # so drawing positions and building the drawn queries labels the
+    # queries drawn from the list of all ordered-pair queries
+    columns = (3, 0, 7, 1, 2, 9, 4, 5, 6, 8)
+    d = Dataset(np.zeros((30, 10)), columns)
+    universe = [Query.ordered_pair(a, b) for a in columns for b in columns if a != b]
+    for seed in range(20):
+        _, labels = polytree_from_anm(d, k, 0.05, seed, tester=_synthetic_tester({}))
+        assert [lq.query for lq in labels] == sample_queries(universe, k, seed)
 
 
 def test_polytree_respects_global_column_ids():

@@ -680,6 +680,129 @@ def test_median_bandwidth_seeded_bit_for_bit(m, ties):
     assert _outcome(median_bandwidth, x) == _outcome(ref_median_bandwidth, x)
 
 
+def _bandwidth_outcomes(x):
+    """The package's bandwidth or error, raised with every warning an
+    error, and the reference's, whose overflowing median is the package's
+    refusal."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(median_bandwidth, x)
+    want = _outcome(ref_median_bandwidth, x)
+    return got, OVERFLOW_ERROR if want == np.inf else want
+
+
+@st.composite
+def _selection_columns(draw):
+    """Columns of 2 to 1,200 values at scales from 1e-300, where every
+    square underflows, to 1e150, where the middle ones can overflow: normal
+    values, few values with -0.0 next to 0.0, all but one equal, and two
+    far clusters of unequal size."""
+    m = draw(st.integers(2, 1200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "ties", "all but one", "clusters"]))
+    if kind == "normal":
+        x = rng.standard_normal(m)
+    elif kind == "ties":
+        x = rng.choice([-0.0, 0.0, 1.0, 3.0, -2.5], m)
+    elif kind == "all but one":
+        x = np.full(m, draw(st.sampled_from([-0.0, 0.0, 1.0])))
+        x[rng.integers(m)] = 1.5
+    else:
+        small = draw(st.integers(1, max(m // 2, 1)))
+        spread = draw(st.sampled_from([0.0, 1e-3, 1.0]))
+        x = np.r_[rng.standard_normal(m - small), 1e6 + spread * np.arange(small)]
+    return x * draw(st.sampled_from([1e-300, 1e-160, 1e-5, 1.0, 1e5, 1e150]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_selection_columns())
+def test_the_selected_median_is_the_listed_median(x):
+    got, want = _bandwidth_outcomes(x)
+    assert got == want
+
+
+# chosen columns, each compared bit for bit: both parities of the
+# positive count, ties of -0.0 and 0.0, squares that underflow to 0 next
+# to ones that do not, a mean of two middle squares that overflows and a
+# lone middle square above half the largest double that does not, and two
+# far clusters where the stride sample's first bracket misses the median
+SELECTION_CASES = {
+    "odd positives": np.array([0.0, 1.0, 3.0, 3.0]),
+    "even positives": np.array([0.0, 1.0, 3.0, 7.0]),
+    "signed zeros": np.array([-0.0, 0.0, 1.0, -0.0, 0.0, 2.0]),
+    "underflow": np.r_[np.arange(300) * 1e-162, 1.0, 2.0],
+    "overflow": np.r_[np.zeros(10), np.full(10, 1.2e154)],
+    "odd near overflow": np.r_[np.zeros(9), np.full(11, 1.2e154)],
+    "clusters": np.r_[np.arange(575.0), 1e6 + np.arange(25.0)],
+    "all but one": np.r_[np.ones(999), 2.0],
+}
+
+
+@pytest.mark.parametrize("name", SELECTION_CASES)
+def test_the_selected_median_on_chosen_columns(name):
+    got, want = _bandwidth_outcomes(SELECTION_CASES[name])
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        SELECTION_CASES["clusters"],
+        np.r_[np.arange(1151.0), 1e6 + np.arange(49.0)],
+        np.random.default_rng(23).standard_normal(1200),
+    ],
+    ids=["clusters-600", "clusters-1200", "normal-1200"],
+)
+def test_the_selection_allocates_less_than_one_distance_array(monkeypatch, x):
+    # these columns take more than one round of sampling: on the clusters
+    # the first round's lower candidate lands above the median; yet the
+    # selection holds a bounded number of m-vectors, under 1,000 bytes a
+    # row, where listing every distance took 4 m^2 bytes and more
+    m = x.size
+    rounds = []
+    sampled = stattests._bracket_squares
+
+    def counted(s, starts, ends, positions=None):
+        rounds.append(positions is not None)
+        return sampled(s, starts, ends, positions)
+
+    monkeypatch.setattr(stattests, "_bracket_squares", counted)
+    median_bandwidth(x)
+    rounds.clear()
+    tracemalloc.start()
+    try:
+        got = median_bandwidth(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(rounds) >= 2
+    assert peak < 1000 * m < 8 * m * m
+    assert got == ref_median_bandwidth(x)
+
+
+NON_FINITE = (DegenerateInput, "column holds NaN or an infinite value")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_the_kernel_layer_refuses_a_non_finite_entry(bad):
+    rng = np.random.default_rng(24)
+    x = rng.uniform(-1, 1, 30)
+    y = np.sin(3 * x) + 0.1 * rng.standard_normal(30)
+    z = x.copy()
+    z[7] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _error(median_bandwidth, z) == NON_FINITE
+        for a, b in ((z, y), (y, z)):
+            assert _error(hsic_independence, a, b, 0.05) == NON_FINITE
+            assert _error(hsic_statistic, a, b) == NON_FINITE
+            assert _error(kernel_regress, a, b) == NON_FINITE
+            assert _error(anm_test, _dataset(a, b), Query.ordered_pair(0, 1), 0.05) == NON_FINITE
+        # the size checks come first
+        assert _error(hsic_independence, z[:10], y[:10], 0.05) == (InvalidSize, "need at least 20 samples")
+        assert _error(kernel_regress, z, y[:29]) == (InvalidSize, "columns must have equal length")
+
+
 @pytest.mark.parametrize("m,ties", KERNEL_CASES)
 def test_hsic_matches_dense_centring(m, ties):
     x = _kernel_column(m, m, ties)
