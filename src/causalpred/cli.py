@@ -129,24 +129,31 @@ def cmd_fit(args):
         raise ParseError("polytree fitting needs --k")
     d = load_dataset(args.data, args.names)
     if args.model == "pc":
-        model, labels = learners.pc_fit(d, args.alpha, args.max_cond)
-        prefix = "ci"
+        model, log = learners.pc_fit(d, args.alpha, args.max_cond)
+        # the log's rows are canonical ci queries; tolist() gives the
+        # Python ints and floats the writer formats
+        rows = [
+            (f"ci:{a},{b}|{','.join(str(c) for c in cond if c != -1)}", value, p)
+            for (a, b, *cond), value, p in zip(
+                log.rows.tolist(), log.labels.tolist(), log.p_values.tolist()
+            )
+        ]
     elif args.model == "polytree":
         model, labels = learners.polytree_from_anm(d, args.k, args.alpha, args.seed)
-        prefix = "anm"
+        rows = [
+            (format_query("anm", lq.query), lq.outcome.value.value, lq.outcome.p_value)
+            for lq in labels
+        ]
     else:
         model = learners.fit_path_model(d)
-        labels = []
+        rows = []
     models.save_model(model, args.out)
     if args.labels:
         with open(args.labels, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(("query", "outcome", "p_value"))
-            w.writerows(
-                (format_query(prefix, lq.query), lq.outcome.value.value, lq.outcome.p_value)
-                for lq in labels
-            )
-    _emit({"written": args.out, "model": args.model, "labels": len(labels)})
+            w.writerows(rows)
+    _emit({"written": args.out, "model": args.model, "labels": len(rows)})
     return 0
 
 

@@ -17,7 +17,7 @@ import numpy as np
 # d_separated, empirical_error and fisher_z_from_corr stay bound here for
 # the benchmark's tracer
 from .bounds import ModelClassId, gap_binary, vc_upper_bound
-from .core import QueryKind, ci_query_array, ci_rows, empirical_error, enumerate_queries
+from .core import QueryKind, ci_query_array, empirical_error, enumerate_queries
 from .errors import InvalidParams, InvalidSize, KTooLarge, LengthMismatch, ParseError, TagMismatch
 from .learners import pc_fit, pc_oracle, polytree_from_anm
 from .models import (
@@ -177,11 +177,12 @@ def expected_risk(predict, queries, tester) -> float:
     return _disagreement(predict(queries), tester(queries))
 
 
-def _record(cfg, h, rep, seed, labels, predict, label_queries, universe, tester):
+def _record(cfg, h, rep, seed, label_queries, labels, predict, universe, tester):
     """Score a fitted predictor: its risk on the k labelled tests, given
-    as ``label_queries`` in the form ``predict`` takes, against its risk on
-    the universe, with the VC gap of a class of VC dimension h at k."""
-    empirical = _disagreement(predict(label_queries), [lq.outcome.value.value for lq in labels])
+    as ``label_queries`` in the form ``predict`` takes and their 0/1
+    ``labels``, against its risk on the universe, with the VC gap of a
+    class of VC dimension h at k."""
+    empirical = _disagreement(predict(label_queries), labels)
     expected = expected_risk(predict, universe, tester)
     k = len(labels)
     bound = gap_binary(h, k, cfg.eta)
@@ -204,20 +205,19 @@ def run_ci_experiment(cfg: ExperimentConfig):
         scm = gen_linear_scm(cfg.n, cfg.expected_degree, seed)
         if cfg.oracle:
             truth = scm.dag()
-            cpdag, labels = pc_oracle(truth, cfg.max_cond)
+            cpdag, log = pc_oracle(truth, cfg.max_cond)
             tester = partial(d_separated_many, truth)
         else:
             data = sample(scm, cfg.l, seed + 1).dataset
             corr = correlation_matrix(data)
-            cpdag, labels = pc_fit(data, cfg.alpha, cfg.max_cond, corr=corr)
+            cpdag, log = pc_fit(data, cfg.alpha, cfg.max_cond, corr=corr)
 
             def tester(rows):
                 return fisher_z_many(corr, cfg.l, rows, cfg.alpha)[0]
 
         g = random_dag_from_cpdag(cpdag, seed + 2)
         predict = partial(d_separated_many, g)
-        label_rows = ci_rows([lq.query for lq in labels])
-        records.append(_record(cfg, h, rep, seed, labels, predict, label_rows, universe, tester))
+        records.append(_record(cfg, h, rep, seed, log.rows, log.labels, predict, universe, tester))
     return records
 
 
@@ -251,8 +251,9 @@ def run_anm_experiment(cfg: ExperimentConfig):
                     return [q_anm_polytree(tree, q) for q in queries]
 
                 queries = [lq.query for lq in labels]
+                values = [lq.outcome.value.value for lq in labels]
                 records.append(
-                    _record(cfg, h, rep, rep_seed, labels, predict, queries, universe, tester)
+                    _record(cfg, h, rep, rep_seed, queries, values, predict, universe, tester)
                 )
     return records
 

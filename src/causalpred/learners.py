@@ -7,6 +7,7 @@ path-model estimation.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -42,24 +43,81 @@ class LabeledQuery:
 # --- PC -----------------------------------------------------------------------
 
 
-def pc_from_ci(n, label, max_cond):
+@dataclass(frozen=True, eq=False)
+class PcLog(Sequence):
+    """The tests PC consulted, in the order it ran them, as arrays: the CI
+    query ``rows`` (a, b, c1, ..., cs), padded with -1 to the width of
+    the largest set as ``core.ci_query_array`` pads them, their 0/1
+    ``labels`` (1 for independence), their ``p_values`` (None when the
+    tests give none) and the tests' ``alpha``.  As a sequence it holds one
+    LabeledQuery per test, built only when indexed; two logs are equal
+    when their arrays and alpha are."""
+
+    rows: np.ndarray
+    labels: np.ndarray
+    p_values: np.ndarray = None
+    alpha: float = None
+
+    def __post_init__(self):
+        for a in (self.rows, self.labels, self.p_values):
+            if a is not None:
+                a.setflags(write=False)
+
+    def __len__(self):
+        return len(self.labels)
+
+    def __getitem__(self, i):
+        a, b, *cond = self.rows[i].tolist()
+        p = None if self.p_values is None else float(self.p_values[i])
+        outcome = TestOutcome(binary(int(self.labels[i])), p, self.alpha)
+        return LabeledQuery(Query.ci(a, b, [c for c in cond if c != -1]), outcome)
+
+    def __eq__(self, other):
+        if not isinstance(other, PcLog):
+            return NotImplemented
+        return (
+            self.alpha == other.alpha
+            and np.array_equal(self.rows, other.rows)
+            and np.array_equal(self.labels, other.labels)
+            and np.array_equal(self.p_values, other.p_values)  # None equals only None
+        )
+
+
+def _join_levels(levels, alpha):
+    """One PcLog from each level's (rows, labels, p-values) of the tests
+    PC consulted there."""
+    width = max((rows.shape[1] for rows, _, _ in levels if len(rows)), default=2)
+    rows = np.full((sum(len(r) for r, _, _ in levels), width), -1, dtype=np.intp)
+    start = 0
+    for r, _, _ in levels:
+        rows[start : start + len(r), : r.shape[1]] = r
+        start += len(r)
+    labels = np.concatenate([np.empty(0, dtype=np.int64)] + [lab for _, lab, _ in levels])
+    p = None if not levels or levels[0][2] is None else np.concatenate([p for _, _, p in levels])
+    return PcLog(rows, labels, p, alpha)
+
+
+def pc_from_ci(n, label, max_cond, *, alpha=None, refuse=None):
     """Core PC skeleton + orientation phase driven by a batch CI labeller.
 
     Levels 0..min(max_cond, n - 2) scan the edges once each in lexicographic
     order (adjacency only shrinks, so a second scan would find every test
     already run).  At a level's start ``label(rows)`` takes the CI query
     rows (a, b, c1, ..., c_level) the scan may test, in its order, and
-    returns ``outcome``: ``outcome(i)`` is row i's TestOutcome, 1 for
-    independence, asked only if the row's pair and set are still adjacent
-    when the scan reaches it, so a row skipped never raises.  The separating
-    set recorded at deletion time drives v-structure orientation.  Returns
-    the CPDAG and the tests asked for, in order.
+    returns two arrays over them: the labels, 1 for independence, 0 for
+    dependence and -1 for a row its test cannot label, and the p-values,
+    or None for tests that give none.  The scan consults a row only if its
+    pair and set are still adjacent when it reaches it; a consulted row
+    labelled -1 is handed to ``refuse(row)``, which raises its error, so a
+    row skipped never raises.  The separating set recorded at deletion
+    time drives v-structure orientation.  Returns the CPDAG and the
+    PcLog of the consulted rows, in order, with ``alpha``.
     """
     if max_cond < 0:
         raise InvalidSize("max_cond must be nonnegative")
     adjacency = {v: set(range(n)) - {v} for v in range(n)}
     sepset = {}  # (a, b), a < b, -> the conditioning set that separated them
-    log = []
+    levels = []
     for level in range(min(max_cond, n - 2) + 1):
         tests = [
             (a, b, cond)
@@ -69,16 +127,20 @@ def pc_from_ci(n, label, max_cond):
         ]
         if not tests:  # no pair has enough neighbours, here or above
             break
-        outcome = label(np.array([(a, b, *cond) for a, b, cond in tests], dtype=np.intp))
-        for i, (a, b, cond) in enumerate(tests):
+        rows = np.array([(a, b, *cond) for a, b, cond in tests], dtype=np.intp)
+        labels, p = label(rows)
+        consulted = []
+        for i, ((a, b, cond), flag) in enumerate(zip(tests, labels.tolist())):
             if b not in adjacency[a] or not adjacency[a].issuperset(cond):
                 continue
-            out = outcome(i)
-            log.append(LabeledQuery(Query.ci(a, b, cond), out))
-            if out.value.value == 1:
+            if flag < 0:
+                refuse(rows[i])  # raises the row's error
+            consulted.append(i)
+            if flag == 1:
                 adjacency[a].discard(b)
                 adjacency[b].discard(a)
                 sepset[a, b] = cond
+        levels.append((rows[consulted], labels[consulted], None if p is None else p[consulted]))
     pdag = _Pdag(n, undirected=[(a, b) for a, b in combinations(range(n), 2) if b in adjacency[a]])
     # v-structures a -> c <- b from each separated pair's set, in pair order
     for (a, b), cond in sorted(sepset.items()):
@@ -87,7 +149,7 @@ def pc_from_ci(n, label, max_cond):
                 pdag.orient(a, c)
                 pdag.orient(b, c)
     pdag.apply_meek_rules()
-    return pdag.to_cpdag(), log
+    return pdag.to_cpdag(), _join_levels(levels, alpha)
 
 
 def _require_node_ids(d, who):
@@ -101,6 +163,8 @@ def pc_fit(d, alpha, max_cond, *, corr=None):
     """PC with Fisher-Z tests on the dataset's correlation matrix, or on
     ``corr`` when the caller has already built it."""
     _require_node_ids(d, "PC")
+    if len(d.columns) < 2:
+        raise InvalidSize("need at least two variables")
     if corr is None:
         corr = correlation_matrix(d)
     pos = np.argsort(d.columns)
@@ -108,25 +172,18 @@ def pc_fit(d, alpha, max_cond, *, corr=None):
 
     def label(rows):
         labels, p, fail = _fisher_z(corr, d.l, rows, alpha)
+        labels[fail != 0] = -1
+        return labels, p
 
-        def outcome(i):
-            if fail[i]:
-                fisher_z_many(corr, d.l, rows[i : i + 1], alpha)  # raises the row's error
-            return TestOutcome(binary(int(labels[i])), float(p[i]), alpha)
+    def refuse(row):
+        fisher_z_many(corr, d.l, row[None], alpha)
 
-        return outcome
-
-    return pc_from_ci(len(d.columns), label, max_cond)
+    return pc_from_ci(len(d.columns), label, max_cond, alpha=alpha, refuse=refuse)
 
 
 def pc_oracle(g, max_cond):
     """PC driven by exact d-separation in a known graph (no data)."""
-
-    def label(rows):
-        labels = d_separated_many(g, rows)
-        return lambda i: TestOutcome(binary(int(labels[i])), None, None)
-
-    return pc_from_ci(g.n, label, max_cond)
+    return pc_from_ci(g.n, lambda rows: (d_separated_many(g, rows), None), max_cond)
 
 
 # --- confidence-level selection -----------------------------------------------

@@ -16,6 +16,7 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
 from causalpred.bounds import ModelClassId, gap_binary, vc_upper_bound
+from causalpred.cli import format_query
 from causalpred.core import (
     Dataset,
     Query,
@@ -39,6 +40,7 @@ from causalpred.models import (
     Cpdag,
     Dag,
     _Pdag,
+    d_separated_many,
     is_polytree_edges,
     q_anm_polytree,
     random_dag_from_cpdag,
@@ -48,7 +50,10 @@ from causalpred.stattests import (
     RIDGE_SCALE,
     VAR_EPS,
     TestOutcome,
+    _fisher_z,
     anm_test,
+    correlation_matrix,
+    fisher_z_many,
 )
 from causalpred.synthgen import LinearScm, gen_gam_scm, gen_linear_scm, sample
 
@@ -747,16 +752,101 @@ def ref_pc_from_ci(n, ci_test, max_cond):
 
 def scalar_labeller(ci_test):
     """A scalar tester ``ci_test(a, b, cond)`` as the batch labeller
-    ``learners.pc_from_ci`` takes: a row is tested when PC asks for it."""
+    ``learners.pc_from_ci`` takes: every row of a level is tested when PC
+    asks for the level, and the p-values are None when the tester gives
+    none."""
 
     def label(rows):
+        outs = [ci_test(a, b, tuple(cond)) for a, b, *cond in rows.tolist()]
+        labels = np.array([out.value.value for out in outs], dtype=np.int64)
+        p = [out.p_value for out in outs]
+        return labels, None if p[0] is None else np.array(p)
+
+    return label
+
+
+# --- PC's log: the former LabeledQuery per consulted test ----------------------
+#
+# ``learners.pc_from_ci`` keeps the consulted rows, labels and p-values as
+# arrays; this is the loop it replaced, with a labeller that returns
+# ``outcome``, where ``outcome(i)`` builds row i's TestOutcome, and a log
+# of one LabeledQuery per consulted test.
+
+
+def labelled_pc_from_ci(n, label, max_cond):
+    if max_cond < 0:
+        raise InvalidSize("max_cond must be nonnegative")
+    adjacency = {v: set(range(n)) - {v} for v in range(n)}
+    sepset = {}
+    log = []
+    for level in range(min(max_cond, n - 2) + 1):
+        tests = [
+            (a, b, cond)
+            for a, b in combinations(range(n), 2)
+            if b in adjacency[a]
+            for cond in combinations(sorted(adjacency[a] - {b}), level)
+        ]
+        if not tests:
+            break
+        outcome = label(np.array([(a, b, *cond) for a, b, cond in tests], dtype=np.intp))
+        for i, (a, b, cond) in enumerate(tests):
+            if b not in adjacency[a] or not adjacency[a].issuperset(cond):
+                continue
+            out = outcome(i)
+            log.append(LabeledQuery(Query.ci(a, b, cond), out))
+            if out.value.value == 1:
+                adjacency[a].discard(b)
+                adjacency[b].discard(a)
+                sepset[a, b] = cond
+    pdag = _Pdag(n, undirected=[(a, b) for a, b in combinations(range(n), 2) if b in adjacency[a]])
+    for (a, b), cond in sorted(sepset.items()):
+        for c in sorted(adjacency[a] & adjacency[b]):
+            if c not in cond:
+                pdag.orient(a, c)
+                pdag.orient(b, c)
+    pdag.apply_meek_rules()
+    return pdag.to_cpdag(), log
+
+
+def labelled_pc_fit(d, alpha, max_cond):
+    """``learners.pc_fit`` through ``labelled_pc_from_ci``."""
+    corr = correlation_matrix(d)
+    pos = np.argsort(d.columns)
+    corr = corr[np.ix_(pos, pos)]
+
+    def label(rows):
+        labels, p, fail = _fisher_z(corr, d.l, rows, alpha)
+
         def outcome(i):
-            a, b, *cond = rows[i].tolist()
-            return ci_test(a, b, tuple(cond))
+            if fail[i]:
+                fisher_z_many(corr, d.l, rows[i : i + 1], alpha)
+            return TestOutcome(binary(int(labels[i])), float(p[i]), alpha)
 
         return outcome
 
-    return label
+    return labelled_pc_from_ci(len(d.columns), label, max_cond)
+
+
+def labelled_pc_oracle(g, max_cond):
+    """``learners.pc_oracle`` through ``labelled_pc_from_ci``."""
+
+    def label(rows):
+        labels = d_separated_many(g, rows)
+        return lambda i: TestOutcome(binary(int(labels[i])), None, None)
+
+    return labelled_pc_from_ci(g.n, label, max_cond)
+
+
+def ref_write_labels(log, path):
+    """``causalpred fit pc --labels``'s former writer: a CSV row per
+    LabeledQuery of PC's log."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(("query", "outcome", "p_value"))
+        w.writerows(
+            (format_query("ci", lq.query), lq.outcome.value.value, lq.outcome.p_value)
+            for lq in log
+        )
 
 
 # --- VC dimension -------------------------------------------------------------

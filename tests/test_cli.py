@@ -27,6 +27,7 @@ from causalpred.models import (
     q_anm_polytree,
     save_model,
 )
+from oracles import labelled_pc_fit, ref_write_labels
 
 
 # --- query grammar ------------------------------------------------------------
@@ -403,6 +404,18 @@ def test_fit_pc_names_column_ids_that_are_not_0_to_k_minus_1(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("model", ["pc", "path"])
+def test_fit_refuses_a_single_column(tmp_path, capsys, model):
+    # one column has a 0-d correlation matrix, which PC used to index
+    rows = np.random.default_rng(3).standard_normal(50).tolist()
+    (tmp_path / "d.csv").write_text("0\n" + "".join(f"{v!r}\n" for v in rows))
+    rc = cli.main(["fit", model, "--data", str(tmp_path / "d.csv"), "--out", str(tmp_path / "m.json")])
+    assert rc == 2
+    err = _one_json_object(capsys.readouterr().err)
+    assert err == {"error": "InvalidSize", "message": "need at least two variables"}
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_fit_path_names_column_ids_that_are_not_0_to_k_minus_1(tmp_path, capsys):
     rows = np.random.default_rng(3).standard_normal((50, 2))
     (tmp_path / "d.csv").write_text(
@@ -581,6 +594,24 @@ def test_fit_pc_labels_parse_back_to_pc_log(tmp_path, capsys):
     assert [(cli.parse_query(q), int(v), float(p)) for q, v, p in rows[1:]] == [
         (("ci", lq.query), lq.outcome.value.value, lq.outcome.p_value) for lq in log
     ]
+
+
+def test_fit_pc_labels_keep_the_former_writers_bytes(tmp_path, capsys):
+    # the rows are formatted from the log's arrays; the former writer
+    # formatted one LabeledQuery per test, through format_query and repr
+    data = tmp_path / "d.csv"
+    cli.main(["gen", "linear", "--n", "5", "--samples", "5000", "--seed", "0", "--out", str(data)])
+    labels = tmp_path / "labels.csv"
+    rc = cli.main(
+        ["fit", "pc", "--data", str(data), "--alpha", "0.01", "--max-cond", "2",
+         "--out", str(tmp_path / "m.json"), "--labels", str(labels)]
+    )
+    assert rc == 0
+    _, ref_log = labelled_pc_fit(load_dataset(data), 0.01, 2)
+    p = [lq.outcome.p_value for lq in ref_log]
+    assert 0.0 in p and any(0.0 < v < sys.float_info.min for v in p)  # zero and subnormal
+    ref_write_labels(ref_log, tmp_path / "ref.csv")
+    assert labels.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])

@@ -1,4 +1,7 @@
+import gc
 import re
+import weakref
+from collections.abc import Sequence
 from unittest import mock
 
 import numpy as np
@@ -18,6 +21,7 @@ from causalpred.errors import (
 )
 from causalpred.learners import (
     LabeledQuery,
+    PcLog,
     fit_path_model,
     pc_fit,
     pc_from_ci,
@@ -30,6 +34,8 @@ from causalpred.stattests import TestOutcome, anm_test, correlation_matrix, fish
 from causalpred.synthgen import gen_gam_scm, gen_linear_scm, sample
 from oracles import (
     RefPdag,
+    labelled_pc_fit,
+    labelled_pc_oracle,
     moral_d_separated,
     random_dag,
     ref_fisher_z_from_corr,
@@ -204,7 +210,9 @@ def test_pc_equals_the_repeat_scan_reference(n, seed, max_cond, kind):
     # until a pass removed nothing and ran every level up to max_cond
     g = random_dag(n, seed, p=0.4)
     tester = _random_tester(seed) if kind == "random" else _moral_tester(g)
-    assert pc_from_ci(n, scalar_labeller(tester), max_cond) == ref_pc_from_ci(n, tester, max_cond)
+    cpdag, log = pc_from_ci(n, scalar_labeller(tester), max_cond)
+    ref_cpdag, ref_log = ref_pc_from_ci(n, tester, max_cond)
+    assert (cpdag, list(log)) == (ref_cpdag, ref_log)
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
@@ -275,13 +283,97 @@ def test_pc_from_ci_labels_each_level_in_one_call():
 
     def label(rows):
         calls.append(rows.tolist())
-        return lambda i: TestOutcome(binary(int(rows[i, 0] == 0)), None, None)
+        return (rows[:, 0] == 0).astype(np.int64), None
 
     cpdag, log = pc_from_ci(4, label, 2)
     assert calls[0] == [[a, b] for a in range(4) for b in range(a + 1, 4)]
     assert [lq.query for lq in log][:6] == [Query.ci(*row) for row in calls[0]]
     assert calls[1] == [[1, 2, 3], [1, 3, 2], [2, 3, 1]]
     assert len(calls) == 2 and cpdag.directed == frozenset()
+
+
+def _log_as_tuples(log):
+    # a p-value as its hex text, so that equal means equal bit for bit
+    return [
+        (
+            lq.query,
+            lq.outcome.value,
+            None if lq.outcome.p_value is None else lq.outcome.p_value.hex(),
+            lq.outcome.alpha,
+        )
+        for lq in log
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 10), st.integers(0, 2**32 - 1), st.sampled_from([0.2, 0.4, 0.7]), st.integers(0, 3))
+def test_pc_oracle_log_equals_the_labelled_query_loop(n, seed, p, max_cond):
+    # the arrays hold the queries, order and labels of one LabeledQuery per
+    # consulted test, with no p-values and no alpha
+    g = random_dag(n, seed, p)
+    cpdag, log = pc_oracle(g, max_cond)
+    ref_cpdag, ref_log = labelled_pc_oracle(g, max_cond)
+    assert cpdag == ref_cpdag
+    assert _log_as_tuples(log) == _log_as_tuples(ref_log)
+    assert log.p_values is None and log.alpha is None
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_pc_fit_log_equals_the_labelled_query_loop(seed):
+    # both sides read the same _fisher_z arrays, so the p-values agree
+    # bit for bit; the column ids are a permutation of the positions
+    n = 5 + seed % 6
+    d = sample(gen_linear_scm(n, 1.5, seed), 1000 + 500 * seed, seed + 1).dataset
+    order = np.random.default_rng(seed).permutation(n)
+    d = Dataset(d.samples[:, order], tuple(order.tolist()))
+    alpha = (0.001, 0.01, 0.05)[seed % 3]
+    cpdag, log = pc_fit(d, alpha, 2)
+    ref_cpdag, ref_log = labelled_pc_fit(d, alpha, 2)
+    assert cpdag == ref_cpdag
+    assert _log_as_tuples(log) == _log_as_tuples(ref_log)
+    assert log.alpha == alpha and any(lq.query.cond for lq in log)
+
+
+def test_pc_log_is_a_read_only_sequence_of_labelled_queries():
+    d = sample(gen_linear_scm(6, 1.5, 4), 3000, 5).dataset
+    _, log = pc_fit(d, 0.01, 2)
+    ref = labelled_pc_fit(d, 0.01, 2)[1]
+    assert isinstance(log, Sequence) and len(log) == len(ref)
+    assert log[-1] == ref[-1] and list(log) == ref
+    with pytest.raises(IndexError):
+        log[len(log)]
+    # rows padded with -1 to the largest conditioning set in the log
+    width = 2 + max(len(lq.query.cond) for lq in ref)
+    assert log.rows.shape == (len(ref), width)
+    assert log.rows.tolist() == [
+        [*lq.query.members, *lq.query.cond] + [-1] * (width - 2 - len(lq.query.cond)) for lq in ref
+    ]
+    for a in (log.rows, log.labels, log.p_values):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    assert log == pc_fit(d, 0.01, 2)[1]
+    assert log != pc_fit(d, 0.05, 2)[1]
+    assert log != PcLog(log.rows, log.labels, None, log.alpha)
+    assert log != ref  # a log equals logs, not lists
+
+
+def test_pc_fit_frees_its_dataset_without_the_cyclic_collector():
+    # no reference cycle keeps the dataset alive past the fit, and the log
+    # holds neither the dataset nor the correlation matrix
+    d = sample(gen_linear_scm(8, 1.5, 3), 2000, 4).dataset
+    samples = weakref.ref(d.samples)
+    gc.disable()
+    try:
+        result = pc_fit(d, 0.01, 2)
+        held = list(vars(result[1]).values())
+        held += [a.base for a in held if isinstance(a, np.ndarray)]
+        assert not any(isinstance(v, Dataset) for v in held)
+        matrices = [v for v in held if isinstance(v, np.ndarray) and v.dtype == float and v.ndim == 2]
+        assert not matrices  # no correlation matrix, nor a view of one
+        del d, result, held, matrices
+        assert samples() is None
+    finally:
+        gc.enable()
 
 
 # --- alpha selection ----------------------------------------------------------
