@@ -76,8 +76,10 @@ def vc_upper_bound(c: ModelClassId, n: int) -> float:
 
 
 def _check_gap_params(h, k, eta):
-    if k < 1 or not 0 < h < math.inf:
-        raise InvalidParams(f"need k >= 1 and a finite h > 0, not {h}")
+    if k < 1:
+        raise InvalidParams(f"need k >= 1, not {k}")
+    if not 0 < h < math.inf:
+        raise InvalidParams(f"need a finite h > 0, not {h}")
     if not 0.0 < eta < 1.0:
         raise InvalidParams(f"eta {eta} outside (0, 1)")
     return _double("k", k)

@@ -51,28 +51,6 @@ def parse_query(text):
     raise ParseError(f"unknown query kind {prefix!r}")
 
 
-PREFIX_KIND = {
-    "ci": QueryKind.COND_INDEP,
-    "anm": QueryKind.ORDERED_PAIR,
-    "dir": QueryKind.ORDERED_PAIR,
-    "corr": QueryKind.UNORDERED_PAIR,
-    "sign": QueryKind.UNORDERED_PAIR,
-    "lingam": QueryKind.ORDERED_TUPLE,
-}
-
-
-def format_query(prefix, q):
-    """Inverse of parse_query: the query text that parses to (prefix, q)."""
-    if PREFIX_KIND.get(prefix) != q.kind:
-        raise ParseError(f"query kind {prefix!r} does not match a {q.kind.value} query")
-    if prefix == "ci":
-        a, b = q.members
-        return f"ci:{a},{b}|{','.join(map(str, q.cond))}"
-    if q.kind == QueryKind.ORDERED_PAIR:
-        return f"{prefix}:{q.members[0]}->{q.members[1]}"
-    return f"{prefix}:{','.join(map(str, q.members))}"
-
-
 def _emit(obj):
     json.dump(obj, sys.stdout, indent=2, default=float)
     sys.stdout.write("\n")
@@ -124,29 +102,29 @@ def cmd_test(args):
     return 0
 
 
+def _label_rows(log):
+    """The CSV rows (query, outcome, p-value) of a learner's TestLog;
+    tolist() gives the Python ints and floats the writer formats."""
+    rows = zip(log.rows.tolist(), log.labels.tolist(), log.p_values.tolist())
+    if log.kind == QueryKind.ORDERED_PAIR:
+        return [(f"anm:{s}->{t}", value, p) for (s, t), value, p in rows]
+    return [
+        (f"ci:{a},{b}|{','.join(str(c) for c in cond if c != -1)}", value, p)
+        for (a, b, *cond), value, p in rows
+    ]
+
+
 def cmd_fit(args):
     if args.model == "polytree" and args.k is None:
         raise ParseError("polytree fitting needs --k")
     d = load_dataset(args.data, args.names)
     if args.model == "pc":
         model, log = learners.pc_fit(d, args.alpha, args.max_cond)
-        # the log's rows are canonical ci queries; tolist() gives the
-        # Python ints and floats the writer formats
-        rows = [
-            (f"ci:{a},{b}|{','.join(str(c) for c in cond if c != -1)}", value, p)
-            for (a, b, *cond), value, p in zip(
-                log.rows.tolist(), log.labels.tolist(), log.p_values.tolist()
-            )
-        ]
     elif args.model == "polytree":
-        model, labels = learners.polytree_from_anm(d, args.k, args.alpha, args.seed)
-        rows = [
-            (format_query("anm", lq.query), lq.outcome.value.value, lq.outcome.p_value)
-            for lq in labels
-        ]
+        model, log = learners.polytree_from_anm(d, args.k, args.alpha, args.seed)
     else:
-        model = learners.fit_path_model(d)
-        rows = []
+        model, log = learners.fit_path_model(d), None
+    rows = [] if log is None else _label_rows(log)
     models.save_model(model, args.out)
     if args.labels:
         with open(args.labels, "w", newline="", encoding="utf-8") as fh:

@@ -14,20 +14,21 @@ from functools import partial
 
 import numpy as np
 
-# d_separated, empirical_error and fisher_z_from_corr stay bound here for
-# the benchmark's tracer
+# d_separated, empirical_error, fisher_z_from_corr and q_anm_polytree stay
+# bound here for the benchmark's tracer
 from .bounds import ModelClassId, gap_binary, vc_upper_bound
 from .core import QueryKind, ci_query_array, empirical_error, enumerate_queries
 from .errors import InvalidParams, InvalidSize, KTooLarge, LengthMismatch, ParseError, TagMismatch
 from .learners import pc_fit, pc_oracle, polytree_from_anm
 from .models import (
+    anm_polytree_many,
     d_separated,
     d_separated_many,
     q_anm_polytree,
     random_dag_from_cpdag,
 )
 from .stattests import anm_test, correlation_matrix, fisher_z_from_corr, fisher_z_many
-from .synthgen import gen_gam_scm, gen_linear_scm, sample
+from .synthgen import _edge_probability, gen_gam_scm, gen_linear_scm, sample
 
 # the most nodes a ci experiment takes: its order-0/1 universe holds
 # n(n-1)/2 * (n-1) query rows, growing as n^3; one replicate at this many
@@ -64,8 +65,8 @@ class ExperimentConfig:
         if self.seed < 0:
             raise InvalidParams(f"seed {self.seed} is negative")
         # the checks of the steps that would otherwise refuse these values
-        # only after some work has run: the tests, gap_binary, PC and
-        # polytree_from_anm
+        # only after some work has run, such as building the universe: the
+        # tests, gap_binary, PC, polytree_from_anm and the SCM generators
         for name, value in (("alpha", self.alpha), ("eta", self.eta)):
             if not 0.0 < value < 1.0:
                 raise InvalidParams(f"{name} {value} outside (0, 1)")
@@ -82,6 +83,7 @@ class ExperimentConfig:
             for k in self.k_values:
                 if not 1 <= k <= pairs:
                     raise KTooLarge(f"cannot draw {k} from a universe of {pairs}")
+        _edge_probability(self.n, self.expected_degree)  # gen's checks of n and the degree
 
     @staticmethod
     def from_json(obj):
@@ -177,14 +179,13 @@ def expected_risk(predict, queries, tester) -> float:
     return _disagreement(predict(queries), tester(queries))
 
 
-def _record(cfg, h, rep, seed, label_queries, labels, predict, universe, tester):
-    """Score a fitted predictor: its risk on the k labelled tests, given
-    as ``label_queries`` in the form ``predict`` takes and their 0/1
-    ``labels``, against its risk on the universe, with the VC gap of a
-    class of VC dimension h at k."""
-    empirical = _disagreement(predict(label_queries), labels)
+def _record(cfg, h, rep, seed, log, predict, universe, tester):
+    """Score a fitted predictor: its risk on the k tests of the learner's
+    TestLog, whose rows ``predict`` takes, against its risk on the
+    universe, with the VC gap of a class of VC dimension h at k."""
+    empirical = _disagreement(predict(log.rows), log.labels)
     expected = expected_risk(predict, universe, tester)
-    k = len(labels)
+    k = len(log)
     bound = gap_binary(h, k, cfg.eta)
     return RiskRecord(
         cfg.experiment, cfg.n, cfg.l, cfg.alpha, k, rep, empirical, expected, bound, seed
@@ -217,44 +218,43 @@ def run_ci_experiment(cfg: ExperimentConfig):
 
         g = random_dag_from_cpdag(cpdag, seed + 2)
         predict = partial(d_separated_many, g)
-        records.append(_record(cfg, h, rep, seed, log.rows, log.labels, predict, universe, tester))
+        records.append(_record(cfg, h, rep, seed, log, predict, universe, tester))
     return records
 
 
 def run_anm_experiment(cfg: ExperimentConfig):
-    """Per joint dataset: cache the additive-noise test outcome of every
-    ordered pair once, then fit polytrees from k-subsets across
-    repetitions and record empirical vs. expected risk, with the VC gap
-    of the polytree class, the class of the model fitted."""
+    """Per joint dataset: label every ordered pair once by the additive-noise
+    test, then fit polytrees from k-subsets across repetitions and record
+    empirical vs. expected risk, with the VC gap of the polytree class, the
+    class of the model fitted."""
     if cfg.experiment != "anm":
         raise InvalidParams("config is not an anm experiment")
     h = vc_upper_bound(ModelClassId.POLYTREES, cfg.n)
     universe = enumerate_queries(cfg.n, QueryKind.ORDERED_PAIR)
+    pairs = np.array([q.members for q in universe], dtype=np.intp)
     records = []
     for ds in range(cfg.datasets):
         seed = cfg.seed + 100_000 * ds
         scm = gen_gam_scm(cfg.n, cfg.expected_degree, seed)
         data = sample(scm, cfg.l, seed + 1).dataset
-        cache = {q: anm_test(data, q, cfg.alpha) for q in universe}
+        # one scalar anm_test call per pair, which the benchmark taps
+        labels, p = np.zeros((cfg.n, cfg.n), dtype=np.int64), np.zeros((cfg.n, cfg.n))
+        for q in universe:
+            out = anm_test(data, q, cfg.alpha)
+            labels[q.members], p[q.members] = out.value.value, out.p_value
 
-        def tester(queries):
-            return [cache[q].value.value for q in queries]
+        def tester(rows):
+            return labels[tuple(rows.T)]
+
+        def outcomes(rows):
+            return tester(rows), p[tuple(rows.T)]
 
         for k in cfg.k_values:
             for rep in range(cfg.repetitions):
                 rep_seed = seed + 10 * rep + 2
-                tree, labels = polytree_from_anm(
-                    data, k, cfg.alpha, rep_seed, tester=cache.__getitem__
-                )
-
-                def predict(queries):
-                    return [q_anm_polytree(tree, q) for q in queries]
-
-                queries = [lq.query for lq in labels]
-                values = [lq.outcome.value.value for lq in labels]
-                records.append(
-                    _record(cfg, h, rep, rep_seed, queries, values, predict, universe, tester)
-                )
+                tree, log = polytree_from_anm(data, k, cfg.alpha, rep_seed, tester=outcomes)
+                predict = partial(anm_polytree_many, tree)
+                records.append(_record(cfg, h, rep, rep_seed, log, predict, pairs, tester))
     return records
 
 

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Query, binary, ci_query_array, sample_queries
+from .core import Query, QueryKind, binary, ci_query_array, sample_queries
 from .errors import DataError, InvalidSize, ZeroCorrelation
 
 # d_separated and fisher_z_from_corr stay bound here for the benchmark's
@@ -44,19 +44,23 @@ class LabeledQuery:
 
 
 @dataclass(frozen=True, eq=False)
-class PcLog(Sequence):
-    """The tests PC consulted, in the order it ran them, as arrays: the CI
-    query ``rows`` (a, b, c1, ..., cs), padded with -1 to the width of
-    the largest set as ``core.ci_query_array`` pads them, their 0/1
-    ``labels`` (1 for independence), their ``p_values`` (None when the
-    tests give none) and the tests' ``alpha``.  As a sequence it holds one
-    LabeledQuery per test, built only when indexed; two logs are equal
-    when their arrays and alpha are."""
+class TestLog(Sequence):
+    """The tests a learner was fitted on, in the order it ran them, as
+    arrays: the query ``rows``, their 0/1 ``labels``, their ``p_values``
+    (None when the tests give none), the tests' ``alpha`` and the rows'
+    query ``kind``.  A COND_INDEP row (PC's) is (a, b, c1, ..., cs),
+    padded with -1 as ``core.ci_query_array`` pads them; an ORDERED_PAIR
+    row (the polytree learner's) is (source, target).  As a sequence it
+    holds one LabeledQuery per test, built only when indexed; two logs are
+    equal when all five fields are."""
+
+    __test__ = False  # not a pytest test class despite the name
 
     rows: np.ndarray
     labels: np.ndarray
     p_values: np.ndarray = None
     alpha: float = None
+    kind: QueryKind = QueryKind.COND_INDEP
 
     def __post_init__(self):
         for a in (self.rows, self.labels, self.p_values):
@@ -70,13 +74,14 @@ class PcLog(Sequence):
         a, b, *cond = self.rows[i].tolist()
         p = None if self.p_values is None else float(self.p_values[i])
         outcome = TestOutcome(binary(int(self.labels[i])), p, self.alpha)
-        return LabeledQuery(Query.ci(a, b, [c for c in cond if c != -1]), outcome)
+        return LabeledQuery(Query(self.kind, (a, b), tuple(c for c in cond if c != -1)), outcome)
 
     def __eq__(self, other):
-        if not isinstance(other, PcLog):
+        if not isinstance(other, TestLog):
             return NotImplemented
         return (
-            self.alpha == other.alpha
+            self.kind == other.kind
+            and self.alpha == other.alpha
             and np.array_equal(self.rows, other.rows)
             and np.array_equal(self.labels, other.labels)
             and np.array_equal(self.p_values, other.p_values)  # None equals only None
@@ -84,7 +89,7 @@ class PcLog(Sequence):
 
 
 def _join_levels(levels, alpha):
-    """One PcLog from each level's (rows, labels, p-values) of the tests
+    """One TestLog from each level's (rows, labels, p-values) of the tests
     PC consulted there."""
     width = max((rows.shape[1] for rows, _, _ in levels if len(rows)), default=2)
     rows = np.full((sum(len(r) for r, _, _ in levels), width), -1, dtype=np.intp)
@@ -94,7 +99,7 @@ def _join_levels(levels, alpha):
         start += len(r)
     labels = np.concatenate([np.empty(0, dtype=np.int64)] + [lab for _, lab, _ in levels])
     p = None if not levels or levels[0][2] is None else np.concatenate([p for _, _, p in levels])
-    return PcLog(rows, labels, p, alpha)
+    return TestLog(rows, labels, p, alpha)
 
 
 def pc_from_ci(n, label, max_cond, *, alpha=None, refuse=None):
@@ -111,7 +116,7 @@ def pc_from_ci(n, label, max_cond, *, alpha=None, refuse=None):
     labelled -1 is handed to ``refuse(row)``, which raises its error, so a
     row skipped never raises.  The separating set recorded at deletion
     time drives v-structure orientation.  Returns the CPDAG and the
-    PcLog of the consulted rows, in order, with ``alpha``.
+    TestLog of the consulted rows, in order, with ``alpha``.
     """
     if max_cond < 0:
         raise InvalidSize("max_cond must be nonnegative")
@@ -236,39 +241,39 @@ def polytree_from_anm(d, k, alpha, seed, tester=None):
     3. while the skeleton has an undirected cycle, drop the cycle edge
        with the lowest residual-independence p-value.
 
-    ``tester`` may replace the default ANM test (it receives the query and
-    must return a TestOutcome); used for cached or synthetic outcomes.
-    The default runs the drawn pairs source by source, in sorted order,
-    since ``anm_test`` keeps the last source's Gram and ridge factor; so
-    when several pairs would fail, the first of them in sorted order
-    raises.  The returned labels are in drawn order either way.
+    ``tester`` may replace the default ANM test, for cached or synthetic
+    outcomes: it takes the drawn rows (source, target) of column ids and
+    returns two arrays over them, as ``pc_from_ci``'s labeller does: the
+    0/1 labels and the p-values.  The default runs the drawn pairs source
+    by source, in sorted order, since ``anm_test`` keeps the last source's
+    Gram and ridge factor; so when several pairs would fail, the first of
+    them in sorted order raises.  Returns the polytree and the
+    ORDERED_PAIR TestLog of the drawn rows, in drawn order, with ``alpha``.
     """
-    # the draw depends on the universe's length alone, so positions are
-    # drawn and only the k drawn queries are built
-    pairs = [(a, b) for a in d.columns for b in d.columns if a != b]
-    chosen = [Query.ordered_pair(*pairs[i]) for i in sample_queries(range(len(pairs)), k, seed)]
+    # the draw depends on the universe's length alone; position i of the
+    # ordered pairs of column positions is (s, j + (j >= s)), s, j = divmod(i, c - 1)
+    c = len(d.columns)
+    source, target = np.divmod(sample_queries(range(c * (c - 1)), k, seed), c - 1)
+    target += target >= source
+    rows = np.array(d.columns, dtype=np.intp)[np.column_stack([source, target])]
     if tester is None:
-        outcomes = {q: anm_test(d, q, alpha) for q in sorted(chosen, key=lambda q: q.members)}
-        tester = outcomes.__getitem__
-    labels = [LabeledQuery(q, tester(q)) for q in chosen]
+        labels, p = np.empty(k, dtype=np.int64), np.empty(k)
+        pairs = rows.tolist()
+        for i in sorted(range(k), key=pairs.__getitem__):
+            out = anm_test(d, Query.ordered_pair(*pairs[i]), alpha)
+            labels[i], p[i] = out.value.value, out.p_value
+    else:
+        labels, p = tester(rows)
 
     # Kruskal over the accepted edges, strongest first: (p-value, positional
     # edge) is a strict order, so this keeps the unique maximum spanning
     # forest, which is what repeatedly dropping the weakest edge on a cycle
     # leaves.
-    pos = {v: i for i, v in enumerate(d.columns)}
-
-    def strength(lq):
-        p = lq.outcome.p_value
-        return (p if p is not None else 0.0, tuple(pos[v] for v in lq.query.members))
-
-    accepted = sorted(
-        (lq for lq in labels if lq.outcome.value.value == 1), key=strength, reverse=True
-    )
-    n = max(d.columns) + 1
-    union = forest_union(n)
-    edges = [lq.query.members for lq in accepted if union(*lq.query.members)]
-    return Polytree(n, edges), labels
+    accepted = np.flatnonzero(labels == 1)
+    accepted = accepted[np.lexsort((target[accepted], source[accepted], p[accepted]))[::-1]]
+    union = forest_union(c)
+    edges = [rows[i] for i in accepted if union(source[i], target[i])]
+    return Polytree(max(d.columns) + 1, edges), TestLog(rows, labels, p, alpha, QueryKind.ORDERED_PAIR)
 
 
 # --- path models --------------------------------------------------------------

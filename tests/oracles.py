@@ -16,7 +16,6 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
 from causalpred.bounds import ModelClassId, gap_binary, vc_upper_bound
-from causalpred.cli import format_query
 from causalpred.core import (
     Dataset,
     Query,
@@ -25,6 +24,7 @@ from causalpred.core import (
     empirical_error,
     enumerate_queries,
     load_json,
+    sample_queries,
 )
 from causalpred.errors import (
     DegenerateInput,
@@ -35,14 +35,15 @@ from causalpred.errors import (
     ParseError,
 )
 from causalpred.harness import RiskRecord
-from causalpred.learners import LabeledQuery, pc_fit, pc_oracle, polytree_from_anm
+from causalpred.learners import LabeledQuery, pc_fit, pc_oracle
 from causalpred.models import (
     Cpdag,
     Dag,
+    Polytree,
     _Pdag,
     d_separated_many,
+    forest_union,
     is_polytree_edges,
-    q_anm_polytree,
     random_dag_from_cpdag,
     v_structures,
 )
@@ -461,8 +462,9 @@ def ref_select_alpha(candidates, scms, l, seed=0):
 
 
 def ref_run_anm_experiment(cfg):
-    """``harness.run_anm_experiment`` scored query by query with the scalar
-    ``q_anm_polytree`` and ``empirical_error``."""
+    """``harness.run_anm_experiment`` with a dict of outcomes keyed by
+    Query, fitted by ``ref_polytree_from_anm`` and scored query by query
+    with edge membership and ``empirical_error``."""
     h = vc_upper_bound(ModelClassId.POLYTREES, cfg.n)
     universe = enumerate_queries(cfg.n, QueryKind.ORDERED_PAIR)
     records = []
@@ -474,16 +476,18 @@ def ref_run_anm_experiment(cfg):
         for k in cfg.k_values:
             for rep in range(cfg.repetitions):
                 rep_seed = seed + 10 * rep + 2
-                tree, labels = polytree_from_anm(
+                tree, labels = ref_polytree_from_anm(
                     data, k, cfg.alpha, rep_seed, tester=cache.__getitem__
                 )
+
+                def predict(q):
+                    return int(q.members in tree.edges)
+
                 empirical = empirical_error(
-                    [binary(q_anm_polytree(tree, lq.query)) for lq in labels],
+                    [binary(predict(lq.query)) for lq in labels],
                     [lq.outcome.value for lq in labels],
                 )
-                expected = ref_expected_risk(
-                    lambda q: q_anm_polytree(tree, q), universe, cache.__getitem__
-                )
+                expected = ref_expected_risk(predict, universe, cache.__getitem__)
                 records.append(
                     RiskRecord(
                         "anm", cfg.n, cfg.l, cfg.alpha, k, rep, empirical, expected,
@@ -491,6 +495,35 @@ def ref_run_anm_experiment(cfg):
                     )
                 )
     return records
+
+
+# --- polytrees: the former learner, one LabeledQuery per drawn test -----------
+#
+# ``learners.polytree_from_anm`` draws positions, hands the drawn rows to a
+# batch tester and keeps the outcomes as an ORDERED_PAIR TestLog; this is
+# the learner it replaced, whose ``tester(q)`` returns a TestOutcome.
+
+
+def ref_polytree_from_anm(d, k, alpha, seed, tester=None):
+    pairs = [(a, b) for a in d.columns for b in d.columns if a != b]
+    chosen = [Query.ordered_pair(*pairs[i]) for i in sample_queries(range(len(pairs)), k, seed)]
+    if tester is None:
+        outcomes = {q: anm_test(d, q, alpha) for q in sorted(chosen, key=lambda q: q.members)}
+        tester = outcomes.__getitem__
+    labels = [LabeledQuery(q, tester(q)) for q in chosen]
+    pos = {v: i for i, v in enumerate(d.columns)}
+
+    def strength(lq):
+        p = lq.outcome.p_value
+        return (p if p is not None else 0.0, tuple(pos[v] for v in lq.query.members))
+
+    accepted = sorted(
+        (lq for lq in labels if lq.outcome.value.value == 1), key=strength, reverse=True
+    )
+    n = max(d.columns) + 1
+    union = forest_union(n)
+    edges = [lq.query.members for lq in accepted if union(*lq.query.members)]
+    return Polytree(n, edges), labels
 
 
 # --- CSV: the former per-cell load and csv.writer save ------------------------
@@ -838,15 +871,46 @@ def labelled_pc_oracle(g, max_cond):
 
 
 def ref_write_labels(log, path):
-    """``causalpred fit pc --labels``'s former writer: a CSV row per
-    LabeledQuery of PC's log."""
+    """``causalpred fit --labels``'s former writer: a CSV row per
+    LabeledQuery of the learner's log, through ``format_query``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(("query", "outcome", "p_value"))
         w.writerows(
-            (format_query("ci", lq.query), lq.outcome.value.value, lq.outcome.p_value)
+            (
+                format_query("anm" if lq.query.kind == QueryKind.ORDERED_PAIR else "ci", lq.query),
+                lq.outcome.value.value,
+                lq.outcome.p_value,
+            )
             for lq in log
         )
+
+
+# --- the CLI's query grammar, written ------------------------------------------
+#
+# The CLI writes queries only from a TestLog's arrays; these are the former
+# writer's inverse of ``cli.parse_query``, kept for the round-trip tests.
+
+PREFIX_KIND = {
+    "ci": QueryKind.COND_INDEP,
+    "anm": QueryKind.ORDERED_PAIR,
+    "dir": QueryKind.ORDERED_PAIR,
+    "corr": QueryKind.UNORDERED_PAIR,
+    "sign": QueryKind.UNORDERED_PAIR,
+    "lingam": QueryKind.ORDERED_TUPLE,
+}
+
+
+def format_query(prefix, q):
+    """Inverse of parse_query: the query text that parses to (prefix, q)."""
+    if PREFIX_KIND.get(prefix) != q.kind:
+        raise ParseError(f"query kind {prefix!r} does not match a {q.kind.value} query")
+    if prefix == "ci":
+        a, b = q.members
+        return f"ci:{a},{b}|{','.join(map(str, q.cond))}"
+    if q.kind == QueryKind.ORDERED_PAIR:
+        return f"{prefix}:{q.members[0]}->{q.members[1]}"
+    return f"{prefix}:{','.join(map(str, q.members))}"
 
 
 # --- VC dimension -------------------------------------------------------------

@@ -27,7 +27,7 @@ from causalpred.models import (
     q_anm_polytree,
     save_model,
 )
-from oracles import labelled_pc_fit, ref_write_labels
+from oracles import PREFIX_KIND, format_query, labelled_pc_fit, ref_polytree_from_anm, ref_write_labels
 
 
 # --- query grammar ------------------------------------------------------------
@@ -67,8 +67,8 @@ _ids = st.integers(0, 300)
 
 @st.composite
 def _prefixed_queries(draw):
-    prefix = draw(st.sampled_from(sorted(cli.PREFIX_KIND)))
-    kind = cli.PREFIX_KIND[prefix]
+    prefix = draw(st.sampled_from(sorted(PREFIX_KIND)))
+    kind = PREFIX_KIND[prefix]
     if kind == QueryKind.ORDERED_TUPLE:
         ids = draw(st.lists(_ids, min_size=1, max_size=6, unique=True))
         return prefix, Query.ordered_tuple(*ids)
@@ -80,14 +80,14 @@ def _prefixed_queries(draw):
 @given(_prefixed_queries())
 def test_format_query_inverts_parse_query(prefixed):
     prefix, q = prefixed
-    text = cli.format_query(prefix, q)
+    text = format_query(prefix, q)
     assert cli.parse_query(text) == (prefix, q)
-    assert cli.format_query(*cli.parse_query(text)) == text
+    assert format_query(*cli.parse_query(text)) == text
 
 
 def test_format_query_rejects_kind_mismatch():
     with pytest.raises(ParseError):
-        cli.format_query("ci", Query.ordered_pair(0, 1))
+        format_query("ci", Query.ordered_pair(0, 1))
 
 
 # --- exit codes ---------------------------------------------------------------
@@ -361,6 +361,12 @@ def test_bound_empirical_risk_outside_0_1_is_a_usage_error(capsys, risk):
     assert err["error"] == "UsageError" and "[0, 1]" in err["message"]
 
 
+def test_bound_names_the_k_it_refuses(capsys):
+    assert cli.main(["bound", "--class", "alldags", "--n", "3", "--k", "0"]) == 2
+    err = _one_json_object(capsys.readouterr().err)
+    assert err == {"error": "InvalidParams", "message": "need k >= 1, not 0"}
+
+
 def test_bound_at_huge_k_stays_valid_json(capsys):
     # doubling k = 2^1023 overflows; the gap is still the formula's
     k = 2**1023
@@ -458,11 +464,11 @@ def test_predict_reads_the_truth_file_of_gen(tmp_path, capsys, kind):
     assert 5 not in {v for e in dag.edges for v in e}
     queries = [q for size in (0, 1) for q in enumerate_queries(6, QueryKind.COND_INDEP, size)]
     for q in queries:
-        assert cli.main(["predict", "--model", str(truth), "--query", cli.format_query("ci", q)]) == 0
+        assert cli.main(["predict", "--model", str(truth), "--query", format_query("ci", q)]) == 0
         assert json.loads(capsys.readouterr().out)["value"] == d_separated(dag, q)
     # a gam truth is a polytree, which also answers additive-noise queries
     for q in enumerate_queries(6, QueryKind.ORDERED_PAIR):
-        rc = cli.main(["predict", "--model", str(truth), "--query", cli.format_query("anm", q)])
+        rc = cli.main(["predict", "--model", str(truth), "--query", format_query("anm", q)])
         if kind == "gam":
             assert rc == 0
             assert json.loads(capsys.readouterr().out)["value"] == q_anm_polytree(dag, q)
@@ -610,6 +616,22 @@ def test_fit_pc_labels_keep_the_former_writers_bytes(tmp_path, capsys):
     _, ref_log = labelled_pc_fit(load_dataset(data), 0.01, 2)
     p = [lq.outcome.p_value for lq in ref_log]
     assert 0.0 in p and any(0.0 < v < sys.float_info.min for v in p)  # zero and subnormal
+    ref_write_labels(ref_log, tmp_path / "ref.csv")
+    assert labels.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_fit_polytree_labels_keep_the_former_writers_bytes(tmp_path, capsys):
+    # the rows are formatted from the log's arrays, in drawn order
+    data = tmp_path / "d.csv"
+    cli.main(["gen", "gam", "--n", "5", "--samples", "300", "--seed", "2", "--out", str(data)])
+    labels = tmp_path / "labels.csv"
+    rc = cli.main(
+        ["fit", "polytree", "--data", str(data), "--k", "15", "--alpha", "0.05", "--seed", "4",
+         "--out", str(tmp_path / "m.json"), "--labels", str(labels)]
+    )
+    assert rc == 0
+    _, ref_log = ref_polytree_from_anm(load_dataset(data), 15, 0.05, 4)
+    assert {lq.outcome.value.value for lq in ref_log} == {0, 1}
     ref_write_labels(ref_log, tmp_path / "ref.csv")
     assert labels.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -790,6 +812,27 @@ def test_data_file_of_blank_lines_names_the_missing_header(tmp_path, capsys):
     assert cli.main(["fit", "path", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 2
     err = _one_json_object(capsys.readouterr().err)
     assert err["error"] == "InvalidSize" and "no header ids" in err["message"]
+
+
+def test_a_graph_past_the_node_limit_is_refused(tmp_path, capsys):
+    # one column id, or a model file's n, used to allocate a table per id
+    rows = np.random.default_rng(0).standard_normal((100, 2)).tolist()
+    (tmp_path / "d.csv").write_text("0,300000\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows))
+    argv = ["fit", "polytree", "--data", str(tmp_path / "d.csv"), "--k", "2", "--out", str(tmp_path / "m.json")]
+    assert cli.main(argv) == 2
+    err = _one_json_object(capsys.readouterr().err)
+    assert err == {"error": "InvalidSize", "message": "a graph on 300001 nodes; the limit is 10000 nodes"}
+    assert not (tmp_path / "m.json").exists()
+    (tmp_path / "m.json").write_text('{"type": "dag", "n": 10001, "directed": [], "undirected": []}')
+    assert cli.main(["predict", "--model", str(tmp_path / "m.json"), "--query", "anm:0->1"]) == 2
+    err = _one_json_object(capsys.readouterr().err)
+    assert err == {"error": "InvalidSize", "message": "a graph on 10001 nodes; the limit is 10000 nodes"}
+    # a truth file of gen at its node limit still loads
+    scm = synthgen.gen_gam_scm(synthgen.MAX_SCM_NODES, 1.5, 0)
+    synthgen.save_truth(scm, tmp_path / "truth.json")
+    s, t = min(scm.dag.edges)
+    assert cli.main(["predict", "--model", str(tmp_path / "truth.json"), "--query", f"anm:{s}->{t}"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 1
 
 
 def test_predict_on_a_model_with_negative_n_exits_2(tmp_path, capsys):

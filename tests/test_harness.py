@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from causalpred import harness, learners
+from causalpred import harness, learners, synthgen
 from causalpred.bounds import gap_binary
 from causalpred.core import Dataset, Query, binary
 from causalpred.errors import (
@@ -137,7 +137,7 @@ def _error(fn, *args, **kwargs):
 
 def test_config_refuses_what_a_step_would_refuse_before_any_work(monkeypatch):
     # each value is refused with the error of the step that would refuse it
-    # later: a test, gap_binary, PC or polytree_from_anm; and no SCM is drawn
+    # later: a test, gap_binary, PC, polytree_from_anm or gen; and no SCM is drawn
     data = Dataset(np.random.default_rng(1).standard_normal((30, 6)), tuple(range(6)))
     truth = Dag(3, frozenset({(0, 1)}))
 
@@ -153,6 +153,10 @@ def test_config_refuses_what_a_step_would_refuse_before_any_work(monkeypatch):
         ({"max_cond": -1}, learners.pc_oracle, truth, -1),
         ({"experiment": "anm", "n": 6, "k_values": (10, 31)}, learners.polytree_from_anm, data, 31, 0.05, 0),
         ({"experiment": "anm", "n": 6, "k_values": (0,)}, learners.polytree_from_anm, data, 0, 0.05, 0),
+        # past gen's limit, once its O(n^2) ordered-pair universe was built
+        ({"experiment": "anm", "n": 1001, "k_values": (5,)}, synthgen.gen_gam_scm, 1001, 1.5, 0),
+        ({"experiment": "anm", "k_values": (5,), "expected_degree": 0}, synthgen.gen_gam_scm, 6, 0, 0),
+        ({"expected_degree": 9.0}, synthgen.gen_linear_scm, 6, 9.0, 0),
     ]
     for update, step, *args in cases:
         cfg = {"experiment": "ci", "n": 6, "l": 300, "repetitions": 2, **update}

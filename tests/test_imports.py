@@ -15,7 +15,7 @@ tracing = importlib.import_module("tracing")
 # imported only so that perfbench/tracing.py can wrap them there; nothing
 # in the module calls them
 TRACER_ONLY = {
-    "harness": {"d_separated", "empirical_error", "fisher_z_from_corr"},
+    "harness": {"d_separated", "empirical_error", "fisher_z_from_corr", "q_anm_polytree"},
     "learners": {"d_separated", "fisher_z_from_corr"},
 }
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalpred import learners
-from causalpred.core import Dataset, Query, binary, sample_queries
+from causalpred.core import Dataset, Query, QueryKind, binary, sample_queries
 from causalpred.errors import (
     DataError,
     DegenerateInput,
@@ -21,7 +21,7 @@ from causalpred.errors import (
 )
 from causalpred.learners import (
     LabeledQuery,
-    PcLog,
+    TestLog,
     fit_path_model,
     pc_fit,
     pc_from_ci,
@@ -40,6 +40,7 @@ from oracles import (
     random_dag,
     ref_fisher_z_from_corr,
     ref_pc_from_ci,
+    ref_polytree_from_anm,
     ref_select_alpha,
     scalar_labeller,
 )
@@ -353,7 +354,7 @@ def test_pc_log_is_a_read_only_sequence_of_labelled_queries():
             a[0] = 0
     assert log == pc_fit(d, 0.01, 2)[1]
     assert log != pc_fit(d, 0.05, 2)[1]
-    assert log != PcLog(log.rows, log.labels, None, log.alpha)
+    assert log != TestLog(log.rows, log.labels, None, log.alpha)
     assert log != ref  # a log equals logs, not lists
 
 
@@ -423,14 +424,26 @@ def test_select_alpha_checks_its_input_before_any_work():
 # --- polytree from additive-noise outcomes ------------------------------------
 
 
+def _synthetic_outcome(edge_pvalues, pair):
+    if pair in edge_pvalues:
+        return TestOutcome(binary(1), edge_pvalues[pair], 0.05)
+    return TestOutcome(binary(0), 0.001, 0.05)
+
+
 def _synthetic_tester(edge_pvalues):
-    def tester(q):
-        key = q.members
-        if key in edge_pvalues:
-            return TestOutcome(binary(1), edge_pvalues[key], 0.05)
-        return TestOutcome(binary(0), 0.001, 0.05)
+    """The batch tester of ``_ref_synthetic_tester``'s outcomes, a None
+    p-value as 0.0."""
+
+    def tester(rows):
+        outs = [_synthetic_outcome(edge_pvalues, tuple(row)) for row in rows.tolist()]
+        labels = np.array([out.value.value for out in outs], dtype=np.int64)
+        return labels, np.array([out.p_value or 0.0 for out in outs])
 
     return tester
+
+
+def _ref_synthetic_tester(edge_pvalues):
+    return lambda q: _synthetic_outcome(edge_pvalues, q.members)
 
 
 def test_polytree_from_synthetic_outcomes():
@@ -525,7 +538,14 @@ def test_polytree_is_maximum_spanning_forest_with_ties(columns, data):
     tree, labels = polytree_from_anm(
         d, k=k, alpha=0.05, seed=seed, tester=_synthetic_tester(pvalues)
     )
-    accepted = {lq.query.members: lq.outcome.p_value for lq in labels if lq.outcome.value.value}
+    # the former learner, whose None p-value ranks as 0.0, fits the same tree
+    ref_tree, ref_labels = ref_polytree_from_anm(d, k, 0.05, seed, tester=_ref_synthetic_tester(pvalues))
+    assert tree == ref_tree
+    assert _log_as_tuples(labels) == _log_as_tuples(
+        LabeledQuery(lq.query, TestOutcome(lq.outcome.value, lq.outcome.p_value or 0.0, 0.05))
+        for lq in ref_labels
+    )
+    accepted = {lq.query.members: lq.outcome.p_value for lq in ref_labels if lq.outcome.value.value}
     kept = tree.edges
     assert kept <= set(accepted)
     assert is_polytree_edges(tree.n, kept)
@@ -582,7 +602,7 @@ def test_polytree_runs_its_anm_tests_source_by_source(monkeypatch):
     # in drawn order and equal those of testing in drawn order
     d = sample(gen_gam_scm(6, 1.5, 25), 200, seed=125).dataset
     for k in (7, 30):
-        drawn = polytree_from_anm(d, k, 0.05, seed=k, tester=lambda q: anm_test(d, q, 0.05))
+        drawn = ref_polytree_from_anm(d, k, 0.05, seed=k, tester=lambda q: anm_test(d, q, 0.05))
         run = []
 
         def recorded(data, q, alpha):
@@ -592,9 +612,35 @@ def test_polytree_runs_its_anm_tests_source_by_source(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(learners, "anm_test", recorded)
             tree, labels = polytree_from_anm(d, k, 0.05, seed=k)
-        assert (tree, labels) == drawn
+        assert tree == drawn[0] and _log_as_tuples(labels) == _log_as_tuples(drawn[1])
         assert run == sorted(lq.query.members for lq in labels)
         assert run != [lq.query.members for lq in labels]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_polytree_equals_the_labelled_query_learner(seed):
+    # GAM data with permuted column ids; p-values bit for bit
+    n = 3 + seed % 5
+    d = sample(gen_gam_scm(n, 1.5, seed), 150, seed + 1).dataset
+    order = np.random.default_rng(seed).permutation(n)
+    d = Dataset(d.samples[:, order], tuple((3 * order).tolist()))
+    alpha = (0.05, 0.2)[seed % 2]
+    for k in sorted({1, n, n * (n - 1) // 2, n * (n - 1)}):
+        tree, log = polytree_from_anm(d, k, alpha, seed)
+        ref_tree, ref_log = ref_polytree_from_anm(d, k, alpha, seed)
+        assert tree == ref_tree
+        assert _log_as_tuples(log) == _log_as_tuples(ref_log)
+        assert log.kind == QueryKind.ORDERED_PAIR and log.alpha == alpha
+
+
+def test_an_ordered_pair_log_keeps_member_order():
+    rows = np.array([[3, 1], [0, 2]])
+    log = TestLog(rows, np.array([1, 0]), np.array([0.5, 0.01]), 0.05, QueryKind.ORDERED_PAIR)
+    assert [lq.query for lq in log] == [Query.ordered_pair(3, 1), Query.ordered_pair(0, 2)]
+    assert log[0].query.members == (3, 1)
+    assert log[0].outcome == TestOutcome(binary(1), 0.5, 0.05)
+    ci = TestLog(rows.copy(), np.array([1, 0]), np.array([0.5, 0.01]), 0.05)
+    assert ci[0].query == Query.ci(1, 3) and log != ci  # a log equals logs of its kind
 
 
 def test_labeled_query_fields():

@@ -19,6 +19,7 @@ from causalpred.models import (
     Dag,
     PathModel,
     Polytree,
+    anm_polytree_many,
     cpdag_from_dag,
     d_connection_rows,
     d_separated,
@@ -346,6 +347,19 @@ def test_anm_polytree_edges():
     assert q_anm_polytree(t, Query.ordered_pair(0, 1)) == 1
     assert q_anm_polytree(t, Query.ordered_pair(1, 0)) == 0
     assert q_anm_polytree(t, Query.ordered_pair(0, 2)) == 0
+
+
+@given(_dag_edges(), st.data())
+def test_anm_polytree_many_is_edge_membership(case, data):
+    n, edges = case
+    union = forest_union(n)
+    t = Polytree(n, [e for e in edges if union(*e)])
+    pairs = data.draw(st.permutations(list(itertools.permutations(range(n), 2))))
+    got = anm_polytree_many(t, np.array(pairs, dtype=np.intp).reshape(-1, 2))
+    assert got.tolist() == [int(p in t.edges) for p in pairs]
+    assert got.tolist() == [q_anm_polytree(t, Query.ordered_pair(*p)) for p in pairs]
+    with pytest.raises(UnknownNode, match=f"node {n + 1} "):
+        anm_polytree_many(t, pairs + [(0, n + 1), (n + 2, 0)])
 
 
 # --- linear-model admissibility -----------------------------------------------
