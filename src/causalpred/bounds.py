@@ -8,7 +8,7 @@ from bisect import bisect_left
 from enum import Enum
 from itertools import combinations, permutations, product
 
-from .core import QueryKind, _check_ci_universe, ci_query_array, enumerate_queries
+from .core import Query, QueryKind, check_universe, ci_query_array
 from .errors import GraphError, InvalidN, InvalidParams, InvalidSize, NTooLarge, UnsupportedClass
 from .models import (
     Dag,
@@ -130,18 +130,14 @@ def min_training_sets(c: ModelClassId, n, eps, eta) -> int:
 
 
 def count_queries(n, kind, cond_size=0) -> int:
-    """Closed-form size of the query universe; matches enumerate_queries."""
+    """Closed-form size of the query universe of a kind on n variables."""
+    check_universe(n, kind, cond_size)
     if kind == QueryKind.COND_INDEP:
-        _check_ci_universe(n, cond_size)
         # math.comb's cost grows with C(m, s) >= (m / s)^s; refuse past 2^1024
         s = min(cond_size, n - 2 - cond_size)
         if s and s * (math.log2(n - 2) - math.log2(s)) >= 1024:
             raise InvalidSize("the universe holds more queries than a double can hold")
         return n * (n - 1) // 2 * math.comb(n - 2, cond_size)
-    if n < 2:
-        raise InvalidSize("need at least two variables")
-    if cond_size:
-        raise InvalidSize("conditioning set only applies to conditional independence")
     if kind == QueryKind.ORDERED_PAIR:
         return n * (n - 1)
     if kind == QueryKind.UNORDERED_PAIR:
@@ -185,11 +181,11 @@ def brute_force_vc_check(c: ModelClassId, n) -> int:
         functions = {d_separated_many(g, queries).tobytes() for g in dags}
         return len(functions)
     if c == ModelClassId.DIRECTIONALITY:
-        queries = enumerate_queries(n, QueryKind.ORDERED_PAIR)
+        queries = [Query.ordered_pair(a, b) for a, b in permutations(range(n), 2)]
         functions = {tuple(q_dirpath(g, q) for q in queries) for g in all_dags(n)}
         return len(functions)
     if c == ModelClassId.PATH_SIGN:
-        queries = enumerate_queries(n, QueryKind.UNORDERED_PAIR)
+        queries = [Query.unordered_pair(a, b) for a, b in combinations(range(n), 2)]
         functions = set()
         for order in permutations(range(n)):
             for signs in product((-0.5, 0.5), repeat=n - 1):

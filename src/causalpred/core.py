@@ -270,37 +270,17 @@ def save_dataset(d: Dataset, path):
             fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in rows]))
 
 
-def _check_ci_universe(n, cond_size):
-    if n < 2:
-        raise InvalidSize("need at least two variables")
-    if cond_size < 0 or cond_size > n - 2:
-        raise InvalidSize(f"conditioning size {cond_size} infeasible for n={n}")
-
-
-def enumerate_queries(n, kind, cond_size=0):
-    """Exhaustive duplicate-free query universe in canonical order."""
+def check_universe(n, kind, cond_size=0):
+    """Refuse the arguments of a query universe on n variables: fewer than
+    two variables, or a conditioning size that the kind does not take or
+    that n cannot hold.  Allocates nothing."""
     if n < 2:
         raise InvalidSize("need at least two variables")
     if kind == QueryKind.COND_INDEP:
-        _check_ci_universe(n, cond_size)
-        out = []
-        for a, b in combinations(range(n), 2):
-            rest = [v for v in range(n) if v not in (a, b)]
-            for cond in combinations(rest, cond_size):
-                out.append(Query.ci(a, b, cond))
-        return out
-    if cond_size:
+        if cond_size < 0 or cond_size > n - 2:
+            raise InvalidSize(f"conditioning size {cond_size} infeasible for n={n}")
+    elif cond_size:
         raise InvalidSize("conditioning set only applies to conditional independence")
-    if kind == QueryKind.UNORDERED_PAIR:
-        return [Query.unordered_pair(a, b) for a, b in combinations(range(n), 2)]
-    if kind == QueryKind.ORDERED_PAIR:
-        return [
-            Query.ordered_pair(a, b)
-            for a in range(n)
-            for b in range(n)
-            if a != b
-        ]
-    raise InvalidSize(f"cannot enumerate query kind {kind}")
 
 
 # --- CI queries as index arrays -----------------------------------------------
@@ -311,15 +291,16 @@ def enumerate_queries(n, kind, cond_size=0):
 
 
 def ci_query_array(n, cond_sizes) -> np.ndarray:
-    """The rows of ``enumerate_queries(n, COND_INDEP, s)`` for each s in
-    ``cond_sizes``, in that order, without building a Query each.
+    """The CI query universe on n nodes with conditioning sets of each size
+    s in ``cond_sizes``, in that order, as rows: within a size, the pairs
+    a < b in lexicographic order, each with its s-sets in theirs.
 
     For a < b, the i-th smallest node other than a and b is
     i + (i >= a) + (i >= b - 1), which maps the s-subsets of range(n - 2)
     in lexicographic order onto the conditioning sets in theirs."""
     cond_sizes = list(cond_sizes)
     for s in cond_sizes:
-        _check_ci_universe(n, s)
+        check_universe(n, QueryKind.COND_INDEP, s)
     width = 2 + max(cond_sizes, default=0)
     a, b = np.triu_indices(n, 1)
     a, b = a[:, None, None], b[:, None, None]
@@ -361,17 +342,6 @@ def check_ci_rows(rows, n) -> np.ndarray:
         check_nodes(n, *q.variables())
         raise InvalidSize(f"CI query row {row} has a node after its -1 padding")
     return rows
-
-
-def ci_rows(queries) -> np.ndarray:
-    """Conditional-independence queries as an index array, row by row."""
-    if any(q.kind != QueryKind.COND_INDEP for q in queries):
-        raise InvalidSize("only conditional-independence queries have CI rows")
-    width = 2 + max((len(q.cond) for q in queries), default=0)
-    out = np.full((len(queries), width), -1, dtype=np.intp)
-    for row, q in zip(out, queries):
-        row[: 2 + len(q.cond)] = q.members + q.cond
-    return out
 
 
 def sample_queries(universe, k, seed):

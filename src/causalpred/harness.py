@@ -17,7 +17,7 @@ import numpy as np
 # d_separated, empirical_error, fisher_z_from_corr and q_anm_polytree stay
 # bound here for the benchmark's tracer
 from .bounds import ModelClassId, gap_binary, vc_upper_bound
-from .core import QueryKind, ci_query_array, empirical_error, enumerate_queries
+from .core import Query, ci_query_array, empirical_error
 from .errors import InvalidParams, InvalidSize, KTooLarge, LengthMismatch, ParseError, TagMismatch
 from .learners import pc_fit, pc_oracle, polytree_from_anm
 from .models import (
@@ -28,7 +28,7 @@ from .models import (
     random_dag_from_cpdag,
 )
 from .stattests import anm_test, correlation_matrix, fisher_z_from_corr, fisher_z_many
-from .synthgen import _edge_probability, gen_gam_scm, gen_linear_scm, sample
+from .synthgen import _edge_probability, check_sample_size, gen_gam_scm, gen_linear_scm, sample
 
 # the most nodes a ci experiment takes: its order-0/1 universe holds
 # n(n-1)/2 * (n-1) query rows, growing as n^3; one replicate at this many
@@ -66,7 +66,7 @@ class ExperimentConfig:
             raise InvalidParams(f"seed {self.seed} is negative")
         # the checks of the steps that would otherwise refuse these values
         # only after some work has run, such as building the universe: the
-        # tests, gap_binary, PC, polytree_from_anm and the SCM generators
+        # tests, gap_binary, PC, polytree_from_anm, gen and sample
         for name, value in (("alpha", self.alpha), ("eta", self.eta)):
             if not 0.0 < value < 1.0:
                 raise InvalidParams(f"{name} {value} outside (0, 1)")
@@ -84,6 +84,7 @@ class ExperimentConfig:
                 if not 1 <= k <= pairs:
                     raise KTooLarge(f"cannot draw {k} from a universe of {pairs}")
         _edge_probability(self.n, self.expected_degree)  # gen's checks of n and the degree
+        check_sample_size(self.n, self.l)
 
     @staticmethod
     def from_json(obj):
@@ -230,8 +231,7 @@ def run_anm_experiment(cfg: ExperimentConfig):
     if cfg.experiment != "anm":
         raise InvalidParams("config is not an anm experiment")
     h = vc_upper_bound(ModelClassId.POLYTREES, cfg.n)
-    universe = enumerate_queries(cfg.n, QueryKind.ORDERED_PAIR)
-    pairs = np.array([q.members for q in universe], dtype=np.intp)
+    pairs = np.argwhere(~np.eye(cfg.n, dtype=bool))  # (source, target), source-major
     records = []
     for ds in range(cfg.datasets):
         seed = cfg.seed + 100_000 * ds
@@ -239,9 +239,9 @@ def run_anm_experiment(cfg: ExperimentConfig):
         data = sample(scm, cfg.l, seed + 1).dataset
         # one scalar anm_test call per pair, which the benchmark taps
         labels, p = np.zeros((cfg.n, cfg.n), dtype=np.int64), np.zeros((cfg.n, cfg.n))
-        for q in universe:
-            out = anm_test(data, q, cfg.alpha)
-            labels[q.members], p[q.members] = out.value.value, out.p_value
+        for s, t in pairs:
+            out = anm_test(data, Query.ordered_pair(s, t), cfg.alpha)
+            labels[s, t], p[s, t] = out.value.value, out.p_value
 
         def tester(rows):
             return labels[tuple(rows.T)]

@@ -13,12 +13,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Query, QueryKind, binary, ci_query_array, sample_queries
+from .core import Query, QueryKind, binary, check_universe, ci_query_array, sample_queries
 from .errors import DataError, InvalidSize, ZeroCorrelation
 
 # d_separated and fisher_z_from_corr stay bound here for the benchmark's
 # tracer; nothing here calls them
-from .models import PathModel, Polytree, _Pdag, d_separated, d_separated_many, forest_union
+from .models import PathModel, Polytree, _Pdag, check_graph_size, d_separated, d_separated_many, forest_union
 from .stattests import (
     VAR_EPS,
     TestOutcome,
@@ -168,8 +168,8 @@ def pc_fit(d, alpha, max_cond, *, corr=None):
     """PC with Fisher-Z tests on the dataset's correlation matrix, or on
     ``corr`` when the caller has already built it."""
     _require_node_ids(d, "PC")
-    if len(d.columns) < 2:
-        raise InvalidSize("need at least two variables")
+    check_universe(len(d.columns), QueryKind.COND_INDEP)
+    check_graph_size(len(d.columns))
     if corr is None:
         corr = correlation_matrix(d)
     pos = np.argsort(d.columns)
@@ -247,7 +247,8 @@ def polytree_from_anm(d, k, alpha, seed, tester=None):
     0/1 labels and the p-values.  The default runs the drawn pairs source
     by source, in sorted order, since ``anm_test`` keeps the last source's
     Gram and ridge factor; so when several pairs would fail, the first of
-    them in sorted order raises.  Returns the polytree and the
+    them in sorted order raises.  A column id past the graph node limit is
+    refused after the draw, before any test.  Returns the polytree and the
     ORDERED_PAIR TestLog of the drawn rows, in drawn order, with ``alpha``.
     """
     # the draw depends on the universe's length alone; position i of the
@@ -255,6 +256,7 @@ def polytree_from_anm(d, k, alpha, seed, tester=None):
     c = len(d.columns)
     source, target = np.divmod(sample_queries(range(c * (c - 1)), k, seed), c - 1)
     target += target >= source
+    check_graph_size(max(d.columns) + 1)
     rows = np.array(d.columns, dtype=np.intp)[np.column_stack([source, target])]
     if tester is None:
         labels, p = np.empty(k, dtype=np.int64), np.empty(k)
@@ -287,8 +289,7 @@ def fit_path_model(d):
     """
     _require_node_ids(d, "a path model")
     n = len(d.columns)
-    if n < 2:
-        raise InvalidSize("need at least two variables")
+    check_universe(n, QueryKind.UNORDERED_PAIR)
     corr = correlation_matrix(d)
     abs_corr = np.abs(corr)
     np.fill_diagonal(abs_corr, -1.0)

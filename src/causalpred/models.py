@@ -14,7 +14,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .core import Query, QueryKind, check_ci_rows, check_nodes, ci_rows, load_json
+from .core import Query, QueryKind, check_ci_rows, check_nodes, load_json
 from .errors import (
     DegenerateInput,
     GraphError,
@@ -46,6 +46,12 @@ def reach(starts, step):
 MAX_DAG_NODES = 10_000
 
 
+def check_graph_size(n):
+    """Refuse a graph on more than MAX_DAG_NODES nodes; allocates nothing."""
+    if n > MAX_DAG_NODES:
+        raise InvalidSize(f"a graph on {n} nodes; the limit is {MAX_DAG_NODES} nodes")
+
+
 @dataclass(frozen=True)
 class Dag:
     """Directed acyclic graph on nodes 0..n-1; an edge (i, j) means i -> j.
@@ -57,8 +63,7 @@ class Dag:
     edges: frozenset
 
     def __init__(self, n, edges):
-        if n > MAX_DAG_NODES:
-            raise InvalidSize(f"a graph on {n} nodes; the limit is {MAX_DAG_NODES} nodes")
+        check_graph_size(n)
         edges = frozenset((int(a), int(b)) for a, b in edges)
         for a, b in edges:
             if a == b:
@@ -289,7 +294,7 @@ def d_separated(g: Dag, q: Query) -> int:
     if q.kind != QueryKind.COND_INDEP:
         raise InvalidSize("d-separation takes conditional-independence queries")
     check_nodes(g.n, *q.variables())
-    return int(d_separated_many(g, ci_rows([q]))[0])
+    return int(d_separated_many(g, [q.variables()])[0])
 
 
 def q_dirpath(g: Dag, q: Query) -> int:

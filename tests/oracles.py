@@ -22,7 +22,6 @@ from causalpred.core import (
     QueryKind,
     binary,
     empirical_error,
-    enumerate_queries,
     load_json,
     sample_queries,
 )
@@ -57,6 +56,48 @@ from causalpred.stattests import (
     fisher_z_many,
 )
 from causalpred.synthgen import LinearScm, gen_gam_scm, gen_linear_scm, sample
+
+
+# The package builds its query universes as rows (``core.ci_query_array``,
+# ``np.argwhere``, itertools); these list them as Query objects.
+
+
+def enumerate_queries(n, kind, cond_size=0):
+    """Exhaustive duplicate-free query universe in canonical order."""
+    if n < 2:
+        raise InvalidSize("need at least two variables")
+    if kind == QueryKind.COND_INDEP:
+        if cond_size < 0 or cond_size > n - 2:
+            raise InvalidSize(f"conditioning size {cond_size} infeasible for n={n}")
+        out = []
+        for a, b in combinations(range(n), 2):
+            rest = [v for v in range(n) if v not in (a, b)]
+            for cond in combinations(rest, cond_size):
+                out.append(Query.ci(a, b, cond))
+        return out
+    if cond_size:
+        raise InvalidSize("conditioning set only applies to conditional independence")
+    if kind == QueryKind.UNORDERED_PAIR:
+        return [Query.unordered_pair(a, b) for a, b in combinations(range(n), 2)]
+    if kind == QueryKind.ORDERED_PAIR:
+        return [
+            Query.ordered_pair(a, b)
+            for a in range(n)
+            for b in range(n)
+            if a != b
+        ]
+    raise InvalidSize(f"cannot enumerate query kind {kind}")
+
+
+def ci_rows(queries) -> np.ndarray:
+    """Conditional-independence queries as an index array, row by row."""
+    if any(q.kind != QueryKind.COND_INDEP for q in queries):
+        raise InvalidSize("only conditional-independence queries have CI rows")
+    width = 2 + max((len(q.cond) for q in queries), default=0)
+    out = np.full((len(queries), width), -1, dtype=np.intp)
+    for row, q in zip(out, queries):
+        row[: 2 + len(q.cond)] = q.members + q.cond
+    return out
 
 
 def scan_parents(g: Dag, v):

@@ -19,7 +19,7 @@ from causalpred.bounds import (
     min_training_sets,
     vc_upper_bound,
 )
-from causalpred.core import Dataset, Query, QueryKind, enumerate_queries
+from causalpred.core import Dataset, Query, QueryKind
 from causalpred.harness import ExperimentConfig, run_anm_experiment, run_ci_experiment, summarize
 from causalpred.learners import fit_path_model
 from causalpred.models import (
@@ -30,7 +30,7 @@ from causalpred.models import (
 )
 from causalpred.stattests import anm_test, fisher_z_ci, hsic_independence
 from causalpred.synthgen import gen_gam_chain, sample
-from oracles import moral_d_separated, random_dag
+from oracles import enumerate_queries, moral_d_separated, random_dag
 
 
 def test_criterion_1_d_separation_oracle_equivalence():

@@ -16,7 +16,7 @@ from causalpred.bounds import (
     min_training_sets,
     vc_upper_bound,
 )
-from causalpred.core import Query, QueryKind, ci_query_array, enumerate_queries
+from causalpred.core import Query, QueryKind, check_universe, ci_query_array
 from causalpred.errors import (
     InvalidN,
     InvalidParams,
@@ -25,7 +25,7 @@ from causalpred.errors import (
     UnsupportedClass,
 )
 from causalpred.models import d_separated, d_separated_many, is_polytree_edges, q_dirpath
-from oracles import exact_vc_dimension
+from oracles import enumerate_queries, exact_vc_dimension
 
 
 # --- vc_upper_bound -----------------------------------------------------------
@@ -176,6 +176,24 @@ def test_count_queries_matches_enumeration():
             )
         for kind in (QueryKind.UNORDERED_PAIR, QueryKind.ORDERED_PAIR):
             assert count_queries(n, kind) == len(enumerate_queries(n, kind))
+
+
+def _refusal(fn, *args):
+    try:
+        fn(*args)
+    except InvalidSize as exc:
+        return str(exc)
+    return None
+
+
+def test_count_queries_refuses_what_the_reference_enumeration_refuses():
+    # both through check_universe, the one check of a universe's arguments
+    for n in range(-1, 5):
+        for kind in (QueryKind.COND_INDEP, QueryKind.UNORDERED_PAIR, QueryKind.ORDERED_PAIR):
+            for s in range(-1, 4):
+                want = _refusal(enumerate_queries, n, kind, s)
+                assert _refusal(check_universe, n, kind, s) == want
+                assert _refusal(count_queries, n, kind, s) == want
 
 
 def test_count_queries_errors():

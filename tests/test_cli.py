@@ -15,7 +15,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from causalpred import bounds, cli, stattests, synthgen
-from causalpred.core import Query, QueryKind, enumerate_queries, load_dataset
+from causalpred.core import Query, QueryKind, load_dataset
 from causalpred.learners import pc_fit
 from causalpred.errors import ParseError
 from causalpred.models import (
@@ -27,7 +27,14 @@ from causalpred.models import (
     q_anm_polytree,
     save_model,
 )
-from oracles import PREFIX_KIND, format_query, labelled_pc_fit, ref_polytree_from_anm, ref_write_labels
+from oracles import (
+    PREFIX_KIND,
+    enumerate_queries,
+    format_query,
+    labelled_pc_fit,
+    ref_polytree_from_anm,
+    ref_write_labels,
+)
 
 
 # --- query grammar ------------------------------------------------------------

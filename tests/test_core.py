@@ -13,9 +13,7 @@ from causalpred.core import (
     QueryKind,
     binary,
     ci_query_array,
-    ci_rows,
     empirical_error,
-    enumerate_queries,
     load_dataset,
     real,
     sample_queries,
@@ -32,7 +30,7 @@ from causalpred.errors import (
     NonNumericCell,
     TagMismatch,
 )
-from oracles import ref_load_dataset, ref_save_dataset
+from oracles import ci_rows, enumerate_queries, ref_load_dataset, ref_save_dataset
 
 
 # --- Query canonicalization ---------------------------------------------------

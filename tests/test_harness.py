@@ -137,9 +137,11 @@ def _error(fn, *args, **kwargs):
 
 def test_config_refuses_what_a_step_would_refuse_before_any_work(monkeypatch):
     # each value is refused with the error of the step that would refuse it
-    # later: a test, gap_binary, PC, polytree_from_anm or gen; and no SCM is drawn
+    # later: a test, gap_binary, PC, polytree_from_anm, gen or sample; and no
+    # SCM is drawn
     data = Dataset(np.random.default_rng(1).standard_normal((30, 6)), tuple(range(6)))
     truth = Dag(3, frozenset({(0, 1)}))
+    wide = synthgen.LinearScm(200, range(200), np.zeros((200, 200)))
 
     def no_rng(*args, **kwargs):
         raise AssertionError("an SCM was drawn")
@@ -157,6 +159,9 @@ def test_config_refuses_what_a_step_would_refuse_before_any_work(monkeypatch):
         ({"experiment": "anm", "n": 1001, "k_values": (5,)}, synthgen.gen_gam_scm, 1001, 1.5, 0),
         ({"experiment": "anm", "k_values": (5,), "expected_degree": 0}, synthgen.gen_gam_scm, 6, 0, 0),
         ({"expected_degree": 9.0}, synthgen.gen_linear_scm, 6, 9.0, 0),
+        # sample's limits, which a ci run meets after building its universe
+        ({"n": 200, "l": 50_001}, synthgen.sample, wide, 50_001, 0),
+        ({"l": 0}, synthgen.sample, wide, 0, 0),
     ]
     for update, step, *args in cases:
         cfg = {"experiment": "ci", "n": 6, "l": 300, "repetitions": 2, **update}
@@ -304,9 +309,28 @@ def test_anm_experiment_calls_module_anm_test_once_per_pair(monkeypatch):
         assert kwargs == {}
         data, q, alpha = args
         assert isinstance(data, Dataset) and isinstance(q, Query) and alpha == cfg.alpha
-    assert sorted(q.members for (_, q, _), _ in calls) == [
+    # in source-major order, which the benchmark's draw from the taps reads
+    assert [q.members for (_, q, _), _ in calls] == [
         (a, b) for a in range(3) for b in range(3) if a != b
     ]
+
+
+def test_an_anm_config_with_too_few_rows_is_refused_at_its_first_test(monkeypatch):
+    # the ordered-pair universe is rows, so the first test refuses l after
+    # building the one Query it takes
+    data = Dataset(np.random.default_rng(0).standard_normal((10, 2)), (0, 1))
+    want = _error(harness.anm_test, data, Query.ordered_pair(0, 1), 0.001)
+    built = []
+    post_init = Query.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Query, "__post_init__", counting)
+    cfg = ExperimentConfig("anm", n=200, l=10, k_values=(5,), datasets=1, repetitions=1)
+    assert _error(run_anm_experiment, cfg) == want
+    assert len(built) <= 1
 
 
 @pytest.mark.parametrize("oracle", [False, True], ids=["fisher-z", "oracle"])

@@ -29,7 +29,7 @@ from causalpred.learners import (
     polytree_from_anm,
     select_alpha,
 )
-from causalpred.models import Dag, PathModel, is_polytree_edges, path_corr
+from causalpred.models import MAX_DAG_NODES, Dag, PathModel, is_polytree_edges, path_corr
 from causalpred.stattests import TestOutcome, anm_test, correlation_matrix, fisher_z_many
 from causalpred.synthgen import gen_gam_scm, gen_linear_scm, sample
 from oracles import (
@@ -594,6 +594,25 @@ def test_polytree_respects_global_column_ids():
     tester = _synthetic_tester({(5, 6): 0.9, (6, 7): 0.8})
     tree, _ = polytree_from_anm(d, k=6, alpha=0.05, seed=0, tester=tester)
     assert tree.edges == frozenset({(5, 6), (6, 7)})
+
+
+def test_the_graph_node_limit_comes_before_the_learners_tests(monkeypatch):
+    # the node limit of the graph a learner returns is checked before its
+    # work: polytree_from_anm's tests, PC's k x k correlation matrix
+    def work(*args, **kwargs):
+        raise AssertionError("the learner started its work")
+
+    monkeypatch.setattr(learners, "anm_test", work)
+    monkeypatch.setattr(learners, "correlation_matrix", work)
+    limit = f"the limit is {MAX_DAG_NODES} nodes"
+    far = Dataset(np.random.default_rng(0).standard_normal((30, 2)), (0, 300_000))
+    with pytest.raises(InvalidSize, match=f"^a graph on 300001 nodes; {limit}$"):
+        polytree_from_anm(far, 2, 0.05, 0)
+    with pytest.raises(KTooLarge):  # the draw's refusal comes first
+        polytree_from_anm(far, 3, 0.05, 0)
+    wide = Dataset(np.zeros((1, MAX_DAG_NODES + 1)), range(MAX_DAG_NODES + 1))
+    with pytest.raises(InvalidSize, match=f"^a graph on {MAX_DAG_NODES + 1} nodes; {limit}$"):
+        pc_fit(wide, 0.05, 1)
 
 
 def test_polytree_runs_its_anm_tests_source_by_source(monkeypatch):

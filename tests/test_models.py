@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalpred.core import Query, ci_rows
+from causalpred.core import Query
 from causalpred.errors import (
     GraphError,
     InvalidSize,
@@ -39,6 +39,7 @@ from causalpred.models import (
     v_structures,
 )
 from oracles import (
+    ci_rows,
     closure_has_path,
     d_connected,
     is_polytree,

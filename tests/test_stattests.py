@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import erfc
 from scipy.stats import gamma as gamma_dist
 
-from causalpred.core import Dataset, Query, QueryKind, ci_query_array, ci_rows, enumerate_queries
+from causalpred.core import Dataset, Query, QueryKind, ci_query_array
 from causalpred.errors import (
     CausalPredError,
     DegenerateInput,
@@ -37,8 +37,10 @@ from causalpred.stattests import (
 )
 from causalpred.synthgen import gen_gam_chain, gen_gam_scm, gen_linear_scm, sample
 from oracles import (
+    ci_rows,
     closed_form_fisher_z_from_corr,
     closed_form_partial_correlation,
+    enumerate_queries,
     ref_anm_test,
     ref_fisher_z_from_corr,
     ref_hsic_p_value,
