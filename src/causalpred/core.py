@@ -351,19 +351,15 @@ def sample_queries(universe, k, seed):
     return random.Random(seed).sample(list(universe), k)
 
 
-def empirical_error(predictions, test_results) -> float:
-    """Mean absolute deviation between predicted and tested property values.
-
-    For binary values this is the disagreement rate; sign values contribute
-    their literal absolute difference (2 per disagreement).
-    """
-    if len(predictions) != len(test_results):
-        raise LengthMismatch(f"{len(predictions)} predictions vs {len(test_results)} results")
-    if not predictions:
+def empirical_error(predictions, results) -> float:
+    """Share of positions where two 0/1 arrays differ: the disagreement
+    rate of predicted and tested binary values."""
+    predictions, results = np.asarray(predictions), np.asarray(results)
+    if predictions.shape != results.shape:
+        raise LengthMismatch(f"{predictions.size} predictions vs {results.size} results")
+    if not predictions.size:
         raise LengthMismatch("need at least one prediction")
-    total = 0.0
-    for p, t in zip(predictions, test_results):
-        if p.tag != t.tag:
-            raise TagMismatch(f"cannot compare {p.tag} with {t.tag}")
-        total += abs(p.value - t.value)
-    return total / len(predictions)
+    for a in (predictions, results):
+        if np.count_nonzero((a != 0) & (a != 1)):
+            raise TagMismatch("binary values must be 0 or 1")
+    return int(np.count_nonzero(predictions != results)) / predictions.size

@@ -14,11 +14,11 @@ from functools import partial
 
 import numpy as np
 
-# d_separated, empirical_error, fisher_z_from_corr and q_anm_polytree stay
-# bound here for the benchmark's tracer
+# d_separated, fisher_z_from_corr and q_anm_polytree stay bound here for
+# the benchmark's tracer
 from .bounds import ModelClassId, gap_binary, vc_upper_bound
 from .core import Query, ci_query_array, empirical_error
-from .errors import InvalidParams, InvalidSize, KTooLarge, LengthMismatch, ParseError, TagMismatch
+from .errors import InvalidParams, InvalidSize, KTooLarge, ParseError
 from .learners import pc_fit, pc_oracle, polytree_from_anm
 from .models import (
     anm_polytree_many,
@@ -27,7 +27,14 @@ from .models import (
     q_anm_polytree,
     random_dag_from_cpdag,
 )
-from .stattests import anm_test, correlation_matrix, fisher_z_from_corr, fisher_z_many
+from .stattests import (
+    anm_session,
+    anm_test,
+    check_anm_rows,
+    correlation_matrix,
+    fisher_z_from_corr,
+    fisher_z_many,
+)
 from .synthgen import _edge_probability, check_sample_size, gen_gam_scm, gen_linear_scm, sample
 
 # the most nodes a ci experiment takes: its order-0/1 universe holds
@@ -85,6 +92,8 @@ class ExperimentConfig:
                     raise KTooLarge(f"cannot draw {k} from a universe of {pairs}")
         _edge_probability(self.n, self.expected_degree)  # gen's checks of n and the degree
         check_sample_size(self.n, self.l)
+        if self.experiment == "anm":
+            check_anm_rows(self.l)
 
     @staticmethod
     def from_json(obj):
@@ -159,32 +168,18 @@ def write_records(records, path):
         w.writerows([getattr(r, c) for c in CSV_COLUMNS] for r in records)
 
 
-def _disagreement(predictions, results) -> float:
-    """Share of positions where two 0/1 arrays differ: for binary values
-    the float ``empirical_error`` gives, without a PropertyValue each."""
-    predictions, results = np.asarray(predictions), np.asarray(results)
-    if predictions.shape != results.shape:
-        raise LengthMismatch(f"{predictions.size} predictions vs {results.size} results")
-    if not predictions.size:
-        raise LengthMismatch("need at least one prediction")
-    for a in (predictions, results):
-        if np.count_nonzero((a != 0) & (a != 1)):
-            raise TagMismatch("binary values must be 0 or 1")
-    return int(np.count_nonzero(predictions != results)) / predictions.size
-
-
 def expected_risk(predict, queries, tester) -> float:
     """Disagreement of a predictor against a tester on a query universe;
     ``predict`` and ``tester`` take the queries, a list or an array of
     rows, and return 0/1 arrays."""
-    return _disagreement(predict(queries), tester(queries))
+    return empirical_error(predict(queries), tester(queries))
 
 
 def _record(cfg, h, rep, seed, log, predict, universe, tester):
     """Score a fitted predictor: its risk on the k tests of the learner's
     TestLog, whose rows ``predict`` takes, against its risk on the
     universe, with the VC gap of a class of VC dimension h at k."""
-    empirical = _disagreement(predict(log.rows), log.labels)
+    empirical = empirical_error(predict(log.rows), log.labels)
     expected = expected_risk(predict, universe, tester)
     k = len(log)
     bound = gap_binary(h, k, cfg.eta)
@@ -239,9 +234,10 @@ def run_anm_experiment(cfg: ExperimentConfig):
         data = sample(scm, cfg.l, seed + 1).dataset
         # one scalar anm_test call per pair, which the benchmark taps
         labels, p = np.zeros((cfg.n, cfg.n), dtype=np.int64), np.zeros((cfg.n, cfg.n))
-        for s, t in pairs:
-            out = anm_test(data, Query.ordered_pair(s, t), cfg.alpha)
-            labels[s, t], p[s, t] = out.value.value, out.p_value
+        with anm_session(data):
+            for s, t in pairs:
+                out = anm_test(data, Query.ordered_pair(s, t), cfg.alpha)
+                labels[s, t], p[s, t] = out.value.value, out.p_value
 
         def tester(rows):
             return labels[tuple(rows.T)]

@@ -24,6 +24,7 @@ from .stattests import (
     TestOutcome,
     _fisher_z,
     _require_alpha,
+    anm_session,
     anm_test,
     correlation_matrix,
     fisher_z_from_corr,
@@ -124,11 +125,13 @@ def pc_from_ci(n, label, max_cond, *, alpha=None, refuse=None):
     sepset = {}  # (a, b), a < b, -> the conditioning set that separated them
     levels = []
     for level in range(min(max_cond, n - 2) + 1):
+        neighbours = [sorted(adjacency[v]) if level else () for v in range(n)]  # level 0 reads none
         tests = [
             (a, b, cond)
             for a, b in combinations(range(n), 2)
             if b in adjacency[a]
-            for cond in combinations(sorted(adjacency[a] - {b}), level)
+            for cond in combinations(neighbours[a], level)
+            if b not in cond
         ]
         if not tests:  # no pair has enough neighbours, here or above
             break
@@ -183,6 +186,8 @@ def pc_fit(d, alpha, max_cond, *, corr=None):
     def refuse(row):
         fisher_z_many(corr, d.l, row[None], alpha)
 
+    if d.l <= 3 and max_cond >= 0:  # the first level-0 test refuses: list none
+        refuse(np.array([0, 1]))
     return pc_from_ci(len(d.columns), label, max_cond, alpha=alpha, refuse=refuse)
 
 
@@ -244,12 +249,12 @@ def polytree_from_anm(d, k, alpha, seed, tester=None):
     ``tester`` may replace the default ANM test, for cached or synthetic
     outcomes: it takes the drawn rows (source, target) of column ids and
     returns two arrays over them, as ``pc_from_ci``'s labeller does: the
-    0/1 labels and the p-values.  The default runs the drawn pairs source
-    by source, in sorted order, since ``anm_test`` keeps the last source's
-    Gram and ridge factor; so when several pairs would fail, the first of
-    them in sorted order raises.  A column id past the graph node limit is
-    refused after the draw, before any test.  Returns the polytree and the
-    ORDERED_PAIR TestLog of the drawn rows, in drawn order, with ``alpha``.
+    0/1 labels and the p-values.  The default runs the drawn pairs in
+    sorted order in one ``anm_session(d)``, so when several would fail,
+    the first in sorted order raises.  A column id past the graph node
+    limit is refused after the draw, before any test.  Returns the
+    polytree and the ORDERED_PAIR TestLog of the drawn rows, in drawn
+    order, with ``alpha``.
     """
     # the draw depends on the universe's length alone; position i of the
     # ordered pairs of column positions is (s, j + (j >= s)), s, j = divmod(i, c - 1)
@@ -261,9 +266,10 @@ def polytree_from_anm(d, k, alpha, seed, tester=None):
     if tester is None:
         labels, p = np.empty(k, dtype=np.int64), np.empty(k)
         pairs = rows.tolist()
-        for i in sorted(range(k), key=pairs.__getitem__):
-            out = anm_test(d, Query.ordered_pair(*pairs[i]), alpha)
-            labels[i], p[i] = out.value.value, out.p_value
+        with anm_session(d):
+            for i in sorted(range(k), key=pairs.__getitem__):
+                out = anm_test(d, Query.ordered_pair(*pairs[i]), alpha)
+                labels[i], p[i] = out.value.value, out.p_value
     else:
         labels, p = tester(rows)
 

@@ -8,7 +8,9 @@ kernel ridge regression used by the bivariate additive-noise test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -20,14 +22,9 @@ from .errors import DegenerateInput, InvalidParams, InvalidSize, ZeroCorrelation
 
 VAR_EPS = 1e-12
 RIDGE_SCALE = 1e-3  # ridge = scale * sample count
-# anm_test computes in a workspace of three dense m x m float arrays (8
-# bytes per entry), which stay allocated after it returns until m changes:
-# the last source's centred Gram and ridge factor, which serve all of its
-# consecutive tests, and the target's centred Gram, which the HSIC product
-# overwrites; 8.6 MB at m = 600 and 0.6 GB at this many rows.  Next to them
-# a memo of marginal HSIC moments, which keeps at most m / 2 pairs of
-# columns as keys: 16 m bytes each, so at most one more array's 8 m^2.  A
-# bandwidth adds no m x m array: its median distance is selected, not
+# anm_test computes in three dense m x m float arrays, 8.6 MB at m = 600
+# and 0.6 GB at this many rows, freed when the test or its session ends.
+# A bandwidth adds no m x m array: its median distance is selected, not
 # listed, in a few m-vectors
 MAX_ANM_ROWS = 5000
 
@@ -187,7 +184,7 @@ def sign_estimate(d, q: Query) -> TestOutcome:
 # bandwidth and Gram once and hands the Grams to the private helpers, and
 # centring subtracts row and column means, so no m x m centring matrix is
 # built or multiplied.  Each m x m step writes into a given array: a fresh
-# one for the HSIC functions, one of the three in ``anm_test``'s record.
+# one for the HSIC functions, one of the three of ``anm_test``'s state.
 # The bandwidth writes none: it counts the m(m - 1)/2 distances row by row
 # on the sorted column and lists only the few near their median.
 # No step broadcasts a vector over a matrix, since numpy allocates a ufunc
@@ -519,40 +516,55 @@ def kernel_regress(x, y):
     return _fit_residuals(_ridge_factor(x, _gram(x)), y)
 
 
-# anm_test's record: its workspace for the last m it saw, one tuple of
-# its three m x m arrays and the marginal memo, and the last source it
-# built in the arrays, (its column, _anm_source state); each part is None
-# until there is one
-_anm_record = None, None
+@dataclass
+class _AnmSession:
+    """What the ANM tests of one dataset share."""
+
+    data: object
+    arrays: tuple = None  # the three m x m arrays, allocated at the first test
+    source: tuple = None  # the last source built in them: (column id, its state)
+    marginals: dict = field(default_factory=dict)  # (source, target) ids -> moments
+
+    def source_state(self, source, x):
+        """The source's centred Gram, its Gram's off-diagonal mean and its
+        ``_ridge_factor``, built in the first two arrays unless it is the
+        last source, then the third array.  A refused source leaves none."""
+        if self.arrays is None:
+            self.arrays = tuple(np.empty((x.size, x.size)) for _ in range(3))
+        centred, k, target = self.arrays
+        if self.source is None or self.source[0] != source:
+            self.source = None
+            k = _gram(x, k)
+            mu = _off_diagonal_mean(k)
+            np.copyto(centred, k)
+            self.source = source, (_centre(centred), mu, _ridge_factor(x, k))
+        return self.source[1], target
 
 
-def _anm_source(x):
-    """A source column's centred Gram, the off-diagonal mean of its Gram
-    and its ``_ridge_factor``, built in the first two of the three m x m
-    arrays ``anm_test`` computes in, then the third array, for a target,
-    and the marginal memo.
+_anm_session = ContextVar("anm_session", default=None)
 
-    ``_anm_record`` keeps the workspace until m changes, and the last source
-    keyed by the column's values, so a universe enumerated source by
-    source builds each source's state once.  A new m drops the workspace
-    and the source before allocating; a new source is dropped before it is
-    built over the arrays.  So a failure leaves a record of the workspace,
-    if any, and no source."""
-    global _anm_record
-    workspace, last = _anm_record
-    if workspace is None or workspace[0].shape[0] != x.size:
-        _anm_record = workspace, last = None, None
-        workspace = (*(np.empty((x.size, x.size)) for _ in range(3)), {})
-    centred, k, target, memo = workspace
-    if last is not None and np.array_equal(last[0], x):
-        return last[1], target, memo
-    _anm_record = workspace, None
-    k = _gram(x, k)
-    mu = _off_diagonal_mean(k)
-    np.copyto(centred, k)
-    state = _centre(centred), mu, _ridge_factor(x, k)
-    _anm_record = workspace, (x.copy(), state)
-    return state, target, memo
+
+@contextmanager
+def anm_session(d):
+    """Let the ``anm_test`` calls on the dataset ``d`` inside the ``with``
+    block share their state.  It belongs to the block's context, so other
+    threads do not see it, and it is freed when the block exits."""
+    token = _anm_session.set(_AnmSession(d))
+    try:
+        yield
+    finally:
+        _anm_session.reset(token)
+
+
+def check_anm_rows(m):
+    """Refuse the row counts every ``anm_test`` refuses: below 20 or past ``MAX_ANM_ROWS``."""
+    if m < 20:
+        raise InvalidSize("need at least 20 samples")
+    if m > MAX_ANM_ROWS:
+        raise InvalidSize(
+            f"anm_test on {m} rows would hold three dense {m} x {m} arrays "
+            f"({3 * 8 * m * m / 1e9:.1f} GB); the limit is {MAX_ANM_ROWS} rows"
+        )
 
 
 def anm_test(d, q: Query, alpha) -> TestOutcome:
@@ -563,26 +575,18 @@ def anm_test(d, q: Query, alpha) -> TestOutcome:
     The reported p-value is the residual-independence p-value.
 
     The source's centred Gram serves the marginal test and the residual
-    test, and the Cholesky factor of its regularised Gram the regression;
-    both are built once for consecutive tests from the same source (see
-    ``_anm_source``).  The marginal HSIC of a pair of columns is computed
-    once for both directions: the first test of the pair stores its
-    statistic, its variance and the off-diagonal mean of its source's Gram
-    in a memo keyed by the two columns' values, and the reverse test takes
-    them out, skips its target's Gram and the product, and computes the
-    mean in its own argument order.  The product of centred Grams is
-    symmetric entry by entry, so every p-value is what the test would
-    compute alone.  A full memo, m / 2 pairs, is cleared before it grows.
-    So a universe of n columns enumerated source by source builds
-    n + n(n - 1)/2 + n(n - 1) Grams, and leaves the memo empty.
-
-    Every m x m array is one of the three of its record: the source's two
-    and the target's or the residual's centred Gram, which the product
-    inside the HSIC moments overwrites, since no later step reads it.
-    They stay allocated after the test returns, 3 * 8 * m^2 bytes (8.6 MB
-    at m = 600 and 0.6 GB at ``MAX_ANM_ROWS``), next to the memo's at most
-    8 * m^2 bytes of keys.  Two threads must not run it at once, since
-    they would share them.
+    test, and the Cholesky factor of its regularised Gram the regression.
+    Inside ``anm_session(d)`` they are built once for consecutive tests
+    from the same source, and the marginal HSIC of a pair once for both
+    directions: the first test of the pair stores its statistic, its
+    variance and the off-diagonal mean of its source's Gram, and the
+    reverse test takes them out, skips its target's Gram and the product,
+    and computes the mean in its own argument order.  The product of
+    centred Grams is symmetric entry by entry, so every p-value is what
+    the test computes alone, as it does outside a session on ``d``.  So a
+    universe of n columns enumerated source by source in one session
+    builds n + n(n - 1)/2 + n(n - 1) Grams, in three m x m arrays: the
+    product inside the HSIC moments overwrites the target's or residual's.
     """
     if q.kind != QueryKind.ORDERED_PAIR:
         raise InvalidSize("anm_test takes ordered pairs")
@@ -591,26 +595,22 @@ def anm_test(d, q: Query, alpha) -> TestOutcome:
     _require_alpha(alpha)
     x, y = _column_pair(x, y)
     m = x.size
-    if m > MAX_ANM_ROWS:
-        raise InvalidSize(
-            f"anm_test on {m} rows would hold three dense {m} x {m} arrays "
-            f"({3 * 8 * m * m / 1e9:.1f} GB); the limit is {MAX_ANM_ROWS} rows"
-        )
+    check_anm_rows(m)
     _check_nonconstant(x, y)
-    (kc, mu_x, ridge), target, memo = _anm_source(x)
-    key = x.tobytes(), y.tobytes()
-    shared = memo.pop(key[::-1], None)
+    session = _anm_session.get()
+    if session is None or session.data is not d:
+        session = _AnmSession(d)
+    (kc, mu_x, ridge), gram = session.source_state(source, x)
+    shared = session.marginals.pop((target, source), None)
     if shared is None:
-        stat, mean_hsic, var_hsic = _hsic_moments(kc, mu_x, *_centred_gram(y, target), target)
-        if len(memo) >= m // 2:
-            memo.clear()
-        memo[key] = stat, var_hsic, mu_x
+        stat, mean_hsic, var_hsic = _hsic_moments(kc, mu_x, *_centred_gram(y, gram), gram)
+        session.marginals[source, target] = stat, var_hsic, mu_x
     else:
         stat, var_hsic, mu_y = shared
         mean_hsic = _mean_hsic(mu_x, mu_y, m)
     marginal_p = _gamma_p_value(stat, mean_hsic, var_hsic, m)
     residuals = _fit_residuals(ridge, y)
     _check_nonconstant(residuals)
-    resid_p = _gamma_p_value(*_hsic_moments(kc, mu_x, *_centred_gram(residuals, target), target), m)
+    resid_p = _gamma_p_value(*_hsic_moments(kc, mu_x, *_centred_gram(residuals, gram), gram), m)
     accepted = marginal_p <= alpha and resid_p > alpha
     return TestOutcome(binary(1 if accepted else 0), resid_p, alpha)

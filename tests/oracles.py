@@ -21,7 +21,6 @@ from causalpred.core import (
     Query,
     QueryKind,
     binary,
-    empirical_error,
     load_json,
     sample_queries,
 )
@@ -30,8 +29,10 @@ from causalpred.errors import (
     DuplicateColumn,
     InvalidParams,
     InvalidSize,
+    LengthMismatch,
     NonNumericCell,
     ParseError,
+    TagMismatch,
 )
 from causalpred.harness import RiskRecord
 from causalpred.learners import LabeledQuery, pc_fit, pc_oracle
@@ -421,20 +422,36 @@ def closed_form_fisher_z_from_corr(corr, l, target_idx, cond_idx, alpha):
 # The harness scores a predictor with one batch call per side and counts
 # disagreements in an array; these are the loops it replaced: one scalar
 # prediction and one TestOutcome per query, each wrapped in a binary
-# PropertyValue and averaged by empirical_error.
+# PropertyValue and averaged by ref_empirical_error.
+
+
+def ref_empirical_error(predictions, test_results):
+    """Mean absolute deviation between predicted and tested PropertyValues;
+    for binary values the disagreement rate ``core.empirical_error`` gives
+    on 0/1 arrays."""
+    if len(predictions) != len(test_results):
+        raise LengthMismatch(f"{len(predictions)} predictions vs {len(test_results)} results")
+    if not predictions:
+        raise LengthMismatch("need at least one prediction")
+    total = 0.0
+    for p, t in zip(predictions, test_results):
+        if p.tag != t.tag:
+            raise TagMismatch(f"cannot compare {p.tag} with {t.tag}")
+        total += abs(p.value - t.value)
+    return total / len(predictions)
 
 
 def ref_expected_risk(predict, queries, tester):
     """``predict(q)`` gives 0/1 and ``tester(q)`` a TestOutcome, per query."""
     predictions = [binary(predict(q)) for q in queries]
     results = [tester(q).value for q in queries]
-    return empirical_error(predictions, results)
+    return ref_empirical_error(predictions, results)
 
 
 def ref_run_ci_experiment(cfg):
     """``harness.run_ci_experiment`` scored query by query with the scalar
     ``ref_d_separated``, ``closed_form_fisher_z_from_corr`` and
-    ``empirical_error``."""
+    ``ref_empirical_error``."""
     universe = enumerate_queries(cfg.n, QueryKind.COND_INDEP, 0) + enumerate_queries(
         cfg.n, QueryKind.COND_INDEP, 1
     )
@@ -459,7 +476,7 @@ def ref_run_ci_experiment(cfg):
                 return closed_form_fisher_z_from_corr(corr, cfg.l, q.members, q.cond, cfg.alpha)
 
         g = random_dag_from_cpdag(cpdag, seed + 2)
-        empirical = empirical_error(
+        empirical = ref_empirical_error(
             [binary(ref_d_separated(g, lq.query)) for lq in labels],
             [lq.outcome.value for lq in labels],
         )
@@ -505,7 +522,7 @@ def ref_select_alpha(candidates, scms, l, seed=0):
 def ref_run_anm_experiment(cfg):
     """``harness.run_anm_experiment`` with a dict of outcomes keyed by
     Query, fitted by ``ref_polytree_from_anm`` and scored query by query
-    with edge membership and ``empirical_error``."""
+    with edge membership and ``ref_empirical_error``."""
     h = vc_upper_bound(ModelClassId.POLYTREES, cfg.n)
     universe = enumerate_queries(cfg.n, QueryKind.ORDERED_PAIR)
     records = []
@@ -524,7 +541,7 @@ def ref_run_anm_experiment(cfg):
                 def predict(q):
                     return int(q.members in tree.edges)
 
-                empirical = empirical_error(
+                empirical = ref_empirical_error(
                     [binary(predict(lq.query)) for lq in labels],
                     [lq.outcome.value for lq in labels],
                 )

@@ -30,7 +30,7 @@ from causalpred.errors import (
     NonNumericCell,
     TagMismatch,
 )
-from oracles import ci_rows, enumerate_queries, ref_load_dataset, ref_save_dataset
+from oracles import ci_rows, enumerate_queries, ref_empirical_error, ref_load_dataset, ref_save_dataset
 
 
 # --- Query canonicalization ---------------------------------------------------
@@ -461,34 +461,28 @@ def test_sample_deterministic():
 
 
 def test_empirical_error_binary():
-    preds = [binary(1), binary(1), binary(1)]
-    results = [binary(1), binary(0), binary(1)]
-    assert empirical_error(preds, results) == pytest.approx(1 / 3)
-
-
-def test_empirical_error_real():
-    preds = [real(0.2), real(-0.4)]
-    results = [real(0.1), real(-0.1)]
-    assert empirical_error(preds, results) == pytest.approx(0.2)
-
-
-def test_empirical_error_sign_counts_two_per_disagreement():
-    assert empirical_error([sign(1)], [sign(-1)]) == 2.0
+    assert empirical_error([1, 1, 1], np.array([1, 0, 1])) == pytest.approx(1 / 3)
 
 
 def test_empirical_error_errors():
     with pytest.raises(LengthMismatch):
-        empirical_error([binary(1)], [])
+        empirical_error([1], [])
     with pytest.raises(LengthMismatch):
         empirical_error([], [])
-    with pytest.raises(TagMismatch):
-        empirical_error([binary(1)], [real(1.0)])
+    # real and sign values are refused, not averaged
+    for bad in ([0.2], [-1], [2]):
+        with pytest.raises(TagMismatch):
+            empirical_error([1], bad)
+        with pytest.raises(TagMismatch):
+            empirical_error(bad, [1])
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=30))
 def test_empirical_error_in_unit_interval_for_binary(bits):
-    preds = [binary(b) for b in bits]
-    results = [binary(1 - b) for b in bits]
-    err = empirical_error(preds, results)
-    assert 0.0 <= err <= 1.0
+    preds = np.array(bits)
+    err = empirical_error(preds, 1 - preds)
+    assert err == 1.0
     assert empirical_error(preds, preds) == 0.0
+    assert empirical_error(preds, np.zeros_like(preds)) == ref_empirical_error(
+        [binary(b) for b in bits], [binary(0)] * len(bits)
+    )

@@ -47,7 +47,7 @@ def test_config_validation():
 
 def test_config_from_json():
     cfg = ExperimentConfig.from_json(
-        {"experiment": "anm", "n": 6, "k_values": [5, 10], "repetitions": 2}
+        {"experiment": "anm", "n": 6, "l": 600, "k_values": [5, 10], "repetitions": 2}
     )
     assert cfg.k_values == (5, 10)
     assert cfg.n == 6
@@ -94,7 +94,7 @@ def test_bound_class_is_an_unknown_key():
 def test_config_refuses_a_field_only_the_other_study_reads(study, key, value, default):
     # the study would run without it; a value equal to the default cannot be
     # told from a field left out, so it is accepted
-    own = {"ci": {}, "anm": {"k_values": (2,)}}[study]
+    own = {"ci": {}, "anm": {"k_values": (2,), "l": 600}}[study]
 
     def builds(v):  # through the constructor and through from_json
         obj = {"experiment": study, **own, key: v}
@@ -124,7 +124,7 @@ def test_config_refuses_k_values_on_ci_and_an_oracle_on_anm():
 
 def test_experiment_type_mismatch():
     with pytest.raises(InvalidParams):
-        run_ci_experiment(ExperimentConfig("anm", k_values=(5,)))
+        run_ci_experiment(ExperimentConfig("anm", l=600, k_values=(5,)))
     with pytest.raises(InvalidParams):
         run_anm_experiment(ExperimentConfig("ci"))
 
@@ -142,6 +142,10 @@ def test_config_refuses_what_a_step_would_refuse_before_any_work(monkeypatch):
     data = Dataset(np.random.default_rng(1).standard_normal((30, 6)), tuple(range(6)))
     truth = Dag(3, frozenset({(0, 1)}))
     wide = synthgen.LinearScm(200, range(200), np.zeros((200, 200)))
+    pair = Query.ordered_pair(0, 1)
+    short, long, default = (
+        Dataset(np.random.default_rng(2).standard_normal((l, 2)), (0, 1)) for l in (19, 5001, 10_000)
+    )
 
     def no_rng(*args, **kwargs):
         raise AssertionError("an SCM was drawn")
@@ -162,11 +166,16 @@ def test_config_refuses_what_a_step_would_refuse_before_any_work(monkeypatch):
         # sample's limits, which a ci run meets after building its universe
         ({"n": 200, "l": 50_001}, synthgen.sample, wide, 50_001, 0),
         ({"l": 0}, synthgen.sample, wide, 0, 0),
+        # the ANM test's row limits, which a run meets after gen and sample
+        ({"experiment": "anm", "k_values": (5,), "l": 19}, harness.anm_test, short, pair, 0.05),
+        ({"experiment": "anm", "k_values": (5,), "l": 5001}, harness.anm_test, long, pair, 0.05),
     ]
     for update, step, *args in cases:
         cfg = {"experiment": "ci", "n": 6, "l": 300, "repetitions": 2, **update}
         assert _error(ExperimentConfig, **cfg) == _error(step, *args)
     assert _error(ExperimentConfig, "anm") == (InvalidParams, "anm experiment needs k_values")
+    # the default l is past the ANM test's limit
+    assert _error(ExperimentConfig, "anm", k_values=(5,)) == _error(harness.anm_test, default, pair, 0.05)
 
 
 def test_a_ci_experiment_past_the_node_limit_is_refused_before_any_work(monkeypatch):
@@ -182,7 +191,7 @@ def test_a_ci_experiment_past_the_node_limit_is_refused_before_any_work(monkeypa
             f"a ci experiment on {n} nodes; the limit is {harness.MAX_CI_NODES} nodes",
         )
     ExperimentConfig("ci", n=harness.MAX_CI_NODES)
-    ExperimentConfig("anm", n=n, k_values=(5,))  # the limit is the ci universe's
+    ExperimentConfig("anm", n=n, l=600, k_values=(5,))  # the limit is the ci universe's
 
 
 # --- risk plumbing ------------------------------------------------------------
@@ -316,8 +325,8 @@ def test_anm_experiment_calls_module_anm_test_once_per_pair(monkeypatch):
 
 
 def test_an_anm_config_with_too_few_rows_is_refused_at_its_first_test(monkeypatch):
-    # the ordered-pair universe is rows, so the first test refuses l after
-    # building the one Query it takes
+    # the config refuses l with the error of the first test, so no Query is
+    # built and no SCM drawn
     data = Dataset(np.random.default_rng(0).standard_normal((10, 2)), (0, 1))
     want = _error(harness.anm_test, data, Query.ordered_pair(0, 1), 0.001)
     built = []
@@ -328,9 +337,8 @@ def test_an_anm_config_with_too_few_rows_is_refused_at_its_first_test(monkeypatc
         post_init(self)
 
     monkeypatch.setattr(Query, "__post_init__", counting)
-    cfg = ExperimentConfig("anm", n=200, l=10, k_values=(5,), datasets=1, repetitions=1)
-    assert _error(run_anm_experiment, cfg) == want
-    assert len(built) <= 1
+    assert _error(ExperimentConfig, "anm", n=200, l=10, k_values=(5,), datasets=1, repetitions=1) == want
+    assert built == []
 
 
 @pytest.mark.parametrize("oracle", [False, True], ids=["fisher-z", "oracle"])

@@ -15,7 +15,7 @@ tracing = importlib.import_module("tracing")
 # imported only so that perfbench/tracing.py can wrap them there; nothing
 # in the module calls them
 TRACER_ONLY = {
-    "harness": {"d_separated", "empirical_error", "fisher_z_from_corr", "q_anm_polytree"},
+    "harness": {"d_separated", "fisher_z_from_corr", "q_anm_polytree"},
     "learners": {"d_separated", "fisher_z_from_corr"},
 }
 
@@ -35,6 +35,18 @@ def _unused_imports(path):
 def test_every_module_level_import_is_used():
     unused = {path.stem: _unused_imports(path) for path in (ROOT / "src" / "causalpred").glob("*.py")}
     assert {module: names for module, names in unused.items() if names} == TRACER_ONLY
+
+
+def test_no_package_module_has_a_global_statement():
+    # state shared between calls lives in an object its caller holds, such
+    # as stattests.anm_session's, not in a module
+    found = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "causalpred").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []
 
 
 def test_each_tracer_only_import_is_a_trace_target():

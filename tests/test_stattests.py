@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 import warnings
 from itertools import combinations
@@ -23,6 +25,7 @@ from causalpred.models import Dag, d_separated_many
 from causalpred.stattests import (
     TestOutcome,
     _gamma_p_value,
+    anm_session,
     anm_test,
     corr_estimate,
     correlation_matrix,
@@ -861,9 +864,9 @@ def test_anm_matches_reference_on_gam_chain():
 
 
 def test_anm_source_state_follows_the_column_values():
-    # anm_test remembers the last source's Gram and ridge factor: sources
-    # interleave and two datasets share column ids, and every outcome must
-    # still be the reference's
+    # inside a session anm_test keeps the last source's Gram and ridge
+    # factor: sources interleave and two datasets share column ids, and
+    # every outcome must still be the reference's
     first = sample(gen_gam_chain(3, seed=5), 200, seed=105).dataset
     second = sample(gen_gam_chain(3, seed=6), 200, seed=106).dataset
     calls = [
@@ -874,11 +877,12 @@ def test_anm_source_state_follows_the_column_values():
         (second, 0, 1),
         (first, 0, 1),
     ]
-    for d, s, t in calls:
-        out = anm_test(d, Query.ordered_pair(s, t), 0.05)
-        value, p = ref_anm_test(d.column(s), d.column(t), 0.05)
-        assert out.value.value == value
-        assert abs(out.p_value - p) <= 1e-10
+    with anm_session(first):
+        for d, s, t in calls:
+            out = anm_test(d, Query.ordered_pair(s, t), 0.05)
+            value, p = ref_anm_test(d.column(s), d.column(t), 0.05)
+            assert out.value.value == value
+            assert abs(out.p_value - p) <= 1e-10
 
 
 def _error(fn, *args):
@@ -958,22 +962,31 @@ def test_anm_errors_unchanged_and_in_order():
     )
 
 
+def _session():
+    """The state ``anm_test`` shares inside the current ``anm_session``."""
+    return stattests._anm_session.get()
+
+
+def _outcomes(d, universe):
+    return [(out.value.value, out.p_value.hex()) for out in (anm_test(d, q, 0.05) for q in universe)]
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_a_refused_source_leaves_no_remembered_state():
     rng = np.random.default_rng(19)
     x = rng.uniform(-1, 1, 20)
     y = np.sin(3 * x) + 0.1 * rng.standard_normal(20)
     d = _dataset(x, y, OVERFLOW)
-    anm_test(d, Query.ordered_pair(0, 1), 0.05)
-    for _ in range(2):
-        assert _error(anm_test, d, Query.ordered_pair(2, 1), 0.05) == OVERFLOW_ERROR
-        arrays, source = stattests._anm_record
-        assert source is None and arrays[0].shape == (20, 20)
-    for s, t in ((0, 1), (1, 0), (0, 1)):
-        out = anm_test(d, Query.ordered_pair(s, t), 0.05)
-        value, p = ref_anm_test(d.column(s), d.column(t), 0.05)
-        assert out.value.value == value
-        assert abs(out.p_value - p) <= 1e-10
+    with anm_session(d):
+        anm_test(d, Query.ordered_pair(0, 1), 0.05)
+        for _ in range(2):
+            assert _error(anm_test, d, Query.ordered_pair(2, 1), 0.05) == OVERFLOW_ERROR
+            assert _session().source is None and _session().arrays[0].shape == (20, 20)
+        for s, t in ((0, 1), (1, 0), (0, 1)):
+            out = anm_test(d, Query.ordered_pair(s, t), 0.05)
+            value, p = ref_anm_test(d.column(s), d.column(t), 0.05)
+            assert out.value.value == value
+            assert abs(out.p_value - p) <= 1e-10
 
 
 def test_anm_universe_holds_at_most_four_grams():
@@ -989,8 +1002,9 @@ def test_anm_universe_holds_at_most_four_grams():
     anm_test(sample(gen_gam_chain(2, seed=1), 40, seed=2).dataset, Query.ordered_pair(0, 1), 0.05)
     tracemalloc.start()
     try:
-        for q in universe:
-            anm_test(d, q, 0.05)
+        with anm_session(d):
+            for q in universe:
+                anm_test(d, q, 0.05)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -999,21 +1013,22 @@ def test_anm_universe_holds_at_most_four_grams():
 
 def test_a_second_universe_pass_reuses_the_workspace():
     # the first pass over m = 600 allocates the three m x m arrays of the
-    # workspace; a second pass over the same universe computes in them and
+    # session; a second pass in the same session computes in them and
     # allocates less than one m x m array in all.  Both passes give the
     # same outcomes; every tenth, one or two per source, is checked against
     # the reference, which takes 0.16 s a test at this m
     m = 600
     d = sample(gen_gam_scm(10, 1.5, 3), m, seed=4).dataset
     universe = enumerate_queries(10, QueryKind.ORDERED_PAIR)
-    first = [anm_test(d, q, 0.05) for q in universe]
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        second = [anm_test(d, q, 0.05) for q in universe]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with anm_session(d):
+        first = [anm_test(d, q, 0.05) for q in universe]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            second = [anm_test(d, q, 0.05) for q in universe]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert peak - start < 8 * m * m
     assert second == first
     for q, out in zip(universe[::10], second[::10]):
@@ -1022,31 +1037,59 @@ def test_a_second_universe_pass_reuses_the_workspace():
         assert abs(out.p_value - p) <= 1e-10
 
 
+def test_a_session_frees_its_state_when_it_exits():
+    # the three m x m arrays, the source and the marginals live only as
+    # long as the block: after it, the traced memory is back where it was
+    m = 300
+    d = sample(gen_gam_scm(4, 1.5, 25), m, seed=26).dataset
+    universe = enumerate_queries(4, QueryKind.ORDERED_PAIR)
+    anm_test(d, universe[0], 0.05)  # no first-call set-up is traced
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with anm_session(d):
+            for q in universe[:5]:  # 0 -> 2, 0 -> 3 and 1 -> 2 meet no reverse test
+                anm_test(d, q, 0.05)
+            assert tracemalloc.get_traced_memory()[0] - start >= 3 * 8 * m * m
+            assert len(_session().marginals) == 3
+        end = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert _session() is None
+    assert end - start <= 16 * 8 * m
+
+
 def test_the_workspace_follows_a_change_of_the_row_count():
-    # datasets of 200 and 300 rows interleave, so the workspace is dropped
-    # and allocated again at each change of m, with the source state in it
+    # inside a session on the 200-row dataset, tests on a 300-row dataset
+    # interleave; each computes alone, in arrays of its own m, and leaves
+    # the session's arrays and source as they were
     small = sample(gen_gam_scm(4, 1.5, 7), 200, seed=8).dataset
     large = sample(gen_gam_scm(4, 1.5, 9), 300, seed=10).dataset
     pairs = [(0, 1), (0, 2), (1, 0), (3, 2)]
-    for d, (s, t) in [(d, pair) for pair in pairs for d in (small, large, small)]:
-        out = anm_test(d, Query.ordered_pair(s, t), 0.05)
-        value, p = ref_anm_test(d.column(s), d.column(t), 0.05)
-        assert out.value.value == value
-        assert abs(out.p_value - p) <= 1e-10
-        assert stattests._anm_record[0][0].shape == (d.l, d.l)
+    with anm_session(small):
+        for d, (s, t) in [(d, pair) for pair in pairs for d in (small, large, small)]:
+            out = anm_test(d, Query.ordered_pair(s, t), 0.05)
+            value, p = ref_anm_test(d.column(s), d.column(t), 0.05)
+            assert out.value.value == value
+            assert abs(out.p_value - p) <= 1e-10
+            assert _session().arrays[0].shape == (small.l, small.l)
+            assert _session().source[0] == s
 
 
 def test_a_change_of_the_row_count_frees_the_old_arrays_before_allocating():
-    # from m = 300 to m = 320 the traced memory grows by the difference of
-    # the three arrays, not by three new ones next to the old
+    # from a session at m = 300 to one at m = 320 the traced memory grows
+    # by the difference of the three arrays, not by three new ones next to
+    # the old
     first = sample(gen_gam_scm(3, 1.5, 15), 300, seed=16).dataset
     second = sample(gen_gam_scm(3, 1.5, 17), 320, seed=18).dataset
     tracemalloc.start()
     try:
-        anm_test(first, Query.ordered_pair(0, 1), 0.05)
-        start = tracemalloc.get_traced_memory()[0]
+        with anm_session(first):
+            anm_test(first, Query.ordered_pair(0, 1), 0.05)
+            start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        anm_test(second, Query.ordered_pair(0, 1), 0.05)
+        with anm_session(second):
+            anm_test(second, Query.ordered_pair(0, 1), 0.05)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1054,44 +1097,39 @@ def test_a_change_of_the_row_count_frees_the_old_arrays_before_allocating():
 
 
 def test_a_failed_allocation_leaves_a_record_the_next_test_reads(monkeypatch):
-    # a change of m drops the old arrays before it allocates the new ones;
-    # when that allocation fails, the next test starts from an empty record
+    # when the session's first test cannot allocate the arrays, the session
+    # holds none, and its next test allocates them
     first = sample(gen_gam_scm(3, 1.5, 11), 100, seed=12).dataset
     second = sample(gen_gam_scm(3, 1.5, 13), 120, seed=14).dataset
     anm_test(first, Query.ordered_pair(0, 1), 0.05)
     empty = np.empty
+    allocated = []
 
-    def refuse_square(shape, *args, **kwargs):
+    def refuse_third(shape, *args, **kwargs):
         if shape == (120, 120):
-            raise MemoryError
+            allocated.append(shape)
+            if len(allocated) == 3:
+                raise MemoryError
         return empty(shape, *args, **kwargs)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(np, "empty", refuse_square)
-        with pytest.raises(MemoryError):
-            anm_test(second, Query.ordered_pair(0, 1), 0.05)
-    assert stattests._anm_record == (None, None)
-    for d in (second, first):
-        out = anm_test(d, Query.ordered_pair(0, 1), 0.05)
-        value, p = ref_anm_test(d.column(0), d.column(1), 0.05)
-        assert out.value.value == value
-        assert abs(out.p_value - p) <= 1e-10
-
-
-def _fresh_anm_test(d, q):
-    saved = stattests._anm_record
-    stattests._anm_record = None, None
-    try:
-        return anm_test(d, q, 0.05)
-    finally:
-        stattests._anm_record = saved
+    with anm_session(second):
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "empty", refuse_third)
+            with pytest.raises(MemoryError):
+                anm_test(second, Query.ordered_pair(0, 1), 0.05)
+        assert (_session().arrays, _session().source, _session().marginals) == (None, None, {})
+        for d in (second, first, second):
+            out = anm_test(d, Query.ordered_pair(0, 1), 0.05)
+            value, p = ref_anm_test(d.column(0), d.column(1), 0.05)
+            assert out.value.value == value
+            assert abs(out.p_value - p) <= 1e-10
 
 
 def test_a_universe_pass_shares_each_pairs_marginal_hsic(monkeypatch):
-    # source by source, n = 10: 10 source Grams, 45 target Grams (the
-    # reverse test of a pair reads its marginal from the memo) and 90
-    # residual Grams; 45 marginal and 90 residual HSIC products.  Without
-    # the memo a pass took 190 and 180
+    # source by source in one session, n = 10: 10 source Grams, 45 target
+    # Grams (the reverse test of a pair reads its marginal from the
+    # session) and 90 residual Grams; 45 marginal and 90 residual HSIC
+    # products.  Without a session, each test computes alone: 270 and 180
     d = sample(gen_gam_scm(10, 1.5, 3), 200, seed=4).dataset
     universe = enumerate_queries(10, QueryKind.ORDERED_PAIR)
     calls = {"_gram": 0, "_hsic_moments": 0}
@@ -1103,55 +1141,90 @@ def test_a_universe_pass_shares_each_pairs_marginal_hsic(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(stattests, name, counted)
-    monkeypatch.setattr(stattests, "_anm_record", (None, None))
+    with anm_session(d):
+        for q in universe:
+            anm_test(d, q, 0.05)
+        assert _session().marginals == {}
+    assert calls == {"_gram": 145, "_hsic_moments": 135}
+    calls.update(_gram=0, _hsic_moments=0)
     for q in universe:
         anm_test(d, q, 0.05)
-    assert calls == {"_gram": 145, "_hsic_moments": 135}
-    assert stattests._anm_record[0][3] == {}
+    assert calls == {"_gram": 270, "_hsic_moments": 180}
 
 
 @pytest.mark.parametrize("order", ["source-major", "reversed", "shuffled"])
 def test_shared_marginals_give_the_outcomes_of_lone_tests(order):
-    # the memo's statistic and variance are the reverse test's bit for
+    # the session's statistic and variance are the reverse test's bit for
     # bit, and its mean is recomputed in the reverse test's order, so the
-    # outcomes equal those of each test run on an empty record
+    # outcomes equal those of each test run alone
     d = sample(gen_gam_scm(10, 1.5, 3), 200, seed=4).dataset
     universe = enumerate_queries(10, QueryKind.ORDERED_PAIR)
     if order == "reversed":
         universe = universe[::-1]
     elif order == "shuffled":
         universe = [universe[i] for i in np.random.default_rng(21).permutation(len(universe))]
-    stattests._anm_record = None, None
-    outcomes = [anm_test(d, q, 0.05) for q in universe]
-    if order != "shuffled":  # every pair met both ways, and each met taken out
-        assert stattests._anm_record[0][3] == {}
-    assert outcomes == [_fresh_anm_test(d, q) for q in universe]
+    with anm_session(d):
+        shared = _outcomes(d, universe)
+        assert _session().marginals == {}  # every pair met both ways
+    assert shared == _outcomes(d, universe)
 
 
 def test_datasets_sharing_column_ids_do_not_share_marginals():
-    # the memo is keyed by the columns' values, so the second dataset's
-    # 1 -> 0 does not read the first's 0 -> 1, nor the reverse
+    # the session's marginals are keyed by column ids of its own dataset,
+    # so another dataset's 1 -> 0 computes alone and does not read the
+    # session's 0 -> 1, which its own 1 -> 0 then takes out
     first = sample(gen_gam_chain(2, seed=22), 200, seed=122).dataset
     second = sample(gen_gam_chain(2, seed=23), 200, seed=123).dataset
-    stattests._anm_record = None, None
-    for d, s, t in ((first, 0, 1), (second, 1, 0), (first, 1, 0)):
-        out = anm_test(d, Query.ordered_pair(s, t), 0.05)
-        value, p = ref_anm_test(d.column(s), d.column(t), 0.05)
-        assert out.value.value == value
-        assert abs(out.p_value - p) <= 1e-10
-    assert list(stattests._anm_record[0][3]) == [(second.column(1).tobytes(), second.column(0).tobytes())]
+    with anm_session(first):
+        anm_test(first, Query.ordered_pair(0, 1), 0.05)
+        assert list(_session().marginals) == [(0, 1)]
+        out = anm_test(second, Query.ordered_pair(1, 0), 0.05)
+        assert list(_session().marginals) == [(0, 1)]
+        anm_test(first, Query.ordered_pair(1, 0), 0.05)
+        assert _session().marginals == {}
+    value, p = ref_anm_test(second.column(1), second.column(0), 0.05)
+    assert out.value.value == value
+    assert abs(out.p_value - p) <= 1e-10
 
 
 def test_the_marginal_memo_holds_at_most_one_array_of_keys():
-    # 45 forward pairs at m = 40 meet no reverse test; the memo is
-    # cleared when it holds m / 2 pairs, 16 m bytes of keys each
+    # 45 forward pairs at m = 40 meet no reverse test: the session keeps
+    # one entry per pair, its ids and three floats, and no column
     m = 40
     d = sample(gen_gam_scm(10, 1.5, 24), m, seed=124).dataset
-    stattests._anm_record = None, None
-    sizes = []
-    for a, b in combinations(range(10), 2):
-        anm_test(d, Query.ordered_pair(a, b), 0.05)
-        memo = stattests._anm_record[0][3]
-        assert sum(len(x) + len(y) for x, y in memo) <= 8 * m * m
-        sizes.append(len(memo))
-    assert max(sizes) == m // 2
+    with anm_session(d):
+        for a, b in combinations(range(10), 2):
+            anm_test(d, Query.ordered_pair(a, b), 0.05)
+        marginals = _session().marginals
+    assert list(marginals) == list(combinations(range(10), 2))
+    assert all(len(entry) == 3 and all(isinstance(v, float) for v in entry) for entry in marginals.values())
+
+
+def test_threads_with_sessions_of_their_own_get_lone_outcomes():
+    # each thread's session is its own, so three source-major passes on
+    # datasets that share column ids and m interleave freely, more threads
+    # than cores and a short switch interval making them interleave often
+    datasets = [sample(gen_gam_scm(5, 1.5, seed), 100, seed=seed + 1).dataset for seed in (27, 29, 31)]
+    universe = enumerate_queries(5, QueryKind.ORDERED_PAIR)
+    barrier = threading.Barrier(len(datasets), timeout=60)
+    results = [None] * len(datasets)
+
+    def run(i):
+        d = datasets[i]
+        with anm_session(d):
+            barrier.wait()
+            outcomes = _outcomes(d, universe)
+            results[i] = outcomes, _session().data is d, _session().marginals
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(datasets))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [(_outcomes(d, universe), True, {}) for d in datasets]
