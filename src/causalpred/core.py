@@ -132,13 +132,14 @@ def sign(v) -> PropertyValue:
 
 @dataclass(frozen=True)
 class Dataset:
-    """An l x k sample matrix together with the global ids of its columns."""
+    """An l x k sample matrix together with the global ids of its columns.
+    A float64 array is taken without a copy and frozen (set read-only)."""
 
     samples: np.ndarray
     columns: tuple
 
     def __post_init__(self):
-        samples = np.array(self.samples, dtype=float)
+        samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 2:
             raise InvalidSize("samples must be a 2-d matrix")
         columns = tuple(int(c) for c in self.columns)

@@ -49,7 +49,7 @@ MAX_CI_NODES = 200
 class ExperimentConfig:
     experiment: str  # "ci" or "anm"
     n: int = 20
-    l: int = 10000
+    l: int = None  # unset: 10,000 for ci (criterion 5), 600 for anm (criterion 6)
     alpha: float = 0.001
     eta: float = 0.1
     repetitions: int = 20
@@ -64,6 +64,8 @@ class ExperimentConfig:
         refused = {"ci": ("k_values", "datasets"), "anm": ("max_cond", "oracle")}
         if self.experiment not in refused:
             raise InvalidParams(f"unknown experiment {self.experiment!r}")
+        if self.l is None:
+            object.__setattr__(self, "l", {"ci": 10000, "anm": 600}[self.experiment])
         for f in fields(self):
             if f.name in refused[self.experiment] and getattr(self, f.name) != f.default:
                 raise InvalidParams(f"{f.name} is not read by {self.experiment} experiments")

@@ -32,6 +32,13 @@ from .stattests import (
 )
 from .synthgen import sample
 
+# the most columns pc_fit takes: its level 0 tests all k(k-1)/2 pairs as
+# arrays, growing as k^2; on k independent columns of 200 rows (max_cond
+# 1) pc_fit peaked at 0.31 GB resident at this many, and at 1.03 GB at
+# k = 4000; `causalpred fit pc`, which lists every test as a CSV row,
+# peaked at 0.82 GB at this many
+MAX_PC_NODES = 2000
+
 
 @dataclass(frozen=True)
 class LabeledQuery:
@@ -115,21 +122,29 @@ def pc_from_ci(n, label, max_cond, *, alpha=None, refuse=None):
     or None for tests that give none.  The scan consults a row only if its
     pair and set are still adjacent when it reaches it; a consulted row
     labelled -1 is handed to ``refuse(row)``, which raises its error, so a
-    row skipped never raises.  The separating set recorded at deletion
-    time drives v-structure orientation.  Returns the CPDAG and the
-    TestLog of the consulted rows, in order, with ``alpha``.
+    row skipped never raises; level 0 consults every pair, in one array
+    step.  The separating set recorded at deletion time drives v-structure
+    orientation.  Returns the CPDAG and the TestLog of the consulted rows,
+    in order, with ``alpha``.
     """
     if max_cond < 0:
         raise InvalidSize("max_cond must be nonnegative")
-    adjacency = {v: set(range(n)) - {v} for v in range(n)}
-    sepset = {}  # (a, b), a < b, -> the conditioning set that separated them
+    adjacent = ~np.eye(n, dtype=bool)
+    sepset = {}  # (a, b), a < b, -> the set that separated them above level 0
     levels = []
-    for level in range(min(max_cond, n - 2) + 1):
-        neighbours = [sorted(adjacency[v]) if level else () for v in range(n)]  # level 0 reads none
+    rows = np.column_stack(np.triu_indices(n, 1))  # a pair's test alone decides it
+    if len(rows):
+        labels, p = label(rows)
+        if (labels < 0).any():
+            refuse(rows[np.argmax(labels < 0)])  # raises the first such row's error
+        a, b = rows[labels == 1].T
+        adjacent[a, b] = adjacent[b, a] = False
+        levels.append((rows, labels, p))
+    for level in range(1, min(max_cond, n - 2) + 1):
+        neighbours = [np.flatnonzero(row).tolist() for row in adjacent]
         tests = [
             (a, b, cond)
-            for a, b in combinations(range(n), 2)
-            if b in adjacency[a]
+            for a, b in np.argwhere(np.triu(adjacent)).tolist()
             for cond in combinations(neighbours[a], level)
             if b not in cond
         ]
@@ -138,22 +153,25 @@ def pc_from_ci(n, label, max_cond, *, alpha=None, refuse=None):
         rows = np.array([(a, b, *cond) for a, b, cond in tests], dtype=np.intp)
         labels, p = label(rows)
         consulted = []
+        cut = [set() for _ in range(n)]  # the neighbours each node lost at this level
         for i, ((a, b, cond), flag) in enumerate(zip(tests, labels.tolist())):
-            if b not in adjacency[a] or not adjacency[a].issuperset(cond):
+            if b in cut[a] or not cut[a].isdisjoint(cond):
                 continue
             if flag < 0:
                 refuse(rows[i])  # raises the row's error
             consulted.append(i)
             if flag == 1:
-                adjacency[a].discard(b)
-                adjacency[b].discard(a)
+                adjacent[a, b] = adjacent[b, a] = False
+                cut[a].add(b)
+                cut[b].add(a)
                 sepset[a, b] = cond
         levels.append((rows[consulted], labels[consulted], None if p is None else p[consulted]))
-    pdag = _Pdag(n, undirected=[(a, b) for a, b in combinations(range(n), 2) if b in adjacency[a]])
-    # v-structures a -> c <- b from each separated pair's set, in pair order
-    for (a, b), cond in sorted(sepset.items()):
-        for c in sorted(adjacency[a] & adjacency[b]):
-            if c not in cond:
+    pdag = _Pdag(n, undirected=np.argwhere(np.triu(adjacent)).tolist())
+    # v-structures a -> c <- b of separated pairs with a common neighbour c,
+    # in pair order, found by an exact float32 count of common neighbours
+    for a, b in np.argwhere(np.triu((adjacent.astype(np.float32) @ adjacent > 0) & ~adjacent, 1)).tolist():
+        for c in np.flatnonzero(adjacent[a] & adjacent[b]).tolist():
+            if c not in sepset.get((a, b), ()):  # none: separated at level 0
                 pdag.orient(a, c)
                 pdag.orient(b, c)
     pdag.apply_meek_rules()
@@ -173,6 +191,8 @@ def pc_fit(d, alpha, max_cond, *, corr=None):
     _require_node_ids(d, "PC")
     check_universe(len(d.columns), QueryKind.COND_INDEP)
     check_graph_size(len(d.columns))
+    if len(d.columns) > MAX_PC_NODES:
+        raise InvalidSize(f"PC on {len(d.columns)} columns; the limit is {MAX_PC_NODES} columns")
     if corr is None:
         corr = correlation_matrix(d)
     pos = np.argsort(d.columns)
@@ -186,8 +206,6 @@ def pc_fit(d, alpha, max_cond, *, corr=None):
     def refuse(row):
         fisher_z_many(corr, d.l, row[None], alpha)
 
-    if d.l <= 3 and max_cond >= 0:  # the first level-0 test refuses: list none
-        refuse(np.array([0, 1]))
     return pc_from_ci(len(d.columns), label, max_cond, alpha=alpha, refuse=refuse)
 
 

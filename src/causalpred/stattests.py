@@ -63,18 +63,22 @@ def _check_nonconstant(*cols):
 
 def correlation_matrix(d, variables=None):
     """Correlation matrix of a dataset's columns, or of ``variables``' in that
-    order.  A constant column, or one whose variance overflows, has no
-    correlations numpy can compute, so it is refused by name first."""
+    order, from one ``np.cov`` pass.  A constant column, or one whose variance
+    overflows, has no correlations numpy can compute, so it is refused by name first."""
     ids = d.columns if variables is None else tuple(variables)
     x = d.samples if variables is None else np.column_stack([d.column(v) for v in ids])
+    if len(x) < 2:  # every column of one row is constant; np.cov would warn
+        raise DegenerateInput(f"column {ids[0]} is constant")
     with np.errstate(over="ignore", invalid="ignore"):
-        variances = np.var(x, axis=0).tolist()
+        cov = np.atleast_2d(np.cov(x, rowvar=False))
+        variances = (np.diag(cov) * ((len(x) - 1) / len(x))).tolist()  # np.var's ddof 0
     for col, var in zip(ids, variances):
         if not math.isfinite(var):
             raise DegenerateInput(f"the variance of column {col} overflows; rescale it")
         if var < VAR_EPS:
             raise DegenerateInput(f"column {col} is constant")
-    return np.corrcoef(x, rowvar=False)
+    stddev = np.sqrt(np.diag(cov))
+    return np.clip(cov / stddev[:, None] / stddev, -1, 1)
 
 
 def _fisher_z(corr, l, rows, alpha):

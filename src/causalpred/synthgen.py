@@ -24,7 +24,7 @@ NOISE_WIDTH = 1.0  # GAM noise is uniform on [-0.5, 0.5]
 # many nodes, growing as n^2
 MAX_SCM_NODES = 1000
 # the most cells (l x n) in a sample: at this many `causalpred gen` peaked at
-# 0.30 GB resident (linear, n = 10) and 0.78 GB (gam, n = 3); 67 MB at l = 10
+# 0.15 GB resident (linear, n = 10) and 0.67 GB (gam, n = 3); 61 MB at l = 10
 MAX_SAMPLE_CELLS = 10**7
 
 
@@ -178,21 +178,18 @@ def sample(scm, l, seed) -> ScmSample:
     check_sample_size(scm.n, l)
     rng = np.random.default_rng(seed)
     n = scm.n
-    x = np.zeros((l, n))  # zeros matter: unassigned columns meet zero coefficients
+    # x starts as the noise: a column not yet visited meets zero coefficients
     if isinstance(scm, LinearScm):
-        noise = rng.standard_normal((l, n))
-        ranks = np.argsort(np.asarray(scm.order))  # node visited at each rank
-        for v in ranks:
-            x[:, v] = noise[:, v] + x @ scm.coeffs[v]
+        x = rng.standard_normal((l, n))
+        for v in np.argsort(np.asarray(scm.order)):  # node visited at each rank
+            x[:, v] += x @ scm.coeffs[v]
     elif isinstance(scm, GamScm):
-        noise = rng.uniform(-NOISE_WIDTH / 2.0, NOISE_WIDTH / 2.0, size=(l, n))
+        x = rng.uniform(-NOISE_WIDTH / 2.0, NOISE_WIDTH / 2.0, size=(l, n))
         for v in scm.dag.topological_order():
-            x[:, v] = noise[:, v]
             for p in sorted(scm.dag.parents(v)):
                 x[:, v] += scm.mechanisms[(p, v)](x[:, p])
     else:
         raise InvalidSize(f"cannot sample from {type(scm).__name__}")
-    del noise  # Dataset copies x, so the noise must not be live next to both
     return ScmSample(Dataset(x, tuple(range(n))))
 
 

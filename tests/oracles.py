@@ -35,7 +35,7 @@ from causalpred.errors import (
     TagMismatch,
 )
 from causalpred.harness import RiskRecord
-from causalpred.learners import LabeledQuery, pc_fit, pc_oracle
+from causalpred.learners import LabeledQuery, _join_levels, pc_fit, pc_oracle
 from causalpred.models import (
     Cpdag,
     Dag,
@@ -56,7 +56,7 @@ from causalpred.stattests import (
     correlation_matrix,
     fisher_z_many,
 )
-from causalpred.synthgen import LinearScm, gen_gam_scm, gen_linear_scm, sample
+from causalpred.synthgen import NOISE_WIDTH, LinearScm, gen_gam_scm, gen_linear_scm, sample
 
 
 # The package builds its query universes as rows (``core.ci_query_array``,
@@ -235,6 +235,25 @@ def population_covariance(scm: LinearScm) -> np.ndarray:
         raise InvalidSize("population covariance is defined for linear SCMs only")
     b = np.linalg.inv(np.eye(scm.n) - scm.coeffs)
     return b @ b.T
+
+
+def ref_sample(scm, l, seed):
+    """``synthgen.sample``'s former loop, as a matrix: x starts at zero and
+    each column is set to its noise plus its parents' terms, ancestors
+    first, with the noise drawn as a separate matrix."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros((l, scm.n))
+    if isinstance(scm, LinearScm):
+        noise = rng.standard_normal((l, scm.n))
+        for v in np.argsort(np.asarray(scm.order)):
+            x[:, v] = noise[:, v] + x @ scm.coeffs[v]
+    else:
+        noise = rng.uniform(-NOISE_WIDTH / 2.0, NOISE_WIDTH / 2.0, size=(l, scm.n))
+        for v in scm.dag.topological_order():
+            x[:, v] = noise[:, v]
+            for p in sorted(scm.dag.parents(v)):
+                x[:, v] += scm.mechanisms[(p, v)](x[:, p])
+    return x
 
 
 # --- kernel layer: the former dense formulas ----------------------------------
@@ -854,6 +873,54 @@ def scalar_labeller(ci_test):
         return labels, None if p[0] is None else np.array(p)
 
     return label
+
+
+# --- PC's level 0: the former scan ------------------------------------------
+#
+# ``learners.pc_from_ci`` runs level 0 as arrays and keeps its adjacency in
+# one boolean matrix; this is the function it replaced, which scanned level
+# 0 pair by pair as it scans the levels above, on a dict of neighbour sets.
+
+
+def scan_pc_from_ci(n, label, max_cond, *, alpha=None, refuse=None):
+    if max_cond < 0:
+        raise InvalidSize("max_cond must be nonnegative")
+    adjacency = {v: set(range(n)) - {v} for v in range(n)}
+    sepset = {}
+    levels = []
+    for level in range(min(max_cond, n - 2) + 1):
+        neighbours = [sorted(adjacency[v]) if level else () for v in range(n)]
+        tests = [
+            (a, b, cond)
+            for a, b in combinations(range(n), 2)
+            if b in adjacency[a]
+            for cond in combinations(neighbours[a], level)
+            if b not in cond
+        ]
+        if not tests:
+            break
+        rows = np.array([(a, b, *cond) for a, b, cond in tests], dtype=np.intp)
+        labels, p = label(rows)
+        consulted = []
+        for i, ((a, b, cond), flag) in enumerate(zip(tests, labels.tolist())):
+            if b not in adjacency[a] or not adjacency[a].issuperset(cond):
+                continue
+            if flag < 0:
+                refuse(rows[i])
+            consulted.append(i)
+            if flag == 1:
+                adjacency[a].discard(b)
+                adjacency[b].discard(a)
+                sepset[a, b] = cond
+        levels.append((rows[consulted], labels[consulted], None if p is None else p[consulted]))
+    pdag = _Pdag(n, undirected=[(a, b) for a, b in combinations(range(n), 2) if b in adjacency[a]])
+    for (a, b), cond in sorted(sepset.items()):
+        for c in sorted(adjacency[a] & adjacency[b]):
+            if c not in cond:
+                pdag.orient(a, c)
+                pdag.orient(b, c)
+    pdag.apply_meek_rules()
+    return pdag.to_cpdag(), _join_levels(levels, alpha)
 
 
 # --- PC's log: the former LabeledQuery per consulted test ----------------------

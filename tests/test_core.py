@@ -125,6 +125,18 @@ def test_dataset_shape_checks():
         Dataset(np.zeros((0, 2)), (0, 1))
 
 
+def test_dataset_freezes_a_float64_array_and_converts_other_input():
+    x = np.arange(6.0).reshape(3, 2)
+    d = Dataset(x, (0, 1))
+    assert d.samples is x and not x.flags.writeable
+    ints = np.arange(6, dtype=np.int32).reshape(3, 2)
+    for given in (ints, ints.tolist(), np.float32(ints)):
+        d = Dataset(given, (0, 1))
+        assert d.samples.dtype == np.float64 and not d.samples.flags.writeable
+        assert np.array_equal(d.samples, ints)
+    assert ints.flags.writeable
+
+
 def test_dataset_column_lookup():
     d = _toy_dataset()
     assert np.array_equal(d.column(1), np.array([1.0, 4.0, 7.0, 10.0]))

@@ -47,10 +47,12 @@ def test_config_validation():
 
 def test_config_from_json():
     cfg = ExperimentConfig.from_json(
-        {"experiment": "anm", "n": 6, "l": 600, "k_values": [5, 10], "repetitions": 2}
+        {"experiment": "anm", "n": 6, "k_values": [5, 10], "repetitions": 2}
     )
     assert cfg.k_values == (5, 10)
     assert cfg.n == 6
+    assert cfg.l == 600  # each study's default when unset
+    assert ExperimentConfig.from_json({"experiment": "ci"}).l == 10_000
 
 
 @pytest.mark.parametrize(
@@ -94,7 +96,7 @@ def test_bound_class_is_an_unknown_key():
 def test_config_refuses_a_field_only_the_other_study_reads(study, key, value, default):
     # the study would run without it; a value equal to the default cannot be
     # told from a field left out, so it is accepted
-    own = {"ci": {}, "anm": {"k_values": (2,), "l": 600}}[study]
+    own = {"ci": {}, "anm": {"k_values": (2,)}}[study]
 
     def builds(v):  # through the constructor and through from_json
         obj = {"experiment": study, **own, key: v}
@@ -124,7 +126,7 @@ def test_config_refuses_k_values_on_ci_and_an_oracle_on_anm():
 
 def test_experiment_type_mismatch():
     with pytest.raises(InvalidParams):
-        run_ci_experiment(ExperimentConfig("anm", l=600, k_values=(5,)))
+        run_ci_experiment(ExperimentConfig("anm", k_values=(5,)))
     with pytest.raises(InvalidParams):
         run_anm_experiment(ExperimentConfig("ci"))
 
@@ -143,9 +145,7 @@ def test_config_refuses_what_a_step_would_refuse_before_any_work(monkeypatch):
     truth = Dag(3, frozenset({(0, 1)}))
     wide = synthgen.LinearScm(200, range(200), np.zeros((200, 200)))
     pair = Query.ordered_pair(0, 1)
-    short, long, default = (
-        Dataset(np.random.default_rng(2).standard_normal((l, 2)), (0, 1)) for l in (19, 5001, 10_000)
-    )
+    short, long = (Dataset(np.random.default_rng(2).standard_normal((l, 2)), (0, 1)) for l in (19, 5001))
 
     def no_rng(*args, **kwargs):
         raise AssertionError("an SCM was drawn")
@@ -174,8 +174,9 @@ def test_config_refuses_what_a_step_would_refuse_before_any_work(monkeypatch):
         cfg = {"experiment": "ci", "n": 6, "l": 300, "repetitions": 2, **update}
         assert _error(ExperimentConfig, **cfg) == _error(step, *args)
     assert _error(ExperimentConfig, "anm") == (InvalidParams, "anm experiment needs k_values")
-    # the default l is past the ANM test's limit
-    assert _error(ExperimentConfig, "anm", k_values=(5,)) == _error(harness.anm_test, default, pair, 0.05)
+    # an unset l is each study's own: within the ANM test's row limits for anm
+    assert ExperimentConfig("anm", k_values=(5,)).l == 600
+    assert ExperimentConfig("ci").l == 10_000
 
 
 def test_a_ci_experiment_past_the_node_limit_is_refused_before_any_work(monkeypatch):
@@ -191,7 +192,7 @@ def test_a_ci_experiment_past_the_node_limit_is_refused_before_any_work(monkeypa
             f"a ci experiment on {n} nodes; the limit is {harness.MAX_CI_NODES} nodes",
         )
     ExperimentConfig("ci", n=harness.MAX_CI_NODES)
-    ExperimentConfig("anm", n=n, l=600, k_values=(5,))  # the limit is the ci universe's
+    ExperimentConfig("anm", n=n, k_values=(5,))  # the limit is the ci universe's
 
 
 # --- risk plumbing ------------------------------------------------------------

@@ -43,6 +43,7 @@ from oracles import (
     ref_polytree_from_anm,
     ref_select_alpha,
     scalar_labeller,
+    scan_pc_from_ci,
 )
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
@@ -277,6 +278,15 @@ def test_pc_fit_raises_only_on_a_test_it_consults():
         pc_fit(Dataset(np.column_stack([b + c, b, c]), (0, 1, 2)), 0.05, 1)
 
 
+@pytest.mark.parametrize("l", [2, 3])
+def test_pc_fit_on_three_rows_or_fewer_raises_the_first_pairs_error(l):
+    # every level-0 test refuses, and level 0 consults every pair
+    d = Dataset(np.random.default_rng(l).standard_normal((l, 5)), tuple(range(5)))
+    for max_cond in (0, 2):
+        with pytest.raises(InvalidSize, match=r"^need more than 3 samples$"):
+            pc_fit(d, 0.05, max_cond)
+
+
 def test_pc_from_ci_labels_each_level_in_one_call():
     # every candidate of a level, in scan order, from the adjacency at the
     # level's start; independence everywhere at level 0 leaves no level 1
@@ -333,6 +343,68 @@ def test_pc_fit_log_equals_the_labelled_query_loop(seed):
     assert cpdag == ref_cpdag
     assert _log_as_tuples(log) == _log_as_tuples(ref_log)
     assert log.alpha == alpha and any(lq.query.cond for lq in log)
+
+
+@pytest.mark.parametrize("k", [60, 300])
+def test_pc_level_0_as_arrays_equals_the_scan_on_wide_data(k, monkeypatch):
+    # every level-0 pair is consulted, so the array step gives the log,
+    # p-values bit for bit, and the CPDAG of scanning them one by one:
+    # on independent columns, on a sampled linear SCM and on the truth
+    rng = np.random.default_rng(k)
+    independent = Dataset(rng.standard_normal((200, k)), tuple(range(k)))
+    linear = sample(gen_linear_scm(k, 3.0, k), 400, k + 1).dataset
+    truth = random_dag(k, k, p=2.0 / k)
+    fits = [
+        lambda: pc_fit(independent, 0.001, 1),
+        lambda: pc_fit(linear, 0.01, 2),
+        lambda: pc_oracle(truth, 1),
+    ]
+    got = [fit() for fit in fits]
+    monkeypatch.setattr(learners, "pc_from_ci", scan_pc_from_ci)
+    for (cpdag, log), fit in zip(got, fits):
+        ref_cpdag, ref_log = fit()
+        assert cpdag == ref_cpdag and log == ref_log
+        assert log.rows.dtype == ref_log.rows.dtype and log.labels.dtype == ref_log.labels.dtype
+    assert got[1][0].directed and len(got[1][1]) > k * (k - 1) // 2
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pc_level_0_refuses_the_first_unlabelled_row_in_scan_order(seed):
+    # a -1 anywhere at level 0 is consulted, so the first one raises, as
+    # the scan raised it
+    rng = np.random.default_rng(seed)
+
+    def label(rows):
+        labels = rng.integers(0, 2, len(rows))
+        labels[rng.choice(len(rows), 3, replace=False)] = -1
+        return labels, None
+
+    def refuse(row):
+        raise DegenerateInput(f"row {row.tolist()}")
+
+    n = 4 + seed
+    state = rng.bit_generator.state
+    with pytest.raises(DegenerateInput) as got:
+        pc_from_ci(n, label, 1, refuse=refuse)
+    rng.bit_generator.state = state
+    with pytest.raises(DegenerateInput) as want:
+        scan_pc_from_ci(n, label, 1, refuse=refuse)
+    assert str(got.value) == str(want.value)
+
+
+def test_pc_fit_refuses_data_past_its_width_before_the_correlation_matrix(monkeypatch):
+    # level 0 holds k(k-1)/2 pairs in arrays; a wider input is refused
+    # before any k x k array
+    def work(*args, **kwargs):
+        raise AssertionError("PC started its work")
+
+    monkeypatch.setattr(learners, "correlation_matrix", work)
+    k = learners.MAX_PC_NODES + 1
+    wide = Dataset(np.zeros((1, k)), range(k))
+    with pytest.raises(InvalidSize, match=f"^PC on {k} columns; the limit is {k - 1} columns$"):
+        pc_fit(wide, 0.05, 1)
+    with pytest.raises(AssertionError, match="started its work"):
+        pc_fit(Dataset(np.zeros((1, k - 1)), range(k - 1)), 0.05, 1)
 
 
 def test_pc_log_is_a_read_only_sequence_of_labelled_queries():

@@ -4,7 +4,7 @@ stated value must be the module's."""
 import re
 from pathlib import Path
 
-from causalpred import core, harness, models, stattests, synthgen
+from causalpred import core, harness, learners, models, stattests, synthgen
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -12,6 +12,7 @@ CONSTANTS = {
     "MAX_ANM_ROWS": stattests,
     "MAX_CI_NODES": harness,
     "MAX_DAG_NODES": models,
+    "MAX_PC_NODES": learners,
     "MAX_SAMPLE_CELLS": synthgen,
     "MAX_SCM_NODES": synthgen,
     "NOISE_WIDTH": synthgen,

@@ -538,6 +538,26 @@ def test_overflowing_variance_is_named(target):
             assert 0.0 <= fisher_z_ci(d, Query.ci(5, 6), 0.05).p_value <= 1.0
 
 
+@pytest.mark.parametrize("seed", range(16))
+def test_correlation_matrix_is_corrcoef_bit_for_bit(seed):
+    # one np.cov pass serves the checks and the corrcoef division
+    d = sample(gen_linear_scm(3 + 3 * seed, 1.5, seed), 5 + 331 * seed, seed + 1).dataset
+    assert np.array_equal(correlation_matrix(d), np.corrcoef(d.samples, rowvar=False))
+    ids = d.columns[::-1][:3]
+    x = np.column_stack([d.column(v) for v in ids])
+    assert np.array_equal(correlation_matrix(d, ids), np.corrcoef(x, rowvar=False))
+
+
+def test_one_row_is_refused_as_constant_without_a_numpy_warning():
+    # np.cov of one row warns "Degrees of freedom <= 0"; the row is refused first
+    d = Dataset(np.array([[1.0, 2.0, 3.0]]), (4, 5, 6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for variables, first in ((None, 4), ((6, 5), 6)):
+            with pytest.raises(DegenerateInput, match=f"^column {first} is constant$"):
+                correlation_matrix(d, variables)
+
+
 def test_correlation_matrix_of_variables_follows_their_order():
     d = _dataset(*np.random.default_rng(5).standard_normal((3, 50)))
     full = correlation_matrix(d)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from causalpred import synthgen
+from causalpred.core import Dataset
 from causalpred.errors import InvalidDegree, InvalidSize
 from causalpred.models import Polytree, is_polytree_edges
 from causalpred.synthgen import (
@@ -19,7 +21,7 @@ from causalpred.synthgen import (
     save_truth,
     truth_to_json,
 )
-from oracles import population_covariance
+from oracles import population_covariance, ref_sample
 
 
 def _chain_scm(a=0.5):
@@ -114,9 +116,9 @@ def test_mechanism_computes_in_one_l_by_hidden_temporary():
     assert y.tobytes() == (np.tanh(np.outer(x, m.w1) + m.b) @ m.w2).tobytes()
 
 
-def test_a_linear_sample_frees_its_noise_before_the_dataset_copy():
-    # the noise matrix, x and the Dataset's copy of x were three l x n
-    # arrays at once; now the peak is the noise and x, plus an l-vector
+def test_a_linear_sample_holds_one_l_by_n_array():
+    # the noise is the sample, and the Dataset takes it without a copy:
+    # the peak is one l x n array plus an l-vector (three arrays before)
     n, l = 10, 100_000
     scm = gen_linear_scm(n, 1.5, 1)
     sample(scm, 100, 0)
@@ -126,8 +128,35 @@ def test_a_linear_sample_frees_its_noise_before_the_dataset_copy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 8 * l * n + 2 * 8 * l
+    assert peak <= 8 * l * n + 2 * 8 * l
     assert out.dataset.samples.shape == (l, n)
+
+
+def test_the_dataset_holds_the_array_sample_built(monkeypatch):
+    built = []
+
+    def dataset(x, columns):
+        built.append(x)
+        return Dataset(x, columns)
+
+    monkeypatch.setattr(synthgen, "Dataset", dataset)
+    for scm in (gen_linear_scm(5, 1.5, 3), gen_gam_scm(5, 1.5, 3)):
+        samples = sample(scm, 40, 4).dataset.samples
+        assert samples is built[-1] and not samples.flags.writeable
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_sample_equals_the_zero_started_sampler(seed):
+    # a column not yet visited holds its noise, not 0, and meets only zero
+    # coefficients, so every value and every sign bit is the reference's
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 41))
+    degree = float(rng.uniform(0.5, min(6.0, n - 1)))
+    l = int(rng.choice([7, 150, 2001]))
+    for scm in (gen_linear_scm(n, degree, seed), gen_gam_scm(n, degree, seed)):
+        x = sample(scm, l, seed + 1).dataset.samples
+        ref = ref_sample(scm, l, seed + 1)
+        assert np.array_equal(x, ref) and np.array_equal(np.signbit(x), np.signbit(ref))
 
 
 def test_gam_scm_validation():
