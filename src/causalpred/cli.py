@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import bounds, harness, learners, models, stattests, synthgen
-from .core import Query, QueryKind, load_dataset, load_json, save_dataset
+from .core import BLOCK_ROWS, Query, QueryKind, load_dataset, load_json, save_dataset
 from .errors import CausalPredError, InvalidSize, ParseError, UnsupportedQueryForModel
 
 DEFAULT_SEED_ENV = "CAUSALPRED_SEED"
@@ -102,16 +102,18 @@ def cmd_test(args):
     return 0
 
 
-def _label_rows(log):
-    """The CSV rows (query, outcome, p-value) of a learner's TestLog;
-    tolist() gives the Python ints and floats the writer formats."""
-    rows = zip(log.rows.tolist(), log.labels.tolist(), log.p_values.tolist())
+def _label_rows(log, start):
+    """The CSV rows (query, outcome, p-value) of a learner's TestLog from
+    test ``start`` on, one block of ``BLOCK_ROWS``; tolist() gives the
+    Python ints and floats the writer formats."""
+    block = slice(start, start + BLOCK_ROWS)
+    rows = zip(log.rows[block].tolist(), log.labels[block].tolist(), log.p_values[block].tolist())
     if log.kind == QueryKind.ORDERED_PAIR:
-        return [(f"anm:{s}->{t}", value, p) for (s, t), value, p in rows]
-    return [
+        return ((f"anm:{s}->{t}", value, p) for (s, t), value, p in rows)
+    return (
         (f"ci:{a},{b}|{','.join(str(c) for c in cond if c != -1)}", value, p)
         for (a, b, *cond), value, p in rows
-    ]
+    )
 
 
 def cmd_fit(args):
@@ -124,14 +126,15 @@ def cmd_fit(args):
         model, log = learners.polytree_from_anm(d, args.k, args.alpha, args.seed)
     else:
         model, log = learners.fit_path_model(d), None
-    rows = [] if log is None else _label_rows(log)
+    tests = 0 if log is None else len(log)
     models.save_model(model, args.out)
     if args.labels:
         with open(args.labels, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(("query", "outcome", "p_value"))
-            w.writerows(rows)
-    _emit({"written": args.out, "model": args.model, "labels": len(rows)})
+            for start in range(0, tests, BLOCK_ROWS):
+                w.writerows(_label_rows(log, start))
+    _emit({"written": args.out, "model": args.model, "labels": tests})
     return 0
 
 

@@ -18,7 +18,7 @@ import json
 import random
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 
 import numpy as np
@@ -166,7 +166,24 @@ class Dataset:
         return self.samples[:, idx]
 
 
-_NOT_PLAIN = bytes(c for c in range(32) if c not in (10, 13)) + b'"\x7f'
+# rows per block of CSV text: `save_dataset` formats, and `load_dataset`
+# checks and parses, this many lines at a time, so neither holds a file's
+# whole text; loading 10^6 rows of ten columns peaked at 105 MB resident
+# (590 MB with the whole text held), and `causalpred gen` of them at
+# 145 MB (149 MB in blocks of 4096 rows)
+BLOCK_ROWS = 512
+
+_NOT_PLAIN = bytes(c for c in range(256) if c < 32 and c not in (10, 13) or c >= 127) + b'"'
+
+
+def _line_count(path):
+    """The \\n-ended lines of a file, and a last one with no end."""
+    count, last = 0, b""
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            count += chunk.count(b"\n")
+            last = chunk[-1:]
+    return count + (last not in (b"", b"\n"))
 
 
 def _plain_lines(text):
@@ -174,10 +191,50 @@ def _plain_lines(text):
     character and no blank line, else None.  csv.reader cuts such a text
     into rows at these lines and commas, and np.loadtxt reads a cell of it
     exactly when float() does, to the same double."""
-    if not text.isascii() or len(text.encode("ascii").translate(None, _NOT_PLAIN)) != len(text):
+    if len(text.translate(None, _NOT_PLAIN)) != len(text):
         return None
-    lines = text.splitlines()
+    lines = text.decode("ascii").splitlines()
     return lines if lines and "" not in lines else None
+
+
+def _load_plain(path):
+    """The header cells and the body matrix of a plain file, else None.
+
+    The file is read BLOCK_ROWS lines at a time, each block checked by
+    ``_plain_lines`` and parsed by one np.loadtxt call into one
+    preallocated array.  The first block that is not plain, or that
+    np.loadtxt cannot read as a finite matrix, gives None.  So does a block
+    with a lone \\r line end, which ``_plain_lines`` cuts into more lines
+    than the \\n ends that sized the array."""
+    rows = _line_count(path) - 1
+    with open(path, "rb") as fh:
+        header = _plain_lines(fh.readline())
+        if rows < 1 or header is None or len(header) != 1:
+            return None
+        header = header[0].split(",")
+        data = np.empty((rows, len(header)))
+        for start in range(0, rows, BLOCK_ROWS):
+            target = data[start : start + BLOCK_ROWS]
+            lines = _plain_lines(b"".join(islice(fh, BLOCK_ROWS)))
+            if lines is None:
+                return None
+            try:
+                block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                return None
+            if block.shape != target.shape or not np.isfinite(block).all():
+                return None
+            target[:] = block
+    return header, data
+
+
+def _csv_rows(path):
+    """The csv.reader rows of a UTF-8 file's whole text."""
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8: byte {exc.start} cannot be decoded") from None
+    return list(csv.reader(io.StringIO(text, newline="")))
 
 
 def load_dataset(path, names_path=None) -> Dataset:
@@ -185,22 +242,23 @@ def load_dataset(path, names_path=None) -> Dataset:
 
     Names are resolved through a sidecar JSON file ``{"names": [...]}``
     whose list index is the global variable id.  A cell holds what
-    ``float()`` reads, apart from non-finite values.
+    ``float()`` reads, apart from non-finite values.  A plain file is read
+    a block at a time; any other file, and a plain one with a fault, is
+    read whole by csv.reader and float() per cell, which names the fault.
     """
     path = Path(path)
-    try:
-        text = path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path} is not UTF-8: byte {exc.start} cannot be decoded") from None
-    lines = _plain_lines(text)
-    rows = list(csv.reader(io.StringIO(text, newline=""))) if lines is None else lines
-    if not rows:
-        raise InvalidSize(f"{path} is empty")
-    header, body = rows[0], rows[1:]
-    if not header:
-        raise InvalidSize(f"{path} has no header ids: its first line is blank")
-    if not body:
-        raise InvalidSize(f"{path} has no data rows")
+    plain = _load_plain(path)
+    if plain is None:
+        rows = _csv_rows(path)
+        if not rows:
+            raise InvalidSize(f"{path} is empty")
+        header, body = rows[0], rows[1:]
+        if not header:
+            raise InvalidSize(f"{path} has no header ids: its first line is blank")
+        if not body:
+            raise InvalidSize(f"{path} has no data rows")
+    else:
+        header, data = plain
 
     name_to_id = {}
     if names_path is not None:
@@ -212,7 +270,7 @@ def load_dataset(path, names_path=None) -> Dataset:
         name_to_id = {name: i for i, name in enumerate(names)}
 
     columns = []
-    for cell in header if lines is None else header.split(","):
+    for cell in header:
         cell = cell.strip()
         if cell in name_to_id:
             columns.append(name_to_id[cell])
@@ -224,13 +282,7 @@ def load_dataset(path, names_path=None) -> Dataset:
     if len(set(columns)) != len(columns):
         raise DuplicateColumn(f"duplicate header ids in {columns}")
 
-    try:  # a plain body in one call; the per-cell pass below names a fault
-        data = None if lines is None else np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        data = None
-    if data is None or data.shape != (len(body), len(columns)) or not np.isfinite(data).all():
-        if lines is not None:
-            body = [line.split(",") for line in body]
+    if plain is None:
         data = np.empty((len(body), len(columns)))
         for i, row in enumerate(body):
             if len(row) != len(columns):
@@ -256,18 +308,12 @@ def load_json(fh):
         raise ParseError(f"{fh.name} is not JSON: {exc}") from None
 
 
-# rows per block of CSV text that ``save_dataset`` builds; `causalpred gen`
-# of 10^6 rows of ten columns peaked at 0.85 GB resident with the whole
-# text held at once, 0.30 GB a block at a time
-SAVE_BLOCK_ROWS = 4096
-
-
 def save_dataset(d: Dataset, path):
     """Write a dataset as csv.writer does: id header, ``repr`` floats, CRLF."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(map(str, d.columns)) + "\r\n")
-        for start in range(0, len(d.samples), SAVE_BLOCK_ROWS):
-            rows = d.samples[start : start + SAVE_BLOCK_ROWS].tolist()
+        for start in range(0, len(d.samples), BLOCK_ROWS):
+            rows = d.samples[start : start + BLOCK_ROWS].tolist()
             fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in rows]))
 
 

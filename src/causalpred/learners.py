@@ -35,8 +35,8 @@ from .synthgen import sample
 # the most columns pc_fit takes: its level 0 tests all k(k-1)/2 pairs as
 # arrays, growing as k^2; on k independent columns of 200 rows (max_cond
 # 1) pc_fit peaked at 0.31 GB resident at this many, and at 1.03 GB at
-# k = 4000; `causalpred fit pc`, which lists every test as a CSV row,
-# peaked at 0.82 GB at this many
+# k = 4000; `causalpred fit pc` holds no row per test, and peaked as
+# pc_fit did on the same input
 MAX_PC_NODES = 2000
 
 

@@ -418,10 +418,14 @@ class _Pdag:
 
     def apply_meek_rules(self):
         """Close the orientation under Meek rules R1-R4, restarting from the
-        smallest undirected edge after each orientation."""
+        smallest undirected edge after each orientation.  Each rule needs a
+        parent of x (R1) or of y (R2-R4), so an edge with no parent at
+        either end is skipped."""
+        parents = self.parents
         while any(
             self._meek_applies(x, y) and self.orient(x, y)
             for a, b in self.undirected_edges()
+            if parents[a] or parents[b]
             for x, y in ((a, b), (b, a))
         ):
             pass

@@ -757,6 +757,18 @@ class RefPdag:
         return Cpdag(self.n, self.directed, self.undirected)
 
 
+def unguarded_meek_rules(pdag):
+    """``models._Pdag.apply_meek_rules`` before it skipped the undirected
+    edges with no parent at either end: R1-R4 tried on every edge, both
+    ways, restarting after each orientation."""
+    while any(
+        pdag._meek_applies(x, y) and pdag.orient(x, y)
+        for a, b in pdag.undirected_edges()
+        for x, y in ((a, b), (b, a))
+    ):
+        pass
+
+
 def ref_random_dag_from_cpdag(c, seed):
     rng = np.random.default_rng(seed)
     pdag = RefPdag(c.n, c.directed, c.undirected)

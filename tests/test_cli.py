@@ -15,7 +15,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from causalpred import bounds, cli, stattests, synthgen
-from causalpred.core import Query, QueryKind, load_dataset
+from causalpred.core import BLOCK_ROWS, Dataset, Query, QueryKind, load_dataset, save_dataset
 from causalpred.learners import pc_fit
 from causalpred.errors import ParseError
 from causalpred.models import (
@@ -35,6 +35,7 @@ from oracles import (
     ref_polytree_from_anm,
     ref_write_labels,
 )
+from traced import traced_peak
 
 
 # --- query grammar ------------------------------------------------------------
@@ -625,6 +626,39 @@ def test_fit_pc_labels_keep_the_former_writers_bytes(tmp_path, capsys):
     assert 0.0 in p and any(0.0 < v < sys.float_info.min for v in p)  # zero and subnormal
     ref_write_labels(ref_log, tmp_path / "ref.csv")
     assert labels.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("k", [60, 300])
+def test_fit_pc_labels_keep_the_former_writers_bytes_on_wide_data(tmp_path, capsys, k):
+    # the rows are written a block at a time; the log crosses many blocks
+    d = synthgen.sample(synthgen.gen_linear_scm(k, 2.0, k), 400, k + 1).dataset
+    data, labels = tmp_path / "d.csv", tmp_path / "labels.csv"
+    save_dataset(d, data)
+    rc = cli.main(
+        ["fit", "pc", "--data", str(data), "--alpha", "0.01", "--max-cond", "1",
+         "--out", str(tmp_path / "m.json"), "--labels", str(labels)]
+    )
+    assert rc == 0
+    _, ref_log = labelled_pc_fit(load_dataset(data), 0.01, 1)
+    assert json.loads(capsys.readouterr().out)["labels"] == len(ref_log) > 3 * BLOCK_ROWS
+    ref_write_labels(ref_log, tmp_path / "ref.csv")
+    assert labels.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_fit_pc_builds_no_row_per_test(tmp_path, capsys):
+    # without --labels only the count is printed: on 300 independent
+    # columns, 44,850 level-0 tests, `fit pc` holds little more than
+    # pc_fit itself; a tuple and a query string per test took 2.3 times
+    k = 300
+    data = tmp_path / "d.csv"
+    save_dataset(Dataset(np.random.default_rng(k).standard_normal((50, k)), tuple(range(k))), data)
+    argv = ["fit", "pc", "--data", str(data), "--max-cond", "0", "--out", str(tmp_path / "m.json")]
+    assert cli.main(argv) == 0  # no first-call set-up is traced
+    capsys.readouterr()
+    (_, log), fit_peak = traced_peak(lambda: pc_fit(load_dataset(data), 0.05, 0))
+    rc, peak = traced_peak(lambda: cli.main(argv))
+    assert rc == 0 and json.loads(capsys.readouterr().out)["labels"] == len(log)
+    assert peak <= 1.1 * fit_peak
 
 
 def test_fit_polytree_labels_keep_the_former_writers_bytes(tmp_path, capsys):

@@ -1,11 +1,12 @@
 import json
-import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causalpred import core
 from causalpred.core import (
     Dataset,
     PropertyValue,
@@ -31,6 +32,7 @@ from causalpred.errors import (
     TagMismatch,
 )
 from oracles import ci_rows, enumerate_queries, ref_empirical_error, ref_load_dataset, ref_save_dataset
+from traced import traced_peak
 
 
 # --- Query canonicalization ---------------------------------------------------
@@ -330,18 +332,93 @@ def test_load_refuses_a_file_that_is_not_utf8(tmp_path, raw, offset):
     assert str(path) in str(exc.value) and f"byte {offset} " in str(exc.value)
 
 
-def test_load_reads_a_plain_file_in_one_call(tmp_path, monkeypatch):
+@pytest.mark.parametrize("rows", [1, 2])
+@settings(max_examples=200, deadline=None)
+@given(text=_csv_texts())
+def test_load_matches_per_cell_reference_a_block_at_a_time(tmp_path_factory, rows, text):
+    path = tmp_path_factory.getbasetemp() / "blocks.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with mock.patch.object(core, "BLOCK_ROWS", rows):
+        _same_load(path)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 512])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0,1\r\n1,2\r\n3,4\r\n5,6\r\n\"7\",8\r\n",  # a quote in the last block only
+        "0,1\n1,2\n3,4\n5,6\n\n7,8\n",  # a blank line there
+        "0,1\n1,2\n3,4\n5,6\n7,8\n\n",
+        "0,1\r1,2\r\n3,4\n5,6\n7,8\r",  # a lone \r, which cuts a block into more lines
+        "0,1\n1,2\n3,4\n5,6\n7,8\r9,10\n",
+    ],
+)
+def test_load_matches_per_cell_reference_when_the_last_block_is_not_plain(tmp_path, rows, text):
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with mock.patch.object(core, "BLOCK_ROWS", rows):
+        _same_load(path)
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_an_unreadable_cell_in_a_later_block_wins_over_an_earlier_nan(tmp_path, rows):
+    path = tmp_path / "d.csv"
+    path.write_text("0,1\nnan,1\n2,3\n4,5\n6,abc\n7,inf\n")
+    with mock.patch.object(core, "BLOCK_ROWS", rows):
+        with pytest.raises(NonNumericCell) as exc:
+            load_dataset(path)
+    assert (exc.value.row, exc.value.col) == (4, 1)
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_a_bad_byte_in_a_later_block_is_refused_at_its_offset_in_the_file(tmp_path, rows):
+    path = tmp_path / "d.csv"
+    raw = b"0,1\r\n1,2\r\n3,4\r\n5,6\r\n7,\xff\r\n"
+    path.write_bytes(raw)
+    offset = raw.index(b"\xff")
+    with mock.patch.object(core, "BLOCK_ROWS", rows):
+        with pytest.raises(DataError) as exc:
+            load_dataset(path)
+    assert f"byte {offset} " in str(exc.value)
+
+
+def test_load_reads_a_plain_file_in_blocks(tmp_path, monkeypatch):
     d = Dataset(np.random.default_rng(0).standard_normal((30, 4)), (3, 0, 1, 2))
     path = tmp_path / "d.csv"
     save_dataset(d, path)
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(lines, **kwargs):
+        calls.append(len(lines))
+        return loadtxt(lines, **kwargs)
 
     def no_reader(*args, **kwargs):
         raise AssertionError("csv.reader was used on a plain file")
 
     monkeypatch.setattr("causalpred.core.csv.reader", no_reader)
+    monkeypatch.setattr("causalpred.core.np.loadtxt", counted)
+    monkeypatch.setattr(core, "BLOCK_ROWS", 7)
     back = load_dataset(path)
+    assert calls == [7, 7, 7, 7, 2]
     assert back.columns == d.columns
     assert back.samples.tobytes() == d.samples.tobytes()
+
+
+def test_load_holds_the_array_and_one_block_of_text(tmp_path):
+    # 10^5 rows of ten columns, a 20 MB file: the whole text, its lines and
+    # a concatenated copy of the matrix came to several times the file; a
+    # block at a time the load holds the array it returns and a few copies
+    # of one block's text
+    d = Dataset(np.random.default_rng(1).standard_normal((100_000, 10)), tuple(range(10)))
+    path = tmp_path / "d.csv"
+    save_dataset(d, path)
+    save_dataset(Dataset(d.samples[:3], d.columns), tmp_path / "warm.csv")
+    load_dataset(tmp_path / "warm.csv")  # no first-call set-up is traced
+    back, peak = traced_peak(lambda: load_dataset(path))
+    assert back.samples.tobytes() == d.samples.tobytes()
+    block_text = core.BLOCK_ROWS * max(len(line) for line in path.read_bytes().splitlines())
+    assert peak <= d.samples.nbytes + 8 * block_text
 
 
 @settings(max_examples=200, deadline=None)
@@ -368,12 +445,7 @@ def test_save_holds_one_block_of_text_at_a_time(tmp_path):
     # times the file's size; a block at a time stays well under half of it
     d = Dataset(np.random.default_rng(0).standard_normal((65_536, 10)), tuple(range(10)))
     save_dataset(Dataset(d.samples[:2], d.columns), tmp_path / "warm.csv")
-    tracemalloc.start()
-    try:
-        save_dataset(d, tmp_path / "d.csv")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: save_dataset(d, tmp_path / "d.csv"))
     assert peak < (tmp_path / "d.csv").stat().st_size / 2
 
 

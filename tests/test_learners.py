@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalpred import learners
+from causalpred import learners, models
 from causalpred.core import Dataset, Query, QueryKind, binary, sample_queries
 from causalpred.errors import (
     DataError,
@@ -29,7 +29,7 @@ from causalpred.learners import (
     polytree_from_anm,
     select_alpha,
 )
-from causalpred.models import MAX_DAG_NODES, Dag, PathModel, is_polytree_edges, path_corr
+from causalpred.models import MAX_DAG_NODES, Dag, PathModel, is_polytree_edges, path_corr, random_dag_from_cpdag
 from causalpred.stattests import TestOutcome, anm_test, correlation_matrix, fisher_z_many
 from causalpred.synthgen import gen_gam_scm, gen_linear_scm, sample
 from oracles import (
@@ -44,6 +44,7 @@ from oracles import (
     ref_select_alpha,
     scalar_labeller,
     scan_pc_from_ci,
+    unguarded_meek_rules,
 )
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
@@ -366,6 +367,26 @@ def test_pc_level_0_as_arrays_equals_the_scan_on_wide_data(k, monkeypatch):
         assert cpdag == ref_cpdag and log == ref_log
         assert log.rows.dtype == ref_log.rows.dtype and log.labels.dtype == ref_log.labels.dtype
     assert got[1][0].directed and len(got[1][1]) > k * (k - 1) // 2
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pc_meek_closure_skips_only_edges_no_rule_can_direct(seed):
+    # PC's CPDAG and the extensions drawn from it are those of the Meek
+    # loop that tries every undirected edge: on sampled linear SCMs at
+    # max_cond 0 to 2, and on columns sharing one factor (every pair
+    # adjacent at max_cond 0, no v-structure)
+    n = (8, 20, 40, 60, 12, 25)[seed % 6]
+    if seed < 6:
+        d = sample(gen_linear_scm(n, 2.0, seed + 10), 500, seed + 1).dataset
+    else:
+        rng = np.random.default_rng(seed)
+        d = Dataset(rng.standard_normal((200, 1)) + 0.5 * rng.standard_normal((200, n)), tuple(range(n)))
+    fits = [pc_fit(d, 0.01, max_cond)[0] for max_cond in range(3 if seed < 6 else 1)]
+    drawn = [random_dag_from_cpdag(c, seed) for c in fits]
+    with mock.patch.object(models._Pdag, "apply_meek_rules", unguarded_meek_rules):
+        assert fits == [pc_fit(d, 0.01, max_cond)[0] for max_cond in range(len(fits))]
+        assert drawn == [random_dag_from_cpdag(c, seed) for c in fits]
+    assert any(c.directed for c in fits) == (seed < 6)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from causalpred.models import (
     Dag,
     PathModel,
     Polytree,
+    _Pdag,
     anm_polytree_many,
     cpdag_from_dag,
     d_connection_rows,
@@ -50,6 +52,7 @@ from oracles import (
     ref_cpdag_from_dag,
     ref_has_path,
     ref_random_dag_from_cpdag,
+    unguarded_meek_rules,
     scan_children,
     scan_parents,
 )
@@ -554,6 +557,20 @@ def _mixed_pdags(draw, max_n=9):
 def test_random_extension_matches_edge_set_reference(c, seed):
     for s in (seed, seed + 1, seed + 2):
         assert random_dag_from_cpdag(c, s) == ref_random_dag_from_cpdag(c, s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mixed_pdags(), st.integers(0, 2**32 - 1))
+def test_meek_rules_skip_only_edges_no_rule_can_direct(c, seed):
+    # the closure, and the extensions drawn through it, are those of the
+    # loop that tries every undirected edge
+    guarded, unguarded = _Pdag(c.n, c.directed, c.undirected), _Pdag(c.n, c.directed, c.undirected)
+    guarded.apply_meek_rules()
+    unguarded_meek_rules(unguarded)
+    assert guarded.to_cpdag() == unguarded.to_cpdag()
+    drawn = [random_dag_from_cpdag(c, s) for s in (seed, seed + 1)]
+    with mock.patch.object(_Pdag, "apply_meek_rules", unguarded_meek_rules):
+        assert drawn == [random_dag_from_cpdag(c, s) for s in (seed, seed + 1)]
 
 
 @given(_dag_edges())

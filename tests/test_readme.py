@@ -9,6 +9,7 @@ from causalpred import core, harness, learners, models, stattests, synthgen
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 CONSTANTS = {
+    "BLOCK_ROWS": core,
     "MAX_ANM_ROWS": stattests,
     "MAX_CI_NODES": harness,
     "MAX_DAG_NODES": models,
@@ -16,7 +17,6 @@ CONSTANTS = {
     "MAX_SAMPLE_CELLS": synthgen,
     "MAX_SCM_NODES": synthgen,
     "NOISE_WIDTH": synthgen,
-    "SAVE_BLOCK_ROWS": core,
 }
 
 # "`NAME` = 10,000", "`module.NAME` = 10⁷" or "`NAME` = 1.0"

@@ -51,6 +51,7 @@ from oracles import (
     ref_kernel_regress,
     ref_median_bandwidth,
 )
+from traced import traced_peak
 
 
 def _dataset(*columns):
@@ -794,12 +795,7 @@ def test_the_selection_allocates_less_than_one_distance_array(monkeypatch, x):
     monkeypatch.setattr(stattests, "_bracket_squares", counted)
     median_bandwidth(x)
     rounds.clear()
-    tracemalloc.start()
-    try:
-        got = median_bandwidth(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(lambda: median_bandwidth(x))
     assert sum(rounds) >= 2
     assert peak < 1000 * m < 8 * m * m
     assert got == ref_median_bandwidth(x)
@@ -1020,14 +1016,13 @@ def test_anm_universe_holds_at_most_four_grams():
     universe = enumerate_queries(10, QueryKind.ORDERED_PAIR)
     # one small test first, so that no first-call set-up is traced
     anm_test(sample(gen_gam_chain(2, seed=1), 40, seed=2).dataset, Query.ordered_pair(0, 1), 0.05)
-    tracemalloc.start()
-    try:
+
+    def one_pass():
         with anm_session(d):
             for q in universe:
                 anm_test(d, q, 0.05)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(one_pass)
     assert peak <= 4 * 8 * m * m + 16 * 8 * m
 
 

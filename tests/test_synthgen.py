@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -22,6 +20,7 @@ from causalpred.synthgen import (
     truth_to_json,
 )
 from oracles import population_covariance, ref_sample
+from traced import traced_peak
 
 
 def _chain_scm(a=0.5):
@@ -106,12 +105,7 @@ def test_mechanism_computes_in_one_l_by_hidden_temporary():
     m = Mechanism(rng.normal(size=HIDDEN_UNITS), rng.normal(size=HIDDEN_UNITS), rng.normal(size=HIDDEN_UNITS))
     x = rng.standard_normal(100_000)
     m(x[:10])
-    tracemalloc.start()
-    try:
-        y = m(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    y, peak = traced_peak(lambda: m(x))
     assert peak <= 1.25 * x.size * HIDDEN_UNITS * 8
     assert y.tobytes() == (np.tanh(np.outer(x, m.w1) + m.b) @ m.w2).tobytes()
 
@@ -122,12 +116,7 @@ def test_a_linear_sample_holds_one_l_by_n_array():
     n, l = 10, 100_000
     scm = gen_linear_scm(n, 1.5, 1)
     sample(scm, 100, 0)
-    tracemalloc.start()
-    try:
-        out = sample(scm, l, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(lambda: sample(scm, l, 2))
     assert peak <= 8 * l * n + 2 * 8 * l
     assert out.dataset.samples.shape == (l, n)
 
