@@ -33,10 +33,13 @@ from .stattests import (
 from .synthgen import sample
 
 # the most columns pc_fit takes: its level 0 tests all k(k-1)/2 pairs as
-# arrays, growing as k^2; on k independent columns of 200 rows (max_cond
-# 1) pc_fit peaked at 0.31 GB resident at this many, and at 1.03 GB at
-# k = 4000; `causalpred fit pc` holds no row per test, and peaked as
-# pc_fit did on the same input
+# arrays, growing as k^2.  On k independent standard-normal columns of
+# 200 rows with max_cond 1, pc_fit peaked at 0.12 GB resident at
+# k = 1000, 0.30 GB at this many and 0.99 GB at k = 4000 with alpha 0.001;
+# with alpha 0.05, the CLI's default, it peaked at 0.37 GB at k = 1000 and
+# 2.40 GB at this many (0.17 GB at k = 1000 with max_cond 0).
+# `causalpred fit pc` holds no row per test, and peaked as pc_fit did on
+# the same input
 MAX_PC_NODES = 2000
 
 

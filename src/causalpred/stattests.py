@@ -3,6 +3,11 @@
 Fisher-Z partial-correlation tests, Pearson correlation and sign
 estimators, an HSIC independence test with gamma-approximated null, and
 kernel ridge regression used by the bivariate additive-noise test.
+
+scipy is imported inside the functions that call it, each name at one
+site, so a process that only predicts, bounds or plans never loads it:
+``scipy.special`` on the first p-value, ``scipy.linalg`` on the first HSIC
+Gram or kernel regression.
 """
 
 from __future__ import annotations
@@ -13,9 +18,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import dger
-from scipy.special import erfc, gammaincc
 
 from .core import PropertyValue, Query, QueryKind, binary, check_ci_rows, check_nodes, real, sign
 from .errors import DegenerateInput, InvalidParams, InvalidSize, ZeroCorrelation
@@ -119,6 +121,8 @@ def _fisher_z(corr, l, rows, alpha):
             refused[group] = singular
         fail = np.select([l <= size + 3, refused, ~(np.abs(r) < bound)], [1, 2, 3], 0)
         stat = np.sqrt(l - size - 3) * np.arctanh(r)
+    from scipy.special import erfc
+
     p = erfc(np.abs(stat) / math.sqrt(2.0))
     p[fail != 0] = np.nan
     return (p > alpha).astype(np.int64), p, fail
@@ -201,6 +205,8 @@ def _add_outer(k, alpha, a, b):
     alpha = +-1 and ``a`` or ``b`` all ones every product is exact, so each
     entry is rounded as in the broadcast ``k + alpha * a[:, None]`` (or
     ``b[None, :]``)."""
+    from scipy.linalg.blas import dger
+
     return dger(alpha, b, a, a=k.T, overwrite_a=True).T
 
 
@@ -442,6 +448,8 @@ def _gamma_p_value(stat, mean_hsic, var_hsic, m) -> float:
     scale = var_hsic * m / mean_hsic
     # upper tail of Gamma(shape, scale), the regularised upper incomplete
     # gamma; a statistic rounded below 0 has tail 1, as below the support
+    from scipy.special import gammaincc
+
     return float(gammaincc(shape, max(stat, 0.0) / scale))
 
 
@@ -455,6 +463,8 @@ def _ridge_factor(x, k):
     m = k.shape[0]
     lam = RIDGE_SCALE * m
     k.flat[:: m + 1] += lam
+    from scipy.linalg import cho_factor
+
     factor = cho_factor(k.T, lower=True, overwrite_a=True, check_finite=False)
     _, ties, sizes = np.unique(x, return_inverse=True, return_counts=True)
     return factor, lam, ties, sizes
@@ -472,6 +482,8 @@ def _fit_residuals(ridge, y):
     bandwidth."""
     factor, lam, ties, sizes = ridge
     yc = y - y.mean()
+    from scipy.linalg import cho_solve
+
     fitted = cho_solve(factor, yc, check_finite=False)
     fitted *= lam
     np.subtract(yc, fitted, out=fitted)

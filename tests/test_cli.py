@@ -2,12 +2,9 @@ import csv
 import io
 import json
 import math
-import os
-import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -442,16 +439,6 @@ def test_fit_path_names_column_ids_that_are_not_0_to_k_minus_1(tmp_path, capsys)
         "error": "DataError",
         "message": "a path model needs column ids 0..1 in some order; ids [3, 7] are outside",
     }
-
-
-def test_cli_import_leaves_out_scipy_stats():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, causalpred.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False"
 
 
 # --- subcommands --------------------------------------------------------------
