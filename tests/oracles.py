@@ -21,6 +21,7 @@ from causalpred.core import (
     Query,
     QueryKind,
     binary,
+    check_universe,
     load_json,
     sample_queries,
 )
@@ -33,12 +34,14 @@ from causalpred.errors import (
     NonNumericCell,
     ParseError,
     TagMismatch,
+    ZeroCorrelation,
 )
 from causalpred.harness import RiskRecord
 from causalpred.learners import LabeledQuery, _join_levels, pc_fit, pc_oracle
 from causalpred.models import (
     Cpdag,
     Dag,
+    PathModel,
     Polytree,
     _Pdag,
     d_separated_many,
@@ -601,6 +604,59 @@ def ref_polytree_from_anm(d, k, alpha, seed, tester=None):
     union = forest_union(n)
     edges = [lq.query.members for lq in accepted if union(*lq.query.members)]
     return Polytree(n, edges), labels
+
+
+# --- node pairs: the former Python loops -------------------------------------
+#
+# ``learners.fit_path_model`` takes each greedy step as one argmax,
+# ``LinearScm`` checks its order with one mask and reads its edges from
+# ``np.argwhere``.  These are the scans they replaced, which they must
+# agree with exactly.
+
+
+def ref_fit_path_model(d):
+    n = len(d.columns)
+    check_universe(n, QueryKind.UNORDERED_PAIR)
+    corr = correlation_matrix(d)
+    abs_corr = np.abs(corr)
+    np.fill_diagonal(abs_corr, -1.0)
+    if np.max(abs_corr) <= VAR_EPS:
+        raise ZeroCorrelation("all pairwise correlations vanish")
+    a, b = np.unravel_index(int(np.argmax(abs_corr)), abs_corr.shape)
+    chain = [int(a), int(b)]
+    unused = set(range(n)) - set(chain)
+    while unused:
+        head, tail = chain[0], chain[-1]
+        best = None
+        for v in sorted(unused):
+            for end, at_front in ((head, True), (tail, False)):
+                score = abs_corr[v, end]
+                if best is None or score > best[0]:
+                    best = (score, v, at_front)
+        score, v, at_front = best
+        if score <= VAR_EPS:
+            raise ZeroCorrelation("chain extension correlation vanishes")
+        if at_front:
+            chain.insert(0, v)
+        else:
+            chain.append(v)
+        unused.discard(v)
+    adjacent = [float(corr[chain[i], chain[i + 1]]) for i in range(n - 1)]
+    order = [d.columns[i] for i in chain]
+    return PathModel(order, adjacent)
+
+
+def ref_check_linear_order(n, order, coeffs):
+    """Raise what ``LinearScm`` raises for a coefficient against the order."""
+    for i in range(n):
+        for j in range(n):
+            if coeffs[i, j] != 0 and order[j] >= order[i]:
+                raise InvalidSize(f"coefficient {j}->{i} violates the node order")
+
+
+def ref_linear_dag(scm):
+    n = scm.n
+    return Dag(n, [(j, i) for i in range(n) for j in range(n) if scm.coeffs[i, j] != 0])
 
 
 # --- CSV: the former per-cell load and csv.writer save ------------------------

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from causalpred import bounds, cli, stattests, synthgen
+from causalpred import bounds, cli, learners, stattests, synthgen
 from causalpred.core import BLOCK_ROWS, Dataset, Query, QueryKind, load_dataset, save_dataset
-from causalpred.learners import pc_fit
+from causalpred.learners import fit_path_model, pc_fit
 from causalpred.errors import ParseError
 from causalpred.models import (
     Dag,
@@ -632,6 +632,33 @@ def test_fit_pc_labels_keep_the_former_writers_bytes_on_wide_data(tmp_path, caps
     assert labels.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def test_single_tests_match_the_learners_to_the_last_bits(tmp_path, capsys):
+    # `test ci:` and `test corr:` run np.cov on the query's columns, the
+    # learners on all columns, and BLAS rounds the two apart: on 20 seeds
+    # of this config 1,146 of 7,014 logged p-values differed, by at most
+    # 1.8e-12 relative (none changed a label), and 120 of 380 adjacent
+    # correlations, by at most 3.3e-16.  The tolerances leave 30 to 50
+    # times that; a subnormal p-value holds too few bits for a relative one
+    d = synthgen.sample(synthgen.gen_linear_scm(20, 2.0, 0), 10_000, 1).dataset
+    _, log = pc_fit(d, 0.01, 1)
+    queries = [Query.ci(a, b, [c for c in cond if c != -1]) for a, b, *cond in log.rows.tolist()]
+    outs = [stattests.fisher_z_ci(d, q, 0.01) for q in queries]
+    assert [out.value.value for out in outs] == log.labels.tolist()
+    p = np.array([out.p_value for out in outs])
+    assert np.allclose(p, log.p_values, rtol=1e-10, atol=sys.float_info.min)
+    assert np.count_nonzero((0 < log.p_values) & (log.p_values < sys.float_info.min))  # subnormal
+    save_dataset(d, tmp_path / "d.csv")
+    for i in (0, len(log) // 2, len(log) - 1):
+        query = format_query("ci", queries[i])
+        assert cli.main(["test", "--data", str(tmp_path / "d.csv"), "--query", query, "--alpha", "0.01"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["value"] == log.labels[i]
+        assert math.isclose(out["p_value"], log.p_values[i], rel_tol=1e-10, abs_tol=sys.float_info.min)
+    m = fit_path_model(d)
+    for a, b, r in zip(m.order, m.order[1:], m.adjacent_corr):
+        assert abs(stattests.corr_estimate(d, Query.unordered_pair(a, b)).value.value - r) <= 1e-14
+
+
 def test_fit_pc_builds_no_row_per_test(tmp_path, capsys):
     # without --labels only the count is printed: on 300 independent
     # columns, 44,850 level-0 tests, `fit pc` holds little more than
@@ -842,8 +869,9 @@ def test_data_file_of_blank_lines_names_the_missing_header(tmp_path, capsys):
     assert err["error"] == "InvalidSize" and "no header ids" in err["message"]
 
 
-def test_a_graph_past_the_node_limit_is_refused(tmp_path, capsys):
-    # one column id, or a model file's n, used to allocate a table per id
+def test_a_graph_past_the_node_limit_is_refused(tmp_path, monkeypatch, capsys):
+    # one column id, or a model file's n, used to allocate a table per id;
+    # and one column past the limit, k x k arrays for `fit path`
     rows = np.random.default_rng(0).standard_normal((100, 2)).tolist()
     (tmp_path / "d.csv").write_text("0,300000\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows))
     argv = ["fit", "polytree", "--data", str(tmp_path / "d.csv"), "--k", "2", "--out", str(tmp_path / "m.json")]
@@ -855,6 +883,17 @@ def test_a_graph_past_the_node_limit_is_refused(tmp_path, capsys):
     assert cli.main(["predict", "--model", str(tmp_path / "m.json"), "--query", "anm:0->1"]) == 2
     err = _one_json_object(capsys.readouterr().err)
     assert err == {"error": "InvalidSize", "message": "a graph on 10001 nodes; the limit is 10000 nodes"}
+    save_dataset(Dataset(np.random.default_rng(0).standard_normal((2, 10_001)), range(10_001)), tmp_path / "w.csv")
+
+    def work(d):
+        raise AssertionError("fit path built its correlation matrix")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(learners, "correlation_matrix", work)
+        assert cli.main(["fit", "path", "--data", str(tmp_path / "w.csv"), "--out", str(tmp_path / "p.json")]) == 2
+    err = _one_json_object(capsys.readouterr().err)
+    assert err == {"error": "InvalidSize", "message": "a graph on 10001 nodes; the limit is 10000 nodes"}
+    assert not (tmp_path / "p.json").exists()
     # a truth file of gen at its node limit still loads
     scm = synthgen.gen_gam_scm(synthgen.MAX_SCM_NODES, 1.5, 0)
     synthgen.save_truth(scm, tmp_path / "truth.json")

@@ -1,4 +1,5 @@
 import json
+import random
 from unittest import mock
 
 import numpy as np
@@ -534,6 +535,15 @@ def test_sample_uniformity_overlap():
         b = set(sample_queries(universe, 100, seed=2 * s + 1))
         overlaps.append(len(a & b))
     assert abs(np.mean(overlaps) - 100 * 100 / 360) < 1.5
+
+
+@pytest.mark.parametrize("n, k", [(21, 5), (22, 5), (1045, 90), (1046, 90), (10**5, 7)])
+def test_a_draw_from_a_range_is_the_draw_from_its_list(n, k):
+    # random.sample lists a population of at most 21 + 4 ** ceil(log4(3k))
+    # members (21 for k <= 5) and indexes a larger one; each pair of cases
+    # sits on both sides of that switch
+    for seed in range(5):
+        assert sample_queries(range(n), k, seed) == random.Random(seed).sample(list(range(n)), k)
 
 
 def test_sample_deterministic():

@@ -39,6 +39,7 @@ from oracles import (
     moral_d_separated,
     random_dag,
     ref_fisher_z_from_corr,
+    ref_fit_path_model,
     ref_pc_from_ci,
     ref_polytree_from_anm,
     ref_select_alpha,
@@ -46,6 +47,7 @@ from oracles import (
     scan_pc_from_ci,
     unguarded_meek_rules,
 )
+from traced import traced_peak
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
 COLLIDER = Dag(3, [(0, 2), (1, 2)])
@@ -681,6 +683,19 @@ def test_polytree_draws_the_queries_a_draw_from_the_query_universe_gives(k):
         assert [lq.query for lq in labels] == sample_queries(universe, k, seed)
 
 
+def test_a_polytree_draw_lists_no_pairs():
+    # 5 positions drawn from the 2000 * 1999 ordered pairs: listing the
+    # positions first peaked at 159.9 MB traced, and the draw from their
+    # range at 1.97 MB, mostly the returned polytree's per-node tables;
+    # the bound leaves about twice that
+    c = 2000
+    d = Dataset(np.zeros((2, c)), range(c))
+    tester = _synthetic_tester({})
+    (_, log), peak = traced_peak(lambda: polytree_from_anm(d, 5, 0.05, 0, tester=tester))
+    assert len(log) == 5
+    assert peak < 4e6, peak
+
+
 def test_polytree_respects_global_column_ids():
     # columns are global ids 5, 6, 7, not positions
     d = Dataset(np.zeros((30, 3)), (5, 6, 7))
@@ -691,7 +706,8 @@ def test_polytree_respects_global_column_ids():
 
 def test_the_graph_node_limit_comes_before_the_learners_tests(monkeypatch):
     # the node limit of the graph a learner returns is checked before its
-    # work: polytree_from_anm's tests, PC's k x k correlation matrix
+    # work: polytree_from_anm's tests, the k x k correlation matrix of PC
+    # and of the path model
     def work(*args, **kwargs):
         raise AssertionError("the learner started its work")
 
@@ -703,9 +719,11 @@ def test_the_graph_node_limit_comes_before_the_learners_tests(monkeypatch):
         polytree_from_anm(far, 2, 0.05, 0)
     with pytest.raises(KTooLarge):  # the draw's refusal comes first
         polytree_from_anm(far, 3, 0.05, 0)
-    wide = Dataset(np.zeros((1, MAX_DAG_NODES + 1)), range(MAX_DAG_NODES + 1))
+    wide = Dataset(np.zeros((2, MAX_DAG_NODES + 1)), range(MAX_DAG_NODES + 1))
     with pytest.raises(InvalidSize, match=f"^a graph on {MAX_DAG_NODES + 1} nodes; {limit}$"):
         pc_fit(wide, 0.05, 1)
+    with pytest.raises(InvalidSize, match=f"^a graph on {MAX_DAG_NODES + 1} nodes; {limit}$"):
+        fit_path_model(wide)  # its k x k arrays would take 2.4 GB
 
 
 def test_polytree_runs_its_anm_tests_source_by_source(monkeypatch):
@@ -800,6 +818,55 @@ def test_fit_path_recovery_monte_carlo():
         m = fit_path_model(d)
         hits += list(m.order) in ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0])
     assert hits >= 9
+
+
+def _hadamard(order):
+    h = np.ones((1, 1))
+    for _ in range(order):
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 15),
+    st.integers(3, 30),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["normal", "rounded", "flipped", "signs", "hadamard"]),
+)
+def test_fit_path_equals_the_former_scan(k, l, seed, style):
+    # rounded and sign data give tied |r|, and flipped columns negate r.
+    # A hadamard column is a signed sum of 1-4 orthogonal +-1 columns of
+    # 16 rows, so every r is exact: steps tie between columns and between
+    # the chain's ends, and some correlations are exactly 0 (ZeroCorrelation)
+    # or +-1.  The ids are permuted.
+    rng = np.random.default_rng(seed)
+    if style == "hadamard":
+        h = _hadamard(4)[:, 1 : rng.integers(9, 16)]
+        x = np.zeros((16, k))
+        for c in range(k):
+            parts = rng.choice(h.shape[1], size=rng.integers(1, 5), replace=False)
+            x[:, c] = h[:, parts] @ rng.choice([-1.0, 1.0], size=len(parts))
+    else:
+        x = rng.standard_normal((l, k))
+        if style != "normal":
+            x = np.round(x)
+        if style == "flipped":
+            x[:, ::2] *= -1
+        elif style == "signs":
+            x = np.sign(x)
+    d = Dataset(x, tuple(rng.permutation(k).tolist()))
+
+    def outcome(fit):
+        try:
+            return fit(d)
+        except (DegenerateInput, InvalidSize, ZeroCorrelation) as e:
+            return type(e), str(e)
+
+    got, want = outcome(fit_path_model), outcome(ref_fit_path_model)
+    assert got == want
+    if isinstance(got, PathModel):
+        assert [r.hex() for r in got.adjacent_corr] == [r.hex() for r in want.adjacent_corr]
 
 
 def test_fit_path_needs_two_variables():
