@@ -319,8 +319,8 @@ def fit_path_model(d):
     _require_node_ids(d, "a path model")
     n = len(d.columns)
     check_universe(n, QueryKind.UNORDERED_PAIR)
-    # the chain is a graph on n nodes; the k x k arrays below peak at 24
-    # bytes a cell, 2.40 GB at the limit (5 standard-normal rows, 4.2 s)
+    # the chain is a graph on n nodes; the two k x k arrays below peak at
+    # 16 bytes a cell, 1.60 GB at the limit (5 standard-normal rows)
     check_graph_size(n)
     corr = correlation_matrix(d)
     abs_corr = np.abs(corr)

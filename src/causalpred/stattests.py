@@ -5,9 +5,11 @@ estimators, an HSIC independence test with gamma-approximated null, and
 kernel ridge regression used by the bivariate additive-noise test.
 
 scipy is imported inside the functions that call it, each name at one
-site, so a process that only predicts, bounds or plans never loads it:
-``scipy.special`` on the first p-value, ``scipy.linalg`` on the first HSIC
-Gram or kernel regression.
+site, so a process that runs no kernel statistic never loads it:
+``scipy.special`` on the first HSIC p-value, ``scipy.linalg`` on the first
+HSIC Gram or kernel regression.  Fisher-Z p-values come from ``_erfc``, a
+numpy port of the Cephes erfc that ``scipy.special`` runs, equal to it bit
+for bit.
 """
 
 from __future__ import annotations
@@ -80,7 +82,92 @@ def correlation_matrix(d, variables=None):
         if var < VAR_EPS:
             raise DegenerateInput(f"column {col} is constant")
     stddev = np.sqrt(np.diag(cov))
-    return np.clip(cov / stddev[:, None] / stddev, -1, 1)
+    cov /= stddev[:, None]  # in place, so the matrix is the only k x k array
+    cov /= stddev
+    return np.clip(cov, -1, 1, out=cov)
+
+
+# Cephes ndtr.c (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989), the erfc scipy.special runs: erf's T/U on x < 1, and
+# erfc's P/Q on 1 <= x < 8 and R/S past 8; U, Q and S lead with the 1
+# that Cephes' p1evl implies
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2  # erfc is 0 where x * x exceeds it,
+_SQRT_MAXLOG = math.sqrt(_MAXLOG)  # that is, where x exceeds this
+_ERFC_BLOCK = 1 << 16  # arguments per block, which bounds each temporary
+
+
+def _polevl(x, coef):
+    # Cephes' Horner steps, acc * x + c, in place
+    acc = coef[0] * x
+    acc += coef[1]
+    for c in coef[2:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _p1evl(x, coef):
+    # _polevl with a leading 1 left out of coef
+    acc = x + coef[0]
+    for c in coef[1:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _exp_neg_square(x):
+    # math.exp is the libm exp that scipy's erfc calls; numpy's own exp
+    # rounds some arguments differently
+    z = x * x
+    np.negative(z, out=z)
+    return np.fromiter(map(math.exp, z.tolist()), np.float64, len(z))
+
+
+def _erfc_block(x, out):
+    # out holds 0, or NaN where x is NaN
+    low = x < 1.0
+    if np.count_nonzero(low):
+        v = x[low]
+        z = v * v
+        y = v * _polevl(z, _ERF_T)
+        y /= _p1evl(z, _ERF_U)
+        out[low] = 1.0 - y
+    mid = ~low & (x < 8.0)
+    tail = (x >= 8.0) & (x <= _SQRT_MAXLOG)
+    for keep, p, q in ((mid, _ERFC_P, _ERFC_Q), (tail, _ERFC_R, _ERFC_S)):
+        if np.count_nonzero(keep):
+            v = x[keep]
+            y = _exp_neg_square(v)
+            y *= _polevl(v, p)
+            y /= _p1evl(v, q)
+            out[keep] = y
+
+
+def _erfc(x):
+    """``scipy.special.erfc`` bit for bit on a 1-D array of x >= 0 or NaN,
+    by the Cephes steps in their order: 1 - x T(x^2) / U(x^2) below 1,
+    then exp(-x^2) P(x) / Q(x) below 8 and exp(-x^2) R(x) / S(x) until
+    exp(-x^2) underflows.  Each branch runs only on its own arguments, a
+    block of ``_ERFC_BLOCK`` at a time."""
+    out = np.zeros_like(x)  # past _SQRT_MAXLOG, inf included
+    out[np.isnan(x)] = np.nan
+    for i in range(0, len(x), _ERFC_BLOCK):
+        _erfc_block(x[i : i + _ERFC_BLOCK], out[i : i + _ERFC_BLOCK])
+    return out
 
 
 def _fisher_z(corr, l, rows, alpha):
@@ -121,9 +208,7 @@ def _fisher_z(corr, l, rows, alpha):
             refused[group] = singular
         fail = np.select([l <= size + 3, refused, ~(np.abs(r) < bound)], [1, 2, 3], 0)
         stat = np.sqrt(l - size - 3) * np.arctanh(r)
-    from scipy.special import erfc
-
-    p = erfc(np.abs(stat) / math.sqrt(2.0))
+    p = _erfc(np.abs(stat) / math.sqrt(2.0))
     p[fail != 0] = np.nan
     return (p > alpha).astype(np.int64), p, fail
 

@@ -403,6 +403,47 @@ def test_fisher_z_many_inverts_each_submatrix_as_the_scalar_does():
         assert got == erfc(abs(stat) / np.sqrt(2.0)), q
 
 
+# the arguments where Cephes' erfc changes step: 0 and -0.0, both sides of
+# 1, 8 and sqrt(MAXLOG), the band near 26.5 whose results are subnormal,
+# and inf and NaN
+ERFC_EDGES = np.array(
+    [0.0, -0.0, np.inf, np.nan]
+    + [np.nextafter(edge, side) for edge in (1.0, 8.0, stattests._SQRT_MAXLOG) for side in (0.0, 30.0)]
+    + [1.0, 8.0, stattests._SQRT_MAXLOG, *np.linspace(26.2, 26.7, 101)]
+)
+
+
+def _assert_erfc_bit_equal(x):
+    # a platform whose libm exp rounds otherwise than scipy's fails here
+    assert stattests._erfc(x).tobytes() == erfc(x).tobytes(), x
+
+
+def test_erfc_port_is_scipys_at_each_step_edge():
+    x = ERFC_EDGES.copy()
+    _assert_erfc_bit_equal(x)
+    subnormal = (erfc(x) > 0) & (erfc(x) < np.finfo(float).tiny)
+    assert subnormal.sum() > 10
+
+
+def test_erfc_cut_is_where_the_square_passes_maxlog():
+    # x <= _SQRT_MAXLOG is Cephes' test -x * x >= -MAXLOG, since a rounded
+    # square grows with x
+    cut = stattests._SQRT_MAXLOG
+    after = np.nextafter(cut, 30.0)
+    assert cut * cut <= stattests._MAXLOG < after * after
+
+
+def test_erfc_port_is_scipys_across_blocks():
+    x = np.random.default_rng(7).uniform(0.0, 30.0, 3 * stattests._ERFC_BLOCK + 5)
+    _assert_erfc_bit_equal(x)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.one_of(st.floats(0.0, 30.0), st.sampled_from(ERFC_EDGES.tolist())), min_size=1, max_size=200))
+def test_erfc_port_is_scipys_bit_for_bit(xs):
+    _assert_erfc_bit_equal(np.array(xs))
+
+
 def test_fisher_z_many_preconditions():
     corr = np.eye(4)
     with pytest.raises(InvalidSize):
@@ -547,6 +588,15 @@ def test_correlation_matrix_is_corrcoef_bit_for_bit(seed):
     ids = d.columns[::-1][:3]
     x = np.column_stack([d.column(v) for v in ids])
     assert np.array_equal(correlation_matrix(d, ids), np.corrcoef(x, rowvar=False))
+
+
+def test_correlation_matrix_holds_one_k_by_k_array():
+    # np.cov's result is divided and clipped in place; dividing and
+    # clipping into copies held three k x k arrays, 96 MB traced here
+    k = 2000
+    d = _dataset(*np.random.default_rng(6).standard_normal((k, 5)))
+    _, peak = traced_peak(lambda: correlation_matrix(d))
+    assert peak < 1.05 * 8 * k * k
 
 
 def test_one_row_is_refused_as_constant_without_a_numpy_warning():
