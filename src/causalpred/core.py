@@ -363,6 +363,28 @@ def ci_query_array(n, cond_sizes) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+def ci_query_position(n, rows) -> np.ndarray:
+    """The inverse of ``ci_query_array(n, (0, 1))``: the position there of
+    each row (a, b) or (a, b, c), a < b, with c = -1 for an order-0 row.
+
+    Pair (a, b) comes after the a(2n - a - 1)/2 pairs of a smaller first
+    node and the b - a - 1 pairs (a, b') with b' < b; order-1 rows follow
+    all n(n - 1)/2 pairs, n - 2 per pair, with c at its rank
+    c - (c > a) - (c > b) among the nodes other than a and b.  A row of
+    another width, such as a padded row of a deeper level, is refused
+    rather than read as order 1."""
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.ndim != 2 or rows.shape[1] not in (2, 3):
+        raise InvalidSize("universe positions take rows (a, b) or (a, b, c)")
+    a, b = rows[:, 0], rows[:, 1]
+    pair = a * (2 * n - a - 1) // 2 + (b - a - 1)
+    if rows.shape[1] == 2:
+        return pair
+    c = rows[:, 2]
+    order1 = n * (n - 1) // 2 + pair * (n - 2) + c - (c > a) - (c > b)
+    return np.where(c == -1, pair, order1)
+
+
 def check_nodes(n, *nodes):
     for v in nodes:
         if not 0 <= v < n:

@@ -14,27 +14,22 @@ from functools import partial
 
 import numpy as np
 
-# d_separated, fisher_z_from_corr and q_anm_polytree stay bound here for
-# the benchmark's tracer
+# d_separated, fisher_z_from_corr, pc_fit, pc_oracle and q_anm_polytree
+# stay bound here for the benchmark's tracer
 from .bounds import ModelClassId, gap_binary, vc_upper_bound
-from .core import Query, ci_query_array, empirical_error
+from .core import Query, ci_query_array, ci_query_position, empirical_error
 from .errors import InvalidParams, InvalidSize, KTooLarge, ParseError
-from .learners import pc_fit, pc_oracle, polytree_from_anm
+from .learners import fisher_z_labeller, pc_fit, pc_from_ci, pc_oracle, polytree_from_anm
 from .models import (
     anm_polytree_many,
+    ci_walks,
     d_separated,
     d_separated_many,
+    d_separated_walks,
     q_anm_polytree,
     random_dag_from_cpdag,
 )
-from .stattests import (
-    anm_session,
-    anm_test,
-    check_anm_rows,
-    correlation_matrix,
-    fisher_z_from_corr,
-    fisher_z_many,
-)
+from .stattests import anm_session, anm_test, check_anm_rows, correlation_matrix, fisher_z_from_corr
 from .synthgen import _edge_probability, check_sample_size, gen_gam_scm, gen_linear_scm, sample
 
 # the most nodes a ci experiment takes: its order-0/1 universe holds
@@ -177,12 +172,11 @@ def expected_risk(predict, queries, tester) -> float:
     return empirical_error(predict(queries), tester(queries))
 
 
-def _record(cfg, h, rep, seed, log, predict, universe, tester):
-    """Score a fitted predictor: its risk on the k tests of the learner's
-    TestLog, whose rows ``predict`` takes, against its risk on the
-    universe, with the VC gap of a class of VC dimension h at k."""
-    empirical = empirical_error(predict(log.rows), log.labels)
-    expected = expected_risk(predict, universe, tester)
+def _record(cfg, h, rep, seed, log, predictions, expected):
+    """Score a fitted predictor: its ``predictions`` on the k tests of the
+    learner's TestLog against their labels, and its ``expected`` risk on
+    the universe, with the VC gap of a class of VC dimension h at k."""
+    empirical = empirical_error(predictions, log.labels)
     k = len(log)
     bound = gap_binary(h, k, cfg.eta)
     return RiskRecord(
@@ -193,30 +187,54 @@ def _record(cfg, h, rep, seed, log, predict, universe, tester):
 def run_ci_experiment(cfg: ExperimentConfig):
     """Per dataset: fit PC, extend to a DAG, compare the risk on the
     queries PC actually executed with the risk on the full universe of
-    marginal and one-variable-conditioned queries."""
+    marginal and one-variable-conditioned queries.
+
+    The universe's rows and Bayes-ball walks are built and checked once.
+    Per replicate the universe is labelled once, by d-separation in the
+    true graph or by Fisher-Z tests, and PC reads its levels 0 and 1 from
+    that table by universe position; its deeper levels test their rows
+    directly.  The fitted extension labels the universe once too, and its
+    predictions on PC's log are read at the log's positions."""
     if cfg.experiment != "ci":
         raise InvalidParams("config is not a ci experiment")
     records = []
     universe = ci_query_array(cfg.n, (0, 1))
+    walks = ci_walks(universe, cfg.n)
     h = vc_upper_bound(ModelClassId.ALL_DAGS, cfg.n)
     for rep in range(cfg.repetitions):
         seed = cfg.seed + 1000 * rep
         scm = gen_linear_scm(cfg.n, cfg.expected_degree, seed)
         if cfg.oracle:
             truth = scm.dag()
-            cpdag, log = pc_oracle(truth, cfg.max_cond)
-            tester = partial(d_separated_many, truth)
+            alpha, refuse = None, None
+
+            def test(rows):
+                return d_separated_many(truth, rows), None
+
+            tested, p = d_separated_walks(truth, walks), None
         else:
             data = sample(scm, cfg.l, seed + 1).dataset
-            corr = correlation_matrix(data)
-            cpdag, log = pc_fit(data, cfg.alpha, cfg.max_cond, corr=corr)
+            alpha = cfg.alpha
+            test, refuse = fisher_z_labeller(correlation_matrix(data), cfg.l, alpha)
+            tested, p = test(universe)
 
-            def tester(rows):
-                return fisher_z_many(corr, cfg.l, rows, cfg.alpha)[0]
+        def label(rows):
+            if rows.shape[1] > 3:  # a level above 1: not in the table
+                return test(rows)
+            at = ci_query_position(cfg.n, rows)
+            return tested[at], None if p is None else p[at]
 
+        cpdag, log = pc_from_ci(cfg.n, label, cfg.max_cond, alpha=alpha, refuse=refuse)
+        if (tested < 0).any():  # a universe row PC did not consult fails a guard
+            refuse(universe[np.argmax(tested < 0)])
         g = random_dag_from_cpdag(cpdag, seed + 2)
-        predict = partial(d_separated_many, g)
-        records.append(_record(cfg, h, rep, seed, log, predict, universe, tester))
+        predicted = d_separated_walks(g, walks)
+        if log.rows.shape[1] > 3:
+            on_log = d_separated_many(g, log.rows)
+        else:
+            on_log = predicted[ci_query_position(cfg.n, log.rows)]
+        expected = empirical_error(predicted, tested)
+        records.append(_record(cfg, h, rep, seed, log, on_log, expected))
     return records
 
 
@@ -252,7 +270,8 @@ def run_anm_experiment(cfg: ExperimentConfig):
                 rep_seed = seed + 10 * rep + 2
                 tree, log = polytree_from_anm(data, k, cfg.alpha, rep_seed, tester=outcomes)
                 predict = partial(anm_polytree_many, tree)
-                records.append(_record(cfg, h, rep, rep_seed, log, predict, pairs, tester))
+                expected = expected_risk(predict, pairs, tester)
+                records.append(_record(cfg, h, rep, rep_seed, log, predict(log.rows), expected))
     return records
 
 

@@ -11,6 +11,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -267,25 +268,44 @@ def d_connection_rows(g: Dag, sources, conds) -> np.ndarray:
     return (reached[:, 0] | reached[:, 1]) & ~in_z
 
 
+class CiWalks(NamedTuple):
+    """CI query rows as Bayes-ball walks: the distinct ``starts``
+    (a, c1, ..., cs), and per row the index of its walk and its ``target``
+    b.  Rows that agree but for b share one walk."""
+
+    starts: np.ndarray
+    walk: np.ndarray
+    target: np.ndarray
+
+
+def ci_walks(rows, n) -> CiWalks:
+    """Check CI query rows (a, b, c1, ..., cs) on nodes 0..n-1, padded
+    with -1, and deduplicate their walks; these depend on no graph, so one
+    CiWalks serves every DAG on n nodes.  A bad row raises what
+    ``d_separated`` raises on its query, for the first bad row."""
+    rows = check_ci_rows(rows, n)
+    starts = np.delete(rows, 1, axis=1)  # a, c1, ..., cs
+    order = np.lexsort(starts.T)
+    starts = starts[order]
+    new = np.ones(len(starts), dtype=bool)
+    new[1:] = (starts[1:] != starts[:-1]).any(axis=1)
+    walk = np.empty(len(starts), dtype=np.intp)
+    walk[order] = np.cumsum(new) - 1
+    return CiWalks(starts[new], walk, rows[:, 1])
+
+
+def d_separated_walks(g: Dag, walks: CiWalks) -> np.ndarray:
+    """d-separation in g of the rows of ``ci_walks(rows, g.n)``, as a 0/1
+    array in row order: one ``d_connection_rows`` call."""
+    connected = d_connection_rows(g, walks.starts[:, 0], walks.starts[:, 1:])
+    return (~connected[walks.walk, walks.target]).astype(np.int64)
+
+
 def d_separated_many(g: Dag, rows) -> np.ndarray:
     """d-separation of each CI query row (a, b, c1, ..., cs), padded with
-    -1, as a 0/1 array in row order.
-
-    A bad row raises what ``d_separated`` raises on its query, for the
-    first bad row.  Rows that agree but for b share one row of
-    ``d_connection_rows``.
-    """
-    rows = check_ci_rows(rows, g.n)
-    walks = np.delete(rows, 1, axis=1)  # a, c1, ..., cs
-    order = np.lexsort(walks.T)
-    walks = walks[order]
-    new = np.ones(len(walks), dtype=bool)
-    new[1:] = (walks[1:] != walks[:-1]).any(axis=1)
-    walk = np.empty(len(walks), dtype=np.intp)
-    walk[order] = np.cumsum(new) - 1
-    walks = walks[new]
-    connected = d_connection_rows(g, walks[:, 0], walks[:, 1:])
-    return (~connected[walk, rows[:, 1]]).astype(np.int64)
+    -1, as a 0/1 array in row order: ``d_separated_walks`` of
+    ``ci_walks``."""
+    return d_separated_walks(g, ci_walks(rows, g.n))
 
 
 def d_separated(g: Dag, q: Query) -> int:

@@ -173,11 +173,14 @@ def sample(scm, l, seed) -> ScmSample:
     check_sample_size(scm.n, l)
     rng = np.random.default_rng(seed)
     n = scm.n
-    # x starts as the noise: a column not yet visited meets zero coefficients
+    # x starts as the noise: a column not yet visited meets zero coefficients,
+    # and a node with none has only its noise (x @ 0 would add +-0)
     if isinstance(scm, LinearScm):
         x = rng.standard_normal((l, n))
+        has_parents = scm.coeffs.any(axis=1)
         for v in np.argsort(np.asarray(scm.order)):  # node visited at each rank
-            x[:, v] += x @ scm.coeffs[v]
+            if has_parents[v]:
+                x[:, v] += x @ scm.coeffs[v]
     elif isinstance(scm, GamScm):
         x = rng.uniform(-NOISE_WIDTH / 2.0, NOISE_WIDTH / 2.0, size=(l, n))
         for v in scm.dag.topological_order():

@@ -15,6 +15,7 @@ from causalpred.core import (
     QueryKind,
     binary,
     ci_query_array,
+    ci_query_position,
     empirical_error,
     load_dataset,
     real,
@@ -501,6 +502,26 @@ def test_ci_query_array_refuses_what_enumerate_queries_refuses():
             ci_query_array(n, sizes)
         assert str(got.value) == str(want.value)
     assert ci_query_array(4, []).shape == (0, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 40), st.data())
+def test_ci_query_position_inverts_the_order_0_1_universe(n, data):
+    # any draw of the universe's rows, whose order-0 rows are padded with
+    # -1, and its order-0 rows unpadded, go back to their positions
+    universe = ci_query_array(n, (0, 1) if n > 2 else (0,))
+    at = np.array(data.draw(st.lists(st.integers(0, len(universe) - 1), max_size=60)), dtype=np.intp)
+    assert np.array_equal(ci_query_position(n, universe[at].reshape(-1, universe.shape[1])), at)
+    assert np.array_equal(ci_query_position(n, universe), np.arange(len(universe)))
+    pairs = n * (n - 1) // 2
+    assert np.array_equal(ci_query_position(n, universe[:pairs, :2]), np.arange(pairs))
+
+
+def test_ci_query_position_refuses_rows_of_other_widths():
+    # a deeper level's row would otherwise be read as an order-1 row
+    for rows in (ci_query_array(5, (2,)), ci_query_array(5, (0, 1, 2)), [0, 1], [[0]]):
+        with pytest.raises(InvalidSize):
+            ci_query_position(5, rows)
 
 
 def test_ci_rows_pad_and_refuse_other_kinds():

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from causalpred import harness, learners, synthgen
+from causalpred import harness, learners, models, synthgen
 from causalpred.bounds import gap_binary
 from causalpred.core import Dataset, Query, binary
 from causalpred.errors import (
     CausalPredError,
+    DegenerateInput,
     InvalidParams,
     InvalidSize,
     LengthMismatch,
@@ -342,16 +343,88 @@ def test_an_anm_config_with_too_few_rows_is_refused_at_its_first_test(monkeypatc
     assert built == []
 
 
+@pytest.mark.parametrize("max_cond", [0, 1, 2])
 @pytest.mark.parametrize("oracle", [False, True], ids=["fisher-z", "oracle"])
-def test_ci_records_equal_the_per_query_reference(oracle):
+def test_ci_records_equal_the_per_query_reference(oracle, max_cond):
+    # at max_cond 2 PC tests its level-2 rows, which the universe table
+    # does not hold, and the fitted DAG is scored on them directly
     cfgs = [
-        ExperimentConfig("ci", n=8, l=2000, alpha=0.01, repetitions=3, seed=seed, oracle=oracle)
+        ExperimentConfig(
+            "ci", n=8, l=2000, alpha=0.01, repetitions=3, seed=seed, max_cond=max_cond, oracle=oracle
+        )
         for seed in (0, 7)
     ]
     # the size of the benchmark's ci workloads
-    cfgs.append(ExperimentConfig("ci", n=20, l=10_000, alpha=0.001, repetitions=2, seed=3, oracle=oracle))
+    cfgs.append(
+        ExperimentConfig(
+            "ci", n=20, l=10_000, alpha=0.001, repetitions=2, seed=3, max_cond=max_cond, oracle=oracle
+        )
+    )
     for cfg in cfgs:
         assert run_ci_experiment(cfg) == ref_run_ci_experiment(cfg)
+
+
+@pytest.mark.parametrize("oracle", [False, True], ids=["fisher-z", "oracle"])
+def test_ci_replicate_labels_the_universe_once(monkeypatch, oracle):
+    # PC reads levels 0 and 1 from the replicate's table of the universe:
+    # one Fisher-Z call, or one walk of the true graph, labels it, and one
+    # walk of the fitted DAG predicts it and PC's log
+    calls = {"fisher_z": 0, "walks": 0}
+
+    def counting(name, original):
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return count
+
+    monkeypatch.setattr(learners, "_fisher_z", counting("fisher_z", learners._fisher_z))
+    monkeypatch.setattr(models, "d_connection_rows", counting("walks", models.d_connection_rows))
+    reps = 3
+    run_ci_experiment(ExperimentConfig("ci", n=8, l=500, alpha=0.05, repetitions=reps, seed=4, oracle=oracle))
+    assert calls == ({"fisher_z": 0, "walks": 2 * reps} if oracle else {"fisher_z": reps, "walks": reps})
+
+
+def _crafted_sample(monkeypatch, edit):
+    """Make the harness's samples go through ``edit`` of their matrix."""
+    original = harness.sample
+
+    def crafted(scm, l, seed):
+        x = np.array(original(scm, l, seed).dataset.samples)
+        edit(x)
+        return synthgen.ScmSample(Dataset(x, tuple(range(scm.n))))
+
+    monkeypatch.setattr(harness, "sample", crafted)
+
+
+def _set(j, value):
+    def edit(x):
+        x[:, j] = value(x)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, l, max_cond, error, message",
+    [
+        (None, 4, 1, InvalidSize, "need more than 4 samples"),  # every order-1 row
+        (None, 3, 1, InvalidSize, "need more than 3 samples"),  # PC's first pair
+        (_set(2, lambda x: 1.5), 500, 1, DegenerateInput, "column 2 is constant"),
+        # a conditioning variable collinear with a target: its pair's level-0
+        # test meets the +-1 boundary first
+        (_set(3, lambda x: x[:, 1]), 500, 1, DegenerateInput, "partial correlation at the +-1 boundary or undefined"),
+        # x3 = x0 + x1 with x0, x1 independent: PC separates 0 and 1 at level
+        # 0 and never consults (0, 1 | 3), whose partial correlation is -1;
+        # the universe's table refuses it after PC
+        (_set(3, lambda x: x[:, 0] + x[:, 1]), 500, 2, DegenerateInput, "partial correlation at the +-1 boundary or undefined"),
+    ],
+    ids=["l=4", "l=3", "constant", "collinear", "unconsulted"],
+)
+def test_ci_refusals_keep_their_class_and_message(monkeypatch, edit, l, max_cond, error, message):
+    if edit is not None:
+        _crafted_sample(monkeypatch, edit)
+    cfg = ExperimentConfig("ci", n=6, l=l, alpha=0.01, max_cond=max_cond, repetitions=2, seed=1)
+    assert _error(run_ci_experiment, cfg) == (error, message)
 
 
 def test_ci_replicate_builds_one_correlation_matrix(monkeypatch):

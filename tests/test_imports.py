@@ -20,7 +20,7 @@ tracing = importlib.import_module("tracing")
 # imported only so that perfbench/tracing.py can wrap them there; nothing
 # in the module calls them
 TRACER_ONLY = {
-    "harness": {"d_separated", "fisher_z_from_corr", "q_anm_polytree"},
+    "harness": {"d_separated", "fisher_z_from_corr", "pc_fit", "pc_oracle", "q_anm_polytree"},
     "learners": {"d_separated", "fisher_z_from_corr"},
 }
 

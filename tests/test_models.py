@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalpred.core import Query
+from causalpred.core import Query, ci_query_array
 from causalpred.errors import (
     GraphError,
     InvalidSize,
@@ -22,10 +22,12 @@ from causalpred.models import (
     Polytree,
     _Pdag,
     anm_polytree_many,
+    ci_walks,
     cpdag_from_dag,
     d_connection_rows,
     d_separated,
     d_separated_many,
+    d_separated_walks,
     forest_union,
     glue_gaussian_chain,
     load_model,
@@ -215,6 +217,20 @@ def test_d_separated_many_matches_scalar_and_moral_oracle(case):
         end = 2 + np.count_nonzero(row[2:] != -1)
         row[2:end] = rng.permutation(row[2:end])
     assert np.array_equal(d_separated_many(g, rows), got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7), st.integers(0, 2**32 - 1))
+def test_one_ci_walks_serves_every_dag_on_its_nodes(n, seed):
+    # the rows' check and their distinct walks depend on no graph
+    rows = ci_query_array(n, range(n - 1))
+    walks = ci_walks(rows, n)
+    assert len(np.unique(walks.starts, axis=0)) == len(walks.starts) <= len(rows)
+    for i in range(3):
+        g = random_dag(n, seed + i, p=0.4)
+        got = d_separated_walks(g, walks)
+        assert np.array_equal(got, d_separated_many(g, rows))
+        assert got.tolist() == [moral_d_separated(g, a, b, {c for c in cond if c != -1}) for a, b, *cond in rows.tolist()]
 
 
 @st.composite

@@ -16,6 +16,7 @@ CONSTANTS = {
     "MAX_PC_NODES": learners,
     "MAX_SAMPLE_CELLS": synthgen,
     "MAX_SCM_NODES": synthgen,
+    "PATH_ARGMAX_CELLS": learners,
     "NOISE_WIDTH": synthgen,
 }
 
