@@ -34,9 +34,9 @@ from .synthgen import _edge_probability, check_sample_size, gen_gam_scm, gen_lin
 
 # the most nodes a ci experiment takes: its order-0/1 universe holds
 # n(n-1)/2 * (n-1) query rows, growing as n^3; one replicate at this many
-# (l = 2000, max_cond 1) peaked at 0.81 GB resident on d-separation truth
-# and 0.78 GB on Fisher-Z tests (0.86 GB at l = 50,000, the most samples
-# MAX_SAMPLE_CELLS allows); 0.45 GB at n = 160 and 1.3 GB at n = 240
+# (l = 2000, max_cond 1) peaked at 0.31 GB resident on d-separation truth
+# and 0.50 GB on Fisher-Z tests (0.58 GB at l = 50,000, the most samples
+# MAX_SAMPLE_CELLS allows); 0.17 GB at n = 160 and 0.48 GB at n = 240
 MAX_CI_NODES = 200
 
 

@@ -215,6 +215,22 @@ class PathModel:
 # --- predictors ---------------------------------------------------------------
 
 
+# a step takes every move while that costs fewer words than this, since
+# then finding the frontier would cost more than the step; past it, a step
+# follows the frontier's moves alone while they are under 1/FRONTIER_SHARE
+# of all moves
+EVERY_MOVE_WORDS = 1 << 13
+FRONTIER_SHARE = 4
+
+
+def _row_bits(nodes, at, rows, words):
+    """``bits[v]``: a bitset over ``rows`` rows, 64 a uint64 word, of the
+    rows r with v in ``at[..., r]``; ``at`` broadcasts against the rows."""
+    bits = np.zeros((nodes, 64 * words), dtype=bool)
+    bits[at, np.arange(rows)] = True
+    return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+
+
 def d_connection_rows(g: Dag, sources, conds) -> np.ndarray:
     """``connected[r, y]``: is y d-connected to ``sources[r]`` given the
     conditioning set ``conds[r]``?  ``conds`` holds one set per source, or
@@ -226,12 +242,18 @@ def d_connection_rows(g: Dag, sources, conds) -> np.ndarray:
     (down); entered down, a node outside z passes it to its children, and
     a node in z, an observed collider, back up to its parents.  A collider
     outside z with a descendant in z needs no rule of its own: the trail
-    runs down to that descendant and back up through it.  Each row has its
-    own 2n states, and one breadth-first search runs from every row's
-    source, entered up, at once: a step takes the moves out of the states
-    the last step reached, costs O(rows * (n + e)), and there are as many
-    steps as the longest trail has.  A node in z is connected to nothing; a
-    source outside z is connected to itself.
+    runs down to that descendant and back up through it.  A node in z is
+    connected to nothing; a source outside z is connected to itself.
+
+    All rows walk at once: each of the 2n states holds a bitset of the
+    rows that reached it, in w = ceil(rows / 64) uint64 words, and each
+    move holds its gate, the w words of the rows whose z leaves it open.
+    One breadth-first search runs from every row's source, entered up.  A
+    step ANDs the words of the states the last step reached, each move's
+    tail, with the move's gate, ORs them into the move's head, and keeps
+    the bits no step set before.  It takes every move, O((n + e) * w), or,
+    when few moves leave those states, only theirs, O(moves * w) after a
+    sort of the moves; there are as many steps as the longest trail has.
     """
     n = g.n
     sources = np.asarray(sources, dtype=np.intp)
@@ -242,30 +264,70 @@ def d_connection_rows(g: Dag, sources, conds) -> np.ndarray:
         if nodes.size and not (low <= nodes.min() and nodes.max() < n):
             raise UnknownNode(int(nodes.max() if nodes.max() >= n else nodes.min()))
     m = len(sources)
-    in_z = np.zeros((m, n + 1), dtype=bool)
-    in_z[np.arange(m)[:, None], conds] = True  # padding marks column n
-    in_z = in_z[:, :n]
+    words = -(-m // 64)
+    in_z = _row_bits(n + 1, conds.T, m, words)  # padding marks row n
     # Node v is state v entered up and n + v entered down.  Edge p -> c
     # gives four moves: up c -> up p, up p -> down c and down p -> down c,
-    # taken while their gate node (c, p, p) is outside z, and down c -> up
-    # p, taken while c is in z.  Row r's states are 2nr ... 2nr + 2n - 1.
+    # open while their gate node (c, p, p) is outside z, and down c -> up
+    # p, open while c is in z.  The states some move enters are rows 0 to
+    # h - 1 of the state tables, in state order, and the moves are sorted
+    # by head, so a step that takes every move ORs into rows 0 to h - 1.
     p, c = np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * len(g.edges)).reshape(-1, 2).T
-    gate = np.concatenate([c, p, p, c])
-    taken = in_z[:, gate] == np.repeat([False, False, False, True], len(p))
-    first = 2 * n * np.arange(m)[:, None]
-    tails = (first + np.concatenate([c, p, n + p, n + c]))[taken]
-    heads = (first + np.concatenate([p, n + c, n + c, p]))[taken]
-    reached = np.zeros(2 * n * m, dtype=bool)
-    fresh = reached.copy()
-    fresh[first[:, 0] + sources] = True
-    while fresh.any():  # a step takes the moves out of the last step's states
-        reached |= fresh
-        step = heads[fresh[tails]]
-        fresh = np.zeros_like(reached)
-        fresh[step] = True
-        fresh &= ~reached
-    reached = reached.reshape(m, 2, n)
-    return (reached[:, 0] | reached[:, 1]) & ~in_z
+    tail = np.concatenate([c, p, n + p, n + c])
+    head = np.concatenate([p, n + c, n + c, p])
+    gate = np.concatenate([c, p, p, n + 1 + c])  # a row of [~in_z, in_z]
+    entered = np.zeros(2 * n, dtype=bool)
+    entered[head] = True
+    rank = np.argsort(np.argsort(~entered, kind="stable"))
+    h = np.count_nonzero(entered)
+    by_head = np.argsort(head, kind="stable")
+    tail, head = rank[tail[by_head]], rank[head[by_head]]
+    gates = np.concatenate([~in_z, in_z]).take(gate[by_head], axis=0)
+    first = head.searchsorted(np.arange(h))  # each head's first move
+    fresh = _row_bits(2 * n, rank[sources], m, words)
+    unreached = ~fresh
+    measure = len(tail) * words > EVERY_MOVE_WORDS
+    if measure:  # the moves by tail, as positions in head order
+        by_tail = np.argsort(tail, kind="stable")
+        out = np.bincount(tail, minlength=2 * n)
+        end = np.cumsum(out)
+    sparse = False  # does the step take the frontier's moves alone?
+    while True:
+        if sparse:  # row i's moves are end[rows[i]] - k[i] to end[rows[i]] - 1
+            move = by_tail[(end[rows] - ends).repeat(k) + np.arange(ends[-1])]
+            move.sort()  # in head order
+            into = head[move]
+            cut = np.ones(len(into), dtype=bool)  # each head's first move
+            np.not_equal(into[1:], into[:-1], out=cut[1:])
+            cut = cut.nonzero()[0]
+            bits = bits.take(rows.searchsorted(tail[move]), axis=0)
+            step = np.bitwise_or.reduceat(bits & gates.take(move, axis=0), cut, axis=0)
+            at = into[cut]
+            old = unreached.take(at, axis=0)
+            step &= old
+            unreached[at] = old ^ step
+        else:
+            step = np.bitwise_or.reduceat(fresh.take(tail, axis=0) & gates, first, axis=0)
+            step &= unreached[:h]
+            unreached[:h] ^= step
+            at = slice(0, h)
+        if measure:
+            live = step.any(axis=1)
+            rows = at[live] if sparse else live.nonzero()[0]
+            k = out[rows]
+            ends = k.cumsum()
+            if not (len(rows) and ends[-1]):  # no move leaves the frontier
+                break
+            sparse = FRONTIER_SHARE * ends[-1] < len(tail)
+            if sparse:
+                bits = step[live]
+                continue
+        elif not np.count_nonzero(step):
+            break
+        fresh = np.zeros((2 * n, words), dtype=np.uint64)
+        fresh[at] = step
+    connected = ~(unreached.take(rank[:n], axis=0) & unreached.take(rank[n:], axis=0) | in_z[:n])
+    return np.unpackbits(connected.view(np.uint8), axis=1, count=m, bitorder="little").view(bool).T
 
 
 class CiWalks(NamedTuple):

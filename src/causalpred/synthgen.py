@@ -21,8 +21,11 @@ HIDDEN_UNITS = 20
 NOISE_WIDTH = 1.0  # GAM noise is uniform on [-0.5, 0.5]
 # a random SCM draws once per forward pair, n(n-1)/2 of them, and a linear
 # one holds an n x n coefficient matrix: at this many nodes 18 MB traced
-# (gam: 2 MB) and about 0.3 s, growing as n^2
+# and about 0.08 s (gam: 2 MB and 0.3 s), growing as n^2
 MAX_SCM_NODES = 1000
+# the most uniforms gen_linear_scm draws at a time, one per forward pair
+# at first; 40 KB as a list of floats
+UNIFORM_BLOCK = 1 << 10
 # the most cells (l x n) in a sample: at this many `causalpred gen` peaked at
 # 0.15 GB resident (linear, n = 10) and 0.67 GB (gam, n = 3); 61 MB at l = 10
 MAX_SAMPLE_CELLS = 10**7
@@ -118,14 +121,22 @@ def _random_order_and_pairs(n, rng):
     return tuple(int(r) for r in order), pairs
 
 
+def _uniforms(rng, block):
+    """The doubles of successive ``rng.random()`` calls, drawn ``block`` at
+    a time: ``rng.random(k)`` yields the same k."""
+    while True:
+        yield from rng.random(block).tolist()
+
+
 def gen_linear_scm(n, expected_degree, seed) -> LinearScm:
     p = _edge_probability(n, expected_degree)
     rng = np.random.default_rng(seed)
     order, pairs = _random_order_and_pairs(n, rng)
     coeffs = np.zeros((n, n))
+    draw = _uniforms(rng, min(n * (n - 1) // 2, UNIFORM_BLOCK)).__next__
     for j, i in pairs:  # j precedes i in the order
-        if rng.random() < p:
-            coeffs[i, j] = 0.1 + 0.9 * rng.random()
+        if draw() < p:
+            coeffs[i, j] = 0.1 + 0.9 * draw()
     return LinearScm(n, order, coeffs)
 
 

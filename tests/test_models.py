@@ -58,6 +58,7 @@ from oracles import (
     scan_children,
     scan_parents,
 )
+from traced import traced_peak
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
 COLLIDER = Dag(3, [(0, 2), (1, 2)])
@@ -233,22 +234,41 @@ def test_one_ci_walks_serves_every_dag_on_its_nodes(n, seed):
         assert got.tolist() == [moral_d_separated(g, a, b, {c for c in cond if c != -1}) for a, b, *cond in rows.tolist()]
 
 
+def test_labelling_a_large_universe_holds_row_bitsets():
+    # n = 120: 849,660 order-0/1 rows on 14,279 walks, whose 0/1 result
+    # alone is 6.8 MB.  Per-walk states and move arrays peaked at 95-119 MB
+    # traced on three such graphs; row bitsets at 9.4 MB
+    n = 120
+    walks = ci_walks(ci_query_array(n, (0, 1)), n)
+    for seed in range(3):
+        g = random_dag(n, seed, p=1.5 / (n - 1))
+        got, peak = traced_peak(lambda: d_separated_walks(g, walks))
+        assert peak < 20e6, peak
+        assert got.shape == (len(walks.walk),)
+    rng = np.random.default_rng(0)
+    for i in rng.choice(len(walks.walk), 50, replace=False):
+        a, b, c = walks.starts[walks.walk[i], 0], walks.target[i], walks.starts[walks.walk[i], 1]
+        assert got[i] == moral_d_separated(g, a, b, set() if c == -1 else {c})
+
+
 @st.composite
 def _graph_and_conditioning_sets(draw):
-    """A random DAG on at most 10 nodes and a few conditioning sets of size
-    0 to 3, each row in random order and padded with -1 at random places."""
+    """A random DAG on at most 10 nodes, a few conditioning sets of size
+    0 to 3, each row in random order and padded with -1 at random places,
+    and a row count on either side of a 64-row word's edge."""
     n = draw(st.integers(1, 10))
     g = random_dag(n, draw(st.integers(0, 2**32 - 1)), p=draw(st.sampled_from([0.15, 0.3, 0.6])))
     sets = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=3, unique=True), min_size=1, max_size=6))
     width = max(map(len, sets)) + draw(st.integers(0, 2))
     rows = [draw(st.permutations(z + [-1] * (width - len(z)))) for z in sets]
-    return g, sets, np.array(rows, dtype=np.intp).reshape(len(sets), width)
+    m = draw(st.sampled_from([1, 63, 64, 65, 128, 129]))
+    return g, sets, np.array(rows, dtype=np.intp).reshape(len(sets), width), m
 
 
 @settings(max_examples=300, deadline=None)
 @given(_graph_and_conditioning_sets())
 def test_d_connection_rows_match_bayes_ball_and_moral_oracle(case):
-    g, sets, rows = case
+    g, sets, rows, m = case
     sources = np.tile(np.arange(g.n), len(sets))
     connected = d_connection_rows(g, sources, np.repeat(rows, g.n, axis=0))
     assert connected.shape == (len(sets) * g.n, g.n) and connected.dtype == bool
@@ -260,6 +280,14 @@ def test_d_connection_rows_match_bayes_ball_and_moral_oracle(case):
             for y in range(g.n):
                 if x != y and x not in z and y not in z:
                     assert table[x, y] != moral_d_separated(g, x, y, set(z)), (sorted(g.edges), x, y, z)
+    # m rows, a word's edge apart: row r walks from r mod n given set r // n,
+    # the sets taken in turn, and then each set for all m rows
+    x, which = np.arange(m) % g.n, (np.arange(m) // g.n) % len(sets)
+    want = connected.reshape(len(sets), g.n, g.n)
+    got = d_connection_rows(g, x, rows[which])
+    assert got.shape == (m, g.n) and np.array_equal(got, want[which, x])
+    for i in range(len(sets)):
+        assert np.array_equal(d_connection_rows(g, x, rows[i : i + 1]), want[i, x])
 
 
 def test_d_connection_rows_refuse_bad_shapes_and_nodes():

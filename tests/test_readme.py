@@ -10,6 +10,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 CONSTANTS = {
     "BLOCK_ROWS": core,
+    "EVERY_MOVE_WORDS": models,
+    "FRONTIER_SHARE": models,
     "MAX_ANM_ROWS": stattests,
     "MAX_CI_NODES": harness,
     "MAX_DAG_NODES": models,
@@ -18,6 +20,7 @@ CONSTANTS = {
     "MAX_SCM_NODES": synthgen,
     "PATH_ARGMAX_CELLS": learners,
     "NOISE_WIDTH": synthgen,
+    "UNIFORM_BLOCK": synthgen,
 }
 
 # "`NAME` = 10,000", "`module.NAME` = 10⁷" or "`NAME` = 1.0"

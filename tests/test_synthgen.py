@@ -93,6 +93,31 @@ def test_linear_determinism():
     assert np.array_equal(a.coeffs, b.coeffs)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 60),
+    st.floats(0.05, 1.0),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 7, synthgen.UNIFORM_BLOCK]),
+)
+def test_linear_block_draws_are_the_per_pair_draws(n, degree_share, seed, block):
+    # the block draws read the doubles one rng.random() call per draw gave
+    degree = degree_share * (n - 1)
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n).tolist()
+    p = degree / (n - 1)
+    want = np.zeros((n, n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < p:
+                want[perm[b], perm[a]] = 0.1 + 0.9 * rng.random()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synthgen, "UNIFORM_BLOCK", block)
+        got = gen_linear_scm(n, degree, seed)
+    assert got.coeffs.tobytes() == want.tobytes()
+    assert got.order == tuple(np.argsort(perm).tolist())
+
+
 def test_gam_skeleton_is_forest():
     for s in range(50):
         scm = gen_gam_scm(20, 1.5, seed=s)
