@@ -23,8 +23,8 @@ NOISE_WIDTH = 1.0  # GAM noise is uniform on [-0.5, 0.5]
 # one holds an n x n coefficient matrix: at this many nodes 18 MB traced
 # and about 0.08 s (gam: 2 MB and 0.3 s), growing as n^2
 MAX_SCM_NODES = 1000
-# the most uniforms gen_linear_scm draws at a time, one per forward pair
-# at first; 40 KB as a list of floats
+# the most uniforms gen_linear_scm draws at a time (a smaller SCM draws
+# one per forward pair at a time); 40 KB as a list of floats
 UNIFORM_BLOCK = 1 << 10
 # the most cells (l x n) in a sample: at this many `causalpred gen` peaked at
 # 0.15 GB resident (linear, n = 10) and 0.67 GB (gam, n = 3); 61 MB at l = 10
