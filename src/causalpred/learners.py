@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Query, QueryKind, binary, check_universe, ci_query_array, sample_queries
+from .core import Query, QueryKind, binary, check_nodes, check_universe, sample_queries
 from .errors import DataError, InvalidSize, ZeroCorrelation
 
 # d_separated and fisher_z_from_corr stay bound here for the benchmark's
@@ -24,14 +24,12 @@ from .stattests import (
     VAR_EPS,
     TestOutcome,
     _fisher_z,
-    _require_alpha,
     anm_session,
     anm_test,
     correlation_matrix,
     fisher_z_from_corr,
     fisher_z_many,
 )
-from .synthgen import sample
 
 # the most columns pc_fit takes: its level 0 tests all k(k-1)/2 pairs as
 # arrays, growing as k^2.  On k independent standard-normal columns of
@@ -197,7 +195,8 @@ def fisher_z_labeller(corr, l, alpha):
     """``pc_from_ci``'s ``label`` and ``refuse`` for Fisher-Z tests on a
     correlation matrix whose row and column v are node v's: the labels of
     ``_fisher_z``, -1 on a row that fails a guard, with its p-values, and
-    the error ``fisher_z_many`` raises on a row."""
+    the error ``fisher_z_many`` raises on a row.  ``label`` checks no row:
+    it takes PC's own rows, or a universe ``models.ci_walks`` checked."""
 
     def label(rows):
         labels, p, fail = _fisher_z(corr, l, rows, alpha)
@@ -228,45 +227,6 @@ def pc_oracle(g, max_cond):
     return pc_from_ci(g.n, lambda rows: (d_separated_many(g, rows), None), max_cond)
 
 
-# --- confidence-level selection -----------------------------------------------
-
-
-def _f1(tp, fp, fn):
-    denom = 2 * tp + fp + fn
-    return 2 * tp / denom if denom else 0.0
-
-
-def select_alpha(candidates, scms, l, seed=0):
-    """Pick the test confidence level with the best mean F1 of predicted
-    dependence against d-separation ground truth, over marginal and
-    one-variable-conditioned queries; ties go to the smaller alpha.  Every
-    candidate is checked, and ``scms`` must not be empty, before any
-    sample is drawn."""
-    if not candidates:
-        raise InvalidSize("need at least one candidate alpha")
-    for alpha in candidates:
-        _require_alpha(alpha)
-    if not scms:
-        raise InvalidSize("need at least one SCM")
-    scores = {a: [] for a in candidates}
-    for idx, scm in enumerate(scms):
-        data = sample(scm, l, seed + idx).dataset
-        g = scm.dag()
-        corr = correlation_matrix(data)
-        queries = ci_query_array(g.n, (0, 1))
-        true_dep = d_separated_many(g, queries) == 0
-        p = fisher_z_many(corr, l, queries, candidates[0])[1]
-        for alpha in candidates:
-            predicted_dep = p <= alpha  # label 0: p is never NaN here
-            tp = int(np.count_nonzero(predicted_dep & true_dep))
-            fp = int(np.count_nonzero(predicted_dep & ~true_dep))
-            fn = int(np.count_nonzero(~predicted_dep & true_dep))
-            scores[alpha].append(_f1(tp, fp, fn))
-    means = {a: float(np.mean(s)) for a, s in scores.items()}
-    best = max(means.values())
-    return min(a for a in candidates if means[a] == best)
-
-
 # --- polytrees from ANM tests -------------------------------------------------
 
 
@@ -284,9 +244,9 @@ def polytree_from_anm(d, k, alpha, seed, tester=None):
     0/1 labels and the p-values.  The default runs the drawn pairs in
     sorted order in one ``anm_session(d)``, so when several would fail,
     the first in sorted order raises.  A column id past the graph node
-    limit is refused after the draw, before any test.  Returns the
-    polytree and the ORDERED_PAIR TestLog of the drawn rows, in drawn
-    order, with ``alpha``.
+    limit, then a negative one, is refused after the draw, before any
+    test.  Returns the polytree and the ORDERED_PAIR TestLog of the drawn
+    rows, in drawn order, with ``alpha``.
     """
     # the draw depends on the universe's length alone; position i of the
     # ordered pairs of column positions is (s, j + (j >= s)), s, j = divmod(i, c - 1)
@@ -294,6 +254,7 @@ def polytree_from_anm(d, k, alpha, seed, tester=None):
     source, target = np.divmod(sample_queries(range(c * (c - 1)), k, seed), c - 1)
     target += target >= source
     check_graph_size(max(d.columns) + 1)
+    check_nodes(max(d.columns) + 1, min(d.columns))  # a negative id names no node
     rows = np.array(d.columns, dtype=np.intp)[np.column_stack([source, target])]
     if tester is None:
         labels, p = np.empty(k, dtype=np.int64), np.empty(k)

@@ -174,7 +174,8 @@ def _fisher_z(corr, l, rows, alpha):
     """``fisher_z_many`` without its raise: the labels, the p-values (NaN on
     a row that fails a guard), and per row the first guard it fails: 1 for
     too few samples, 2 for a refused partial correlation, 3 for one at +-1,
-    0 for none.
+    0 for none.  It checks no row: ``rows`` are PC's own, or a universe
+    that ``models.ci_walks`` has checked.
 
     Given at most one variable c the partial correlation is the closed form
     (r_ab - r_ac r_bc) / sqrt((1 - r_ac^2)(1 - r_bc^2)), refused when c is
@@ -185,7 +186,6 @@ def _fisher_z(corr, l, rows, alpha):
     finite or its condition number exceeds 1e12; the submatrices of one
     size are inverted as one stack, which rounds each as alone."""
     _require_alpha(alpha)
-    rows = check_ci_rows(rows, len(corr))
     size = np.count_nonzero(rows[:, 2:] != -1, axis=1)  # padding comes last
     a, b = rows[:, 0], rows[:, 1]
     c = rows[:, 2] if rows.shape[1] > 2 else np.full(len(rows), -1)
@@ -218,12 +218,15 @@ def fisher_z_many(corr, l, rows, alpha):
     end with -1, on the correlation matrix the entries index: the 0/1
     labels, 1 for p > alpha, and the p-values erfc(|z| / sqrt(2)).  A bad
     row raises what ``models.d_separated_many`` raises on it, and then the
-    first row that fails a guard of ``_fisher_z`` raises its error."""
+    first row that fails a guard of ``_fisher_z`` raises its error; a bad
+    alpha comes before both."""
+    _require_alpha(alpha)
+    rows = check_ci_rows(rows, len(corr))
     labels, p, fail = _fisher_z(corr, l, rows, alpha)
     if not fail.any():
         return labels, p
     i = int(np.argmax(fail != 0))
-    size = np.count_nonzero(np.asarray(rows)[i, 2:] != -1)
+    size = np.count_nonzero(rows[i, 2:] != -1)
     if fail[i] == 1:
         raise InvalidSize(f"need more than {size + 3} samples")
     if fail[i] == 3:

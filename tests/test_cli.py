@@ -869,6 +869,23 @@ def test_data_file_of_blank_lines_names_the_missing_header(tmp_path, capsys):
     assert err["error"] == "InvalidSize" and "no header ids" in err["message"]
 
 
+def test_fit_polytree_refuses_a_negative_column_id(tmp_path, monkeypatch, capsys):
+    # on independent columns it used to write a 1-node polytree and labels
+    # that predict refused; on dependent ones it ran both tests first
+    rows = np.random.default_rng(0).standard_normal((300, 2)).tolist()
+    (tmp_path / "d.csv").write_text("-1,0\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows))
+
+    def work(*args, **kwargs):
+        raise AssertionError("an additive-noise test ran")
+
+    monkeypatch.setattr(learners, "anm_test", work)
+    argv = ["fit", "polytree", "--data", str(tmp_path / "d.csv"), "--k", "2"]
+    assert cli.main([*argv, "--out", str(tmp_path / "m.json"), "--labels", str(tmp_path / "l.csv")]) == 2
+    err = _one_json_object(capsys.readouterr().err)
+    assert err == {"error": "UnknownNode", "message": "node -1 is not part of the graph"}
+    assert not (tmp_path / "m.json").exists() and not (tmp_path / "l.csv").exists()
+
+
 def test_a_graph_past_the_node_limit_is_refused(tmp_path, monkeypatch, capsys):
     # one column id, or a model file's n, used to allocate a table per id;
     # and one column past the limit, k x k arrays for `fit path`

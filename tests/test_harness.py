@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from causalpred import harness, learners, models, synthgen
+from causalpred import harness, learners, models, stattests, synthgen
 from causalpred.bounds import gap_binary
 from causalpred.core import Dataset, Query, binary
 from causalpred.errors import (
@@ -368,8 +368,9 @@ def test_ci_records_equal_the_per_query_reference(oracle, max_cond):
 def test_ci_replicate_labels_the_universe_once(monkeypatch, oracle):
     # PC reads levels 0 and 1 from the replicate's table of the universe:
     # one Fisher-Z call, or one walk of the true graph, labels it, and one
-    # walk of the fitted DAG predicts it and PC's log
-    calls = {"fisher_z": 0, "walks": 0}
+    # walk of the fitted DAG predicts it and PC's log; the Fisher-Z tests
+    # check no row, as ci_walks has checked the universe once
+    calls = {"fisher_z": 0, "walks": 0, "row checks": 0}
 
     def counting(name, original):
         def count(*args, **kwargs):
@@ -380,9 +381,11 @@ def test_ci_replicate_labels_the_universe_once(monkeypatch, oracle):
 
     monkeypatch.setattr(learners, "_fisher_z", counting("fisher_z", learners._fisher_z))
     monkeypatch.setattr(models, "d_connection_rows", counting("walks", models.d_connection_rows))
+    monkeypatch.setattr(stattests, "check_ci_rows", counting("row checks", stattests.check_ci_rows))
     reps = 3
     run_ci_experiment(ExperimentConfig("ci", n=8, l=500, alpha=0.05, repetitions=reps, seed=4, oracle=oracle))
-    assert calls == ({"fisher_z": 0, "walks": 2 * reps} if oracle else {"fisher_z": reps, "walks": reps})
+    want = {"fisher_z": 0, "walks": 2 * reps} if oracle else {"fisher_z": reps, "walks": reps}
+    assert calls == {**want, "row checks": 0}
 
 
 def _crafted_sample(monkeypatch, edit):

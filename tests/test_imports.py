@@ -1,7 +1,7 @@
 """Every name a package module imports at module level is used in that
-module, except the bindings that only the benchmark's tracer reads; scipy
-is imported only inside functions, and loaded only by the commands that
-compute a kernel statistic."""
+module, except the bindings that only the benchmark's tracer reads; the
+learners import no simulator; scipy is imported only inside functions, and
+loaded only by the commands that compute a kernel statistic."""
 
 import ast
 import importlib
@@ -40,6 +40,28 @@ def _unused_imports(path):
 def test_every_module_level_import_is_used():
     unused = {path.stem: _unused_imports(path) for path in (ROOT / "src" / "causalpred").glob("*.py")}
     assert {module: names for module, names in unused.items() if names} == TRACER_ONLY
+
+
+def _package_imports(path):
+    """The package modules a module imports anywhere in it, by any form of
+    import statement."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "causalpred" + (f".{node.module}" if node.module else "") if node.level else node.module
+            names = [module] if module != "causalpred" else [f"causalpred.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in names if name.startswith("causalpred."))
+    return found
+
+
+def test_the_learners_read_no_simulator():
+    # a learner is a function of data and test outcomes: it may not reach
+    # for synthgen's simulator, nor for the harness or the CLI above it
+    assert _package_imports(ROOT / "src" / "causalpred" / "learners.py") <= {"core", "errors", "models", "stattests"}
 
 
 def test_no_package_module_has_a_global_statement():

@@ -14,9 +14,9 @@ from causalpred.core import Dataset, Query, QueryKind, binary, sample_queries
 from causalpred.errors import (
     DataError,
     DegenerateInput,
-    InvalidParams,
     InvalidSize,
     KTooLarge,
+    UnknownNode,
     ZeroCorrelation,
 )
 from causalpred.learners import (
@@ -27,7 +27,6 @@ from causalpred.learners import (
     pc_from_ci,
     pc_oracle,
     polytree_from_anm,
-    select_alpha,
 )
 from causalpred.models import MAX_DAG_NODES, Dag, PathModel, is_polytree_edges, path_corr, random_dag_from_cpdag
 from causalpred.stattests import TestOutcome, anm_test, correlation_matrix, fisher_z_many
@@ -42,7 +41,6 @@ from oracles import (
     ref_fit_path_model,
     ref_pc_from_ci,
     ref_polytree_from_anm,
-    ref_select_alpha,
     scalar_labeller,
     scan_pc_from_ci,
     unguarded_meek_rules,
@@ -460,50 +458,6 @@ def test_pc_fit_frees_its_dataset_without_the_cyclic_collector():
         gc.enable()
 
 
-# --- alpha selection ----------------------------------------------------------
-
-
-def test_select_alpha_single_candidate():
-    assert select_alpha([0.01], [gen_linear_scm(5, 1.5, 0)], l=500) == 0.01
-
-
-def test_select_alpha_prefers_calibrated_level():
-    scms = [gen_linear_scm(8, 1.5, s) for s in range(3)]
-    assert select_alpha([0.5, 0.001], scms, l=5000) == 0.001
-
-
-def test_select_alpha_empty():
-    with pytest.raises(InvalidSize):
-        select_alpha([], [], l=100)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_select_alpha_matches_the_scalar_loop(seed):
-    scms = [gen_linear_scm(7, 1.5, 10 * seed + i) for i in range(3)]
-    candidates = [0.3, 0.05, 0.01, 1e-3, 1e-5]
-    for l in (60, 400, 3000):
-        assert select_alpha(candidates, scms, l, seed) == ref_select_alpha(candidates, scms, l, seed)
-
-
-def test_select_alpha_refuses_a_bad_candidate():
-    with pytest.raises(InvalidParams):
-        select_alpha([0.05, 1.0], [gen_linear_scm(5, 1.5, 0)], l=500)
-
-
-def test_select_alpha_checks_its_input_before_any_work():
-    # no SCM means no score, so neither a lone bad candidate nor the good
-    # first one of two may come back
-    for candidates in ([5.0], [0.01, 7.0]):
-        with pytest.raises(InvalidParams):
-            select_alpha(candidates, [], l=100)
-    with pytest.raises(InvalidSize):
-        select_alpha([0.01], [], l=100)
-    # a bad last candidate is refused before the first sample is drawn
-    with mock.patch.object(learners, "sample", side_effect=AssertionError("sampled")):
-        with pytest.raises(InvalidParams):
-            select_alpha([0.01, 0.05, 0.0], [gen_linear_scm(5, 1.5, 0)], l=500)
-
-
 # --- polytree from additive-noise outcomes ------------------------------------
 
 
@@ -707,6 +661,12 @@ def test_the_graph_node_limit_comes_before_the_learners_tests(monkeypatch):
         polytree_from_anm(far, 2, 0.05, 0)
     with pytest.raises(KTooLarge):  # the draw's refusal comes first
         polytree_from_anm(far, 3, 0.05, 0)
+    # a negative id names no node of the polytree on 0..max id
+    negative = Dataset(np.random.default_rng(0).standard_normal((30, 2)), (-1, 0))
+    with pytest.raises(UnknownNode, match="^node -1 is not part of the graph$"):
+        polytree_from_anm(negative, 2, 0.05, 0)
+    with pytest.raises(KTooLarge):
+        polytree_from_anm(negative, 3, 0.05, 0)
     wide = Dataset(np.zeros((2, MAX_DAG_NODES + 1)), range(MAX_DAG_NODES + 1))
     with pytest.raises(InvalidSize, match=f"^a graph on {MAX_DAG_NODES + 1} nodes; {limit}$"):
         pc_fit(wide, 0.05, 1)
