@@ -886,6 +886,24 @@ def test_fit_polytree_refuses_a_negative_column_id(tmp_path, monkeypatch, capsys
     assert not (tmp_path / "m.json").exists() and not (tmp_path / "l.csv").exists()
 
 
+def test_fit_polytree_refuses_a_negative_column_id_on_dependent_columns(tmp_path, monkeypatch, capsys):
+    # on dependent columns (m = 2000) it ran both additive-noise tests and
+    # only then exited 2; the refusal now comes before the first test
+    a = np.random.default_rng(1).standard_normal(2000)
+    b = np.tanh(a) + 0.1 * np.random.default_rng(2).standard_normal(2000)
+    (tmp_path / "d.csv").write_text("0,-1\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(a.tolist(), b.tolist())))
+
+    def work(*args, **kwargs):
+        raise AssertionError("an additive-noise test ran")
+
+    monkeypatch.setattr(learners, "anm_test", work)
+    argv = ["fit", "polytree", "--data", str(tmp_path / "d.csv"), "--k", "2", "--out", str(tmp_path / "m.json")]
+    assert cli.main(argv) == 2
+    err = _one_json_object(capsys.readouterr().err)
+    assert err == {"error": "UnknownNode", "message": "node -1 is not part of the graph"}
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_a_graph_past_the_node_limit_is_refused(tmp_path, monkeypatch, capsys):
     # one column id, or a model file's n, used to allocate a table per id;
     # and one column past the limit, k x k arrays for `fit path`

@@ -64,6 +64,12 @@ def test_the_learners_read_no_simulator():
     assert _package_imports(ROOT / "src" / "causalpred" / "learners.py") <= {"core", "errors", "models", "stattests"}
 
 
+def test_the_statistical_tests_read_no_model_or_simulator():
+    # a test is a function of the data it is handed: it may not read a
+    # graph from models, nor draw from synthgen's simulator
+    assert _package_imports(ROOT / "src" / "causalpred" / "stattests.py") <= {"core", "errors"}
+
+
 def test_no_package_module_has_a_global_statement():
     # state shared between calls lives in an object its caller holds, such
     # as stattests.anm_session's, not in a module

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalpred import learners, models
-from causalpred.core import Dataset, Query, QueryKind, binary, sample_queries
+from causalpred import learners, models, stattests
+from causalpred.core import Dataset, Query, QueryKind, binary, ci_query_array, sample_queries
 from causalpred.errors import (
     DataError,
     DegenerateInput,
+    InvalidParams,
     InvalidSize,
     KTooLarge,
     UnknownNode,
@@ -94,6 +95,39 @@ def test_pc_fit_all_independent():
     assert cpdag.directed == frozenset()
     assert cpdag.undirected == frozenset()
     assert labels  # marginal tests were executed
+
+
+def test_pc_fit_runs_no_row_check_and_still_refuses_a_bad_alpha(monkeypatch):
+    # PC hands the Fisher-Z tests its own rows, which need no check; the
+    # alpha check of _fisher_z is PC's only one
+    d = sample(gen_linear_scm(6, 1.5, 5), 500, 6).dataset
+    want = pc_fit(d, 0.05, 2)
+
+    def check(*args):
+        raise AssertionError("a row check ran")
+
+    monkeypatch.setattr(stattests, "check_ci_rows", check)
+    assert pc_fit(d, 0.05, 2) == want
+    for alpha in (0.0, 1.0):
+        with pytest.raises(InvalidParams, match=rf"^alpha {alpha} outside \(0, 1\)$"):
+            pc_fit(d, alpha, 1)
+
+
+def test_fisher_z_labeller_labels_as_fisher_z_many(monkeypatch):
+    # label checks no row, and gives fisher_z_many's labels and p-values
+    # on rows that pass every guard
+    d = sample(gen_linear_scm(6, 1.5, 7), 400, 8).dataset
+    corr = correlation_matrix(d)
+    rows = ci_query_array(6, (0, 1, 2))
+    want = fisher_z_many(corr, 400, rows, 0.05)
+
+    def check(*args):
+        raise AssertionError("a row check ran")
+
+    monkeypatch.setattr(stattests, "check_ci_rows", check)
+    label, _ = learners.fisher_z_labeller(corr, 400, 0.05)
+    got = label(rows)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_pc_fit_recovers_collider():
@@ -672,6 +706,19 @@ def test_the_graph_node_limit_comes_before_the_learners_tests(monkeypatch):
         pc_fit(wide, 0.05, 1)
     with pytest.raises(InvalidSize, match=f"^a graph on {MAX_DAG_NODES + 1} nodes; {limit}$"):
         fit_path_model(wide)  # its k x k arrays would take 2.4 GB
+
+
+@pytest.mark.parametrize("columns", [(0, -1), (-3, -2), (2, -5, 7)])
+def test_polytree_refuses_a_negative_column_id_in_any_position(monkeypatch, columns):
+    # the smallest id is named, and no additive-noise test runs
+    def work(*args, **kwargs):
+        raise AssertionError("an additive-noise test ran")
+
+    monkeypatch.setattr(learners, "anm_test", work)
+    d = Dataset(np.random.default_rng(0).standard_normal((30, len(columns))), columns)
+    for k in range(1, len(columns) * (len(columns) - 1) + 1):
+        with pytest.raises(UnknownNode, match=f"^node {min(columns)} is not part of the graph$"):
+            polytree_from_anm(d, k, 0.05, k)
 
 
 def test_polytree_runs_its_anm_tests_source_by_source(monkeypatch):

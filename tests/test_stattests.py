@@ -484,6 +484,33 @@ def test_fisher_z_many_reads_padded_rows_as_the_narrow_ones():
     assert np.array_equal(marginal[1], want[1][:15])
 
 
+def test_fisher_z_many_checks_its_rows_once(monkeypatch):
+    # the public entries check the rows once; _fisher_z, below them, checks none
+    calls = []
+
+    def counting(rows, n):
+        calls.append(n)
+        return check(rows, n)
+
+    check = stattests.check_ci_rows
+    monkeypatch.setattr(stattests, "check_ci_rows", counting)
+    corr = correlation_matrix(sample(gen_linear_scm(5, 1.5, 2), 300, 3).dataset)
+    fisher_z_many(corr, 300, ci_query_array(5, (0, 1)), 0.05)
+    assert calls == [5]
+    fisher_z_from_corr(corr, 300, (0, 1), (2,), 0.05)
+    assert calls == [5, 5]
+    stattests._fisher_z(corr, 300, ci_query_array(5, (0, 1)), 0.05)
+    assert calls == [5, 5]
+
+
+def test_fisher_z_many_refuses_a_bad_alpha_before_a_bad_row():
+    for alpha in (0.0, 1.0, -0.5):
+        with pytest.raises(InvalidParams, match=rf"^alpha {alpha} outside \(0, 1\)$"):
+            fisher_z_many(np.eye(4), 100, [[0, 1, -1], [-2, 1, -1]], alpha)
+        with pytest.raises(InvalidParams, match=rf"^alpha {alpha} outside \(0, 1\)$"):
+            fisher_z_from_corr(np.eye(4), 100, (0, 0), (), alpha)
+
+
 def test_gamma_tail_equals_scipy_stats():
     rng = np.random.default_rng(2)
     for _ in range(2000):
