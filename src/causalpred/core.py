@@ -174,6 +174,7 @@ class Dataset:
 BLOCK_ROWS = 512
 
 _NOT_PLAIN = bytes(c for c in range(256) if c < 32 and c not in (10, 13) or c >= 127) + b'"'
+_NOT_HEADER = bytes(range(32)) + b'"'
 
 
 def _line_count(path):
@@ -200,18 +201,24 @@ def _plain_lines(text):
 def _load_plain(path):
     """The header cells and the body matrix of a plain file, else None.
 
-    The file is read BLOCK_ROWS lines at a time, each block checked by
-    ``_plain_lines`` and parsed by one np.loadtxt call into one
-    preallocated array.  The first block that is not plain, or that
-    np.loadtxt cannot read as a finite matrix, gives None.  So does a block
-    with a lone \\r line end, which ``_plain_lines`` cuts into more lines
-    than the \\n ends that sized the array."""
+    A header line of UTF-8 with no quote and no control character besides
+    its line end, which may hold any sidecar names, is split on commas as
+    csv.reader cuts it; any other header gives None.  The body is read
+    BLOCK_ROWS lines at a time, each block checked by ``_plain_lines`` and
+    parsed by one np.loadtxt call into one preallocated array.  The first
+    block that is not plain, or that np.loadtxt cannot read as a finite
+    matrix, gives None.  So does a block with a lone \\r line end, which
+    ``_plain_lines`` cuts into more lines than the \\n ends that sized
+    the array."""
     rows = _line_count(path) - 1
     with open(path, "rb") as fh:
-        header = _plain_lines(fh.readline())
-        if rows < 1 or header is None or len(header) != 1:
+        header = fh.readline().removesuffix(b"\n").removesuffix(b"\r")
+        if rows < 1 or not header or len(header.translate(None, _NOT_HEADER)) != len(header):
             return None
-        header = header[0].split(",")
+        try:
+            header = header.decode("utf-8").split(",")
+        except UnicodeDecodeError:
+            return None
         data = np.empty((rows, len(header)))
         for start in range(0, rows, BLOCK_ROWS):
             target = data[start : start + BLOCK_ROWS]

@@ -41,10 +41,6 @@ from .stattests import (
 # the same input
 MAX_PC_NODES = 2000
 
-# the cells of |r| that fit_path_model's search for the strongest pair
-# holds at a time
-PATH_ARGMAX_CELLS = 1 << 16
-
 
 @dataclass(frozen=True)
 class LabeledQuery:
@@ -296,17 +292,12 @@ def fit_path_model(d):
     # when |r| was held whole beside it)
     check_graph_size(n)
     corr = correlation_matrix(d)
+    np.fill_diagonal(corr, 0.0)  # no later step reads the diagonal
     # the strongest pair, the first maximum of |r| off the diagonal in
-    # row-major order, from PATH_ARGMAX_CELLS of |r| at a time
-    best, first = -1.0, 0
-    rows = max(1, PATH_ARGMAX_CELLS // n)
-    for start in range(0, n, rows):
-        block = np.abs(corr[start : start + rows])
-        block[np.arange(len(block)), np.arange(start, start + len(block))] = -1.0
-        i = int(np.argmax(block))
-        if block.flat[i] > best:  # a tie keeps the earlier block's
-            best, first = float(block.flat[i]), start * n + i
-    if best <= VAR_EPS:
+    # row-major order: the larger of the signed extremes, the earlier on a tie
+    hi, lo = int(np.argmax(corr)), int(np.argmin(corr))
+    first = hi if (corr.flat[hi], lo) > (-corr.flat[lo], hi) else lo
+    if abs(corr.flat[first]) <= VAR_EPS:
         raise ZeroCorrelation("all pairwise correlations vanish")
     a, b = divmod(first, n)
     chain = deque([int(a), int(b)])

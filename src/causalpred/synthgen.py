@@ -21,11 +21,8 @@ HIDDEN_UNITS = 20
 NOISE_WIDTH = 1.0  # GAM noise is uniform on [-0.5, 0.5]
 # a random SCM draws once per forward pair, n(n-1)/2 of them, and a linear
 # one holds an n x n coefficient matrix: at this many nodes 18 MB traced
-# and about 0.08 s (gam: 2 MB and 0.3 s), growing as n^2
+# and about 0.05 s (gam: 2 MB and 0.06 s), growing as n^2
 MAX_SCM_NODES = 1000
-# the most uniforms gen_linear_scm draws at a time (a smaller SCM draws
-# one per forward pair at a time); 40 KB as a list of floats
-UNIFORM_BLOCK = 1 << 10
 # the most cells (l x n) in a sample: at this many `causalpred gen` peaked at
 # 0.15 GB resident (linear, n = 10) and 0.67 GB (gam, n = 3); 61 MB at l = 10
 MAX_SAMPLE_CELLS = 10**7
@@ -113,62 +110,55 @@ def _edge_probability(n, expected_degree):
     return expected_degree / (n - 1)
 
 
-def _random_order_and_pairs(n, rng):
-    perm = rng.permutation(n).tolist()  # perm[rank] = node
-    order = np.argsort(perm)  # order[node] = rank
-    # forward pairs in lexicographic rank order, for reproducible rejection
-    pairs = ((perm[a], perm[b]) for a in range(n) for b in range(a + 1, n))
-    return tuple(int(r) for r in order), pairs
-
-
-def _uniforms(rng, block):
-    """The doubles of successive ``rng.random()`` calls, drawn ``block`` at
-    a time: ``rng.random(k)`` yields the same k."""
+def _uniforms(rng, n):
+    """The doubles of successive ``rng.random()`` calls, drawn n at a time:
+    ``rng.random(k)`` yields the same k."""
     while True:
-        yield from rng.random(block).tolist()
+        yield from rng.random(n).tolist()
+
+
+def _random_edges(n, expected_degree, seed):
+    """A random SCM's node order, its uniform cursor, and its candidate
+    edges (j, i), j before i: the forward pairs in lexicographic rank
+    order whose draw passes the edge test.  The pairs are yielded one at a
+    time between the draws, so a caller may draw an edge's parameters from
+    the cursor before the next pair's test."""
+    p = _edge_probability(n, expected_degree)
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n).tolist()  # perm[rank] = node
+    cursor = _uniforms(rng, n)
+    draw = cursor.__next__
+    edges = ((perm[a], perm[b]) for a in range(n) for b in range(a + 1, n) if draw() < p)
+    return tuple(np.argsort(perm).tolist()), cursor, edges  # order[node] = rank
 
 
 def gen_linear_scm(n, expected_degree, seed) -> LinearScm:
-    p = _edge_probability(n, expected_degree)
-    rng = np.random.default_rng(seed)
-    order, pairs = _random_order_and_pairs(n, rng)
+    order, cursor, edges = _random_edges(n, expected_degree, seed)
     coeffs = np.zeros((n, n))
-    draw = _uniforms(rng, min(n * (n - 1) // 2, UNIFORM_BLOCK)).__next__
-    for j, i in pairs:  # j precedes i in the order
-        if draw() < p:
-            coeffs[i, j] = 0.1 + 0.9 * draw()
+    for j, i in edges:  # j precedes i in the order
+        coeffs[i, j] = 0.1 + 0.9 * next(cursor)
     return LinearScm(n, order, coeffs)
 
 
-def _random_mechanism(rng) -> Mechanism:
-    w1 = 0.1 + 0.9 * rng.random(HIDDEN_UNITS)
-    w2 = 0.1 + 0.9 * rng.random(HIDDEN_UNITS)
-    b = -1.0 + 2.0 * rng.random(HIDDEN_UNITS)
-    return Mechanism(w1, w2, b)
+def _random_mechanism(cursor) -> Mechanism:
+    w1, w2, b = np.fromiter(cursor, float, 3 * HIDDEN_UNITS).reshape(3, HIDDEN_UNITS)
+    return Mechanism(0.1 + 0.9 * w1, 0.1 + 0.9 * w2, -1.0 + 2.0 * b)
 
 
 def gen_gam_scm(n, expected_degree, seed) -> GamScm:
-    """Like gen_linear_scm, but edges closing an undirected cycle are rejected."""
-    p = _edge_probability(n, expected_degree)
-    rng = np.random.default_rng(seed)
-    order, pairs = _random_order_and_pairs(n, rng)
+    """Like gen_linear_scm, but an edge closing an undirected cycle is
+    rejected, and draws no mechanism."""
+    _, cursor, edges = _random_edges(n, expected_degree, seed)
     union = forest_union(n)
-    edges = []
-    mechanisms = {}
-    for j, i in pairs:
-        # a mechanism is drawn only for an edge that closes no cycle
-        if rng.random() < p and union(j, i):
-            edges.append((j, i))
-            mechanisms[(j, i)] = _random_mechanism(rng)
-    return GamScm(n, Polytree(n, edges), mechanisms)
+    mechanisms = {e: _random_mechanism(cursor) for e in edges if union(*e)}
+    return GamScm(n, Polytree(n, list(mechanisms)), mechanisms)
 
 
 def gen_gam_chain(n, seed) -> GamScm:
     """A directed chain 0 -> 1 -> ... -> n-1 with random tanh mechanisms."""
-    rng = np.random.default_rng(seed)
-    edges = [(i, i + 1) for i in range(n - 1)]
-    mechanisms = {e: _random_mechanism(rng) for e in edges}
-    return GamScm(n, Polytree(n, edges), mechanisms)
+    cursor = _uniforms(np.random.default_rng(seed), n)
+    mechanisms = {(i, i + 1): _random_mechanism(cursor) for i in range(n - 1)}
+    return GamScm(n, Polytree(n, list(mechanisms)), mechanisms)
 
 
 def check_sample_size(n, l):

@@ -324,7 +324,8 @@ def test_load_refuses_a_file_with_no_header_ids(tmp_path, text):
 
 
 @pytest.mark.parametrize(
-    "raw, offset", [(b"0,1\n1.0,\xff\n", 8), (b"\xc3,1\n1,2\n", 0), (b"0,1\n1,2\xe2\x82", 7)]
+    "raw, offset",
+    [(b"0,1\n1.0,\xff\n", 8), (b"\xc3,1\n1,2\n", 0), (b"0,\xe5\x90\r\n1,2\r\n", 2), (b"0,1\n1,2\xe2\x82", 7)],
 )
 def test_load_refuses_a_file_that_is_not_utf8(tmp_path, raw, offset):
     path = tmp_path / "d.csv"
@@ -405,6 +406,58 @@ def test_load_reads_a_plain_file_in_blocks(tmp_path, monkeypatch):
     assert calls == [7, 7, 7, 7, 2]
     assert back.columns == d.columns
     assert back.samples.tobytes() == d.samples.tobytes()
+
+
+NAMES = ["température0", "Größe", "名前", "a b", "x\u2028y", "\x85z", "del\x7f", "\ufeffbom"]
+
+
+def test_load_reads_a_plain_file_with_a_named_header_in_blocks(tmp_path, monkeypatch):
+    # a header of non-ASCII sidecar names is cut by commas, not by csv.reader
+    names = tmp_path / "names.json"
+    names.write_text(json.dumps({"names": NAMES}), encoding="utf-8")
+    d = Dataset(np.random.default_rng(0).standard_normal((30, 4)), (3, 0, 1, 2))
+    path = tmp_path / "d.csv"
+    save_dataset(d, path)
+    body = path.read_bytes().split(b"\r\n", 1)[1]
+    path.write_bytes(",".join(NAMES[c] for c in d.columns).encode("utf-8") + b"\r\n" + body)
+
+    def no_reader(*args, **kwargs):
+        raise AssertionError("csv.reader was used on a plain file")
+
+    monkeypatch.setattr("causalpred.core.csv.reader", no_reader)
+    monkeypatch.setattr(core, "BLOCK_ROWS", 7)
+    back = load_dataset(path, names)
+    assert back.columns == d.columns
+    assert back.samples.tobytes() == d.samples.tobytes()
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "température0,Größe",
+        " 名前 ,a b",
+        "x\u2028y,\x85z",  # line breaks to str.splitlines, not to csv.reader
+        "del\x7f,\ufeffbom",
+        "\ufeffbom,température0",
+        "Größe,Größe",
+        "Größe,unknown",
+        "température0,",
+        '"Größe",a b',  # a quote: csv.reader unquotes it
+        "Größe\x0b,a b",  # a control character
+        "Größe\r,a b",  # a lone \r inside the line
+        "Größe,a b\r",  # so \r\r\n ends the header
+        "",
+    ],
+)
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_load_matches_per_cell_reference_on_named_headers(tmp_path, header, end):
+    names = tmp_path / "names.json"
+    names.write_text(json.dumps({"names": NAMES}), encoding="utf-8")
+    path = tmp_path / "d.csv"
+    path.write_text(header + end + "1.5,2" + end + "3,4" + end, encoding="utf-8", newline="")
+    assert _load_outcome(lambda p: load_dataset(p, names), path) == _load_outcome(
+        lambda p: ref_load_dataset(p, names), path
+    )
 
 
 def test_load_holds_the_array_and_one_block_of_text(tmp_path):

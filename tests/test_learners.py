@@ -828,15 +828,14 @@ def _hadamard(order):
     st.integers(3, 30),
     st.integers(0, 2**32 - 1),
     st.sampled_from(["normal", "rounded", "flipped", "signs", "hadamard"]),
-    st.sampled_from([1, 7, 30, learners.PATH_ARGMAX_CELLS]),
 )
-def test_fit_path_equals_the_former_scan(k, l, seed, style, cells):
+def test_fit_path_equals_the_former_scan(k, l, seed, style):
     # rounded and sign data give tied |r|, and flipped columns negate r.
     # A hadamard column is a signed sum of 1-4 orthogonal +-1 columns of
     # 16 rows, so every r is exact: steps tie between columns and between
     # the chain's ends, and some correlations are exactly 0 (ZeroCorrelation)
-    # or +-1.  The ids are permuted.  The strongest pair is searched in
-    # blocks of one row up to the whole matrix, so ties span blocks.
+    # or +-1, and the strongest pair ties between r and -r.  The ids are
+    # permuted.
     rng = np.random.default_rng(seed)
     if style == "hadamard":
         h = _hadamard(4)[:, 1 : rng.integers(9, 16)]
@@ -860,8 +859,7 @@ def test_fit_path_equals_the_former_scan(k, l, seed, style, cells):
         except (DegenerateInput, InvalidSize, ZeroCorrelation) as e:
             return type(e), str(e)
 
-    with mock.patch.object(learners, "PATH_ARGMAX_CELLS", cells):
-        got = outcome(fit_path_model)
+    got = outcome(fit_path_model)
     want = outcome(ref_fit_path_model)
     assert got == want
     if isinstance(got, PathModel):

@@ -9,7 +9,7 @@ from scipy import stats
 from causalpred import synthgen
 from causalpred.core import Dataset
 from causalpred.errors import InvalidDegree, InvalidSize
-from causalpred.models import Polytree, is_polytree_edges
+from causalpred.models import Polytree, forest_union, is_polytree_edges
 from causalpred.synthgen import (
     HIDDEN_UNITS,
     NOISE_WIDTH,
@@ -94,14 +94,10 @@ def test_linear_determinism():
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    st.integers(2, 60),
-    st.floats(0.05, 1.0),
-    st.integers(0, 2**32 - 1),
-    st.sampled_from([1, 7, synthgen.UNIFORM_BLOCK]),
-)
-def test_linear_block_draws_are_the_per_pair_draws(n, degree_share, seed, block):
-    # the block draws read the doubles one rng.random() call per draw gave
+@given(st.integers(2, 60), st.floats(0.05, 1.0), st.integers(0, 2**32 - 1))
+def test_linear_block_draws_are_the_per_pair_draws(n, degree_share, seed):
+    # the block draws read the doubles one rng.random() call per draw gave;
+    # n uniforms a block, so most SCMs refill the cursor many times
     degree = degree_share * (n - 1)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n).tolist()
@@ -111,11 +107,80 @@ def test_linear_block_draws_are_the_per_pair_draws(n, degree_share, seed, block)
         for b in range(a + 1, n):
             if rng.random() < p:
                 want[perm[b], perm[a]] = 0.1 + 0.9 * rng.random()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(synthgen, "UNIFORM_BLOCK", block)
-        got = gen_linear_scm(n, degree, seed)
+    got = gen_linear_scm(n, degree, seed)
     assert got.coeffs.tobytes() == want.tobytes()
     assert got.order == tuple(np.argsort(perm).tolist())
+
+
+def _former_mechanism(rng):
+    """The bytes of w1, w2 and b as three rng.random(20) calls drew them."""
+    w1 = 0.1 + 0.9 * rng.random(HIDDEN_UNITS)
+    w2 = 0.1 + 0.9 * rng.random(HIDDEN_UNITS)
+    b = -1.0 + 2.0 * rng.random(HIDDEN_UNITS)
+    return w1.tobytes(), w2.tobytes(), b.tobytes()
+
+
+def _mechanism_bytes(scm):
+    return {e: (m.w1.tobytes(), m.w2.tobytes(), m.b.tobytes()) for e, m in scm.mechanisms.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 60), st.floats(0.05, 1.0), st.integers(0, 2**32 - 1))
+def test_gam_block_draws_are_the_per_pair_draws(n, degree_share, seed):
+    # one rng.random() per forward pair, then three rng.random(20) for an
+    # edge that closes no cycle: the cursor serves both from its blocks
+    degree = degree_share * (n - 1)
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n).tolist()
+    p = degree / (n - 1)
+    union = forest_union(n)
+    want = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < p and union(perm[a], perm[b]):
+                want[(perm[a], perm[b])] = _former_mechanism(rng)
+    assert _mechanism_bytes(gen_gam_scm(n, degree, seed)) == want  # the edges are the keys
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 21, 57])
+def test_gam_chain_draws_three_blocks_of_twenty_per_edge(n):
+    rng = np.random.default_rng(n)
+    want = {(i, i + 1): _former_mechanism(rng) for i in range(n - 1)}
+    assert _mechanism_bytes(gen_gam_chain(n, n)) == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 20, 57, 300])
+def test_each_generator_draws_its_uniforms_n_at_a_time(n, monkeypatch):
+    # records the size of each rng.random call: every uniform comes from
+    # blocks of n, so a generator makes at most one call past the
+    # ceil(draws / n) that its draws need
+    calls = []
+    default_rng = np.random.default_rng
+
+    class Counted:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def permutation(self, n):
+            return self.rng.permutation(n)
+
+        def random(self, size=None):
+            calls.append(1 if size is None else size)
+            return self.rng.random(size)
+
+    monkeypatch.setattr(synthgen.np.random, "default_rng", Counted)
+    degree, pairs, mechanism = min(1.5, n - 1), n * (n - 1) // 2, 3 * HIDDEN_UNITS
+    linear = gen_linear_scm(n, degree, 0)
+    drawn = [(pairs + len(linear.dag().edges), list(calls))]  # a test per pair, a coefficient per edge
+    calls.clear()
+    gam = gen_gam_scm(n, degree, 0)
+    drawn.append((pairs + mechanism * len(gam.dag.edges), list(calls)))  # 60 per edge kept
+    calls.clear()
+    gen_gam_chain(n, 0)
+    drawn.append((mechanism * (n - 1), list(calls)))
+    for draws, sizes in drawn:
+        assert set(sizes) == {n}
+        assert len(sizes) <= -(-draws // n) + 1
 
 
 def test_gam_skeleton_is_forest():
